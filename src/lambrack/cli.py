@@ -39,15 +39,21 @@ from .freegroup import print_word, word_of
 __all__ = ["main"]
 
 
-def _common(sub, calculus_default="Ldia"):
-    sub.add_argument("--calculus", default=calculus_default,
-                     help=f"calculus name (default {calculus_default})")
-    sub.add_argument("--timeout-ms", type=float, default=None,
-                     help="per-call proof search budget in milliseconds")
+def _common(sub, calc=False, timeout=False, cache=False):
+    """Add ``--json`` and the shared flags the subcommand's handler
+    reads, so no flag is accepted and then ignored."""
+    if calc:
+        sub.add_argument("--calculus", default="Ldia",
+                         help="calculus name (default Ldia)")
+    if timeout:
+        sub.add_argument("--timeout-ms", type=float, default=None,
+                         help="per-call proof search budget in "
+                              "milliseconds")
     sub.add_argument("--json", action="store_true",
                      help="emit machine-readable JSON")
-    sub.add_argument("--cache-dir", default=None,
-                     help="directory for persisted rule-set caches")
+    if cache:
+        sub.add_argument("--cache-dir", default=None,
+                         help="directory for persisted rule-set caches")
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -255,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("prove", help="search for a derivation")
     sub.add_argument("sequent", help="sequent text, e.g. 'p p \\\\ q => q'")
-    _common(sub)
+    _common(sub, calc=True, timeout=True)
     sub.set_defaults(func=_cmd_prove)
 
     sub = subs.add_parser(
@@ -265,13 +271,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("context",
                      help="the antecedent with the selected span replaced "
                           "by _")
-    _common(sub)
+    _common(sub, calc=True, timeout=True)
     sub.set_defaults(func=_cmd_interpolate)
 
     sub = subs.add_parser("thin",
                           help="thin-index a proof read from a file or -")
     sub.add_argument("proof", help="path to proof text, or - for stdin")
-    _common(sub)
+    _common(sub, calc=True)
     sub.set_defaults(func=_cmd_thin)
 
     sub = subs.add_parser("interpret",
@@ -291,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("grammar", help="grammar file path or bundled name")
     sub.add_argument("--output", default=None,
                      help="write the CFG here instead of stdout")
-    _common(sub)
+    _common(sub, calc=True, cache=True)
     sub.set_defaults(func=_cmd_compile)
 
     sub = subs.add_parser("parse",
@@ -315,7 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--max-len", type=int, default=None,
                      help="string length bound (default 5 plain, "
                           "4 starred)")
-    _common(sub)
+    _common(sub, calc=True, timeout=True, cache=True)
     sub.set_defaults(func=_cmd_compare)
 
     sub = subs.add_parser("report", help="run the full claim battery")
@@ -323,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--out", default=".",
                      help="directory for report.json, report.txt, and "
                           "artifacts")
-    _common(sub)
+    _common(sub, timeout=True, cache=True)
     sub.set_defaults(func=_cmd_report)
 
     return parser

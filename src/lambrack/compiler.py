@@ -9,6 +9,8 @@ the bounded types and whose productions mirror the building blocks
 generates exactly the strings the categorial grammar recognizes.
 """
 
+import os
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -20,7 +22,7 @@ from .prover import Proof, prove
 from .syntax import (
     L1STAR_DIA, LDIA, UNIT, Grammar, Sequent, Type, boxdown, bracket,
     calculus, dia, leaf, length, over, parse_sequent, prim, print_sequent,
-    print_type, prod, sequent, under,
+    print_type, prod, sequent, under, yield_of,
 )
 
 __all__ = ["RuleSets", "enum_types", "build_rulesets", "compile_cfg"]
@@ -115,13 +117,10 @@ def _flat_candidates(types, calc):
 
 
 def _bridge_sequents(types, m, calc):
-    out = []
-    if calc.unit:
-        out.append(sequent((bracket(()),), dia(UNIT)))
-    for a in types:
-        if length(a) <= m - 2:
-            out.append(sequent((bracket((leaf(a),)),), dia(a)))
-            out.append(sequent((bracket((leaf(boxdown(a)),)),), a))
+    short = [a for a in types if length(a) <= m - 2]
+    out = [sequent((bracket(()),), dia(UNIT))] if calc.unit else []
+    out += [sequent((bracket((leaf(a),)),), dia(a)) for a in short]
+    out += [sequent((bracket((leaf(boxdown(a)),)),), a) for a in short]
     return out
 
 
@@ -135,18 +134,28 @@ def _cache_header(prims, m, calc) -> str:
             f"B={','.join(sorted(prims))} m={m} calculus={calc.name}")
 
 
+def _cache_trailer(rules) -> str:
+    # imported here: hashlib loads OpenSSL, which costs every process
+    # that imports lambrack about 4 MB, and only the rule cache needs it
+    import hashlib
+
+    body = "".join(line + "\n" for line in rules)
+    digest = hashlib.sha256(body.encode()).hexdigest()
+    return f"# {len(rules)} rules sha256={digest}"
+
+
 def _load_cached_flat(path: Path, prims, m, calc):
     try:
         lines = path.read_text().splitlines()
     except OSError:
         return None
-    if not lines or lines[0].strip() != _cache_header(prims, m, calc):
+    # the trailer counts and digests the rule lines, so a truncated or
+    # edited file is rejected rather than read as a smaller rule set
+    if (len(lines) < 2 or lines[0] != _cache_header(prims, m, calc)
+            or lines[-1] != _cache_trailer(lines[1:-1])):
         return None
     out = []
-    for line in lines[1:]:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in lines[1:-1]:
         try:
             s = parse_sequent(line)
         except ValueError:
@@ -159,10 +168,20 @@ def _load_cached_flat(path: Path, prims, m, calc):
 
 
 def _store_cached_flat(path: Path, prims, m, calc, flat) -> None:
-    lines = [_cache_header(prims, m, calc)]
-    lines.extend(print_sequent(s) for s, _ in flat)
+    rules = [print_sequent(s) for s, _ in flat]
+    lines = [_cache_header(prims, m, calc)] + rules + [_cache_trailer(rules)]
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    # write a sibling file and rename it over the target, so a reader
+    # never sees a partly written cache
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def build_rulesets(prims, m: int, calc, cache_dir=None) -> RuleSets:
@@ -171,8 +190,10 @@ def build_rulesets(prims, m: int, calc, cache_dir=None) -> RuleSets:
     ``calc`` picks the mode: the plain bracket calculus gives the
     plain sets, the unit calculus the guarded ones.  The expensive
     flat-sequent search can be cached on disk: the cache is keyed by
-    primitive set, bound, calculus and tool version, and is re-proved
-    on load, so a stale file only costs time, never soundness.
+    primitive set, bound, calculus and tool version, written
+    atomically, ends with the count and SHA-256 of its rule lines, and
+    is re-proved on load, so a stale, truncated or edited file only
+    costs time, never soundness or completeness.
     """
     calc = calculus(calc)
     if calc.name not in ("Ldia", "L1starDia"):
@@ -217,8 +238,9 @@ def compile_cfg(g: Grammar, calc, max_types: int = 4000,
     ``calc`` is the recognition calculus (plain or starred bracket
     calculus).  Nonterminals are all types over the grammar's
     primitives bounded by the longest type mentioned; productions copy
-    the flat rule set, trade modalities for brackets, close the unit
-    diamond off in starred mode, and attach the lexicon.
+    every rule of the rule sets with its brackets erased (the bridges
+    trade modalities for brackets, and in starred mode close the unit
+    diamond off), and attach the lexicon.
     """
     calc = calculus(calc)
     if calc.name not in ("Ldia", "LstarDia"):
@@ -237,16 +259,7 @@ def compile_cfg(g: Grammar, calc, max_types: int = 4000,
             f"type enumeration too large: {len(types)} > {max_types}")
     rs = build_rulesets(base, m, L1STAR_DIA if starred else LDIA,
                         cache_dir=cache_dir)
-    prods = []
-    for s in rs.flat_rules:
-        prods.append((s.succedent, tuple(tr.type for tr in s.antecedent)))
-    if starred:
-        prods.append((dia(UNIT), ()))
-    short = [a for a in types if length(a) <= m - 2]
-    for a in short:
-        prods.append((dia(a), (a,)))
-    for a in short:
-        prods.append((a, (boxdown(a),)))
+    prods = [(s.succedent, tuple(yield_of(s.antecedent))) for s in rs.rules]
     for word, t in g.lexicon:
         prods.append((t, (word,)))
     terminals = frozenset(word for word, _ in g.lexicon)

@@ -30,7 +30,9 @@ from typing import Optional
 
 from .cfgkit import CutDerivation, cut_leaf, cut_node
 from .freegroup import inv, shrinking_pair, wlen, word_of
-from .prover import Proof, check, deindex_proof, is_guarded, prove
+from .prover import (
+    LEFT_RULES, Proof, check, deindex_proof, is_guarded, prove,
+)
 from .syntax import (
     HOLE, L1STAR_DIA_M, LDIA_M, UNIT,
     Bracket, Calculus, Dia, Hedge, Leaf, Sequent, Type,
@@ -105,7 +107,8 @@ def thin_index(p: Proof, calc):
     occurs more than twice.  Returns the rebuilt proof together with
     the substitution ``theta`` mapping fresh primitive names back to
     the originals; deindexing the new conclusion through ``theta``
-    restores the old one.
+    gives the old one with its indices stripped (the old one itself
+    when ``p`` is not indexed).
     """
     calc = calculus(calc)
     if not check(p, calc):
@@ -131,16 +134,14 @@ def thin_index(p: Proof, calc):
             return Proof(sequent((leaf(t),), t), "Ax")
         if rule == "UnitR":
             return Proof(sequent((), UNIT), "UnitR")
-        if rule == "UnderR":
+        if rule == "UnderR" or rule == "OverR":
+            # the argument is the premise's first (\) or last (/) leaf
+            side = rule == "OverR"
             s1 = prems[0].conclusion
-            a = s1.antecedent[0].type
-            return Proof(sequent(s1.antecedent[1:], under(a, s1.succedent)),
-                         "UnderR", prems)
-        if rule == "OverR":
-            s1 = prems[0].conclusion
-            a = s1.antecedent[-1].type
-            return Proof(sequent(s1.antecedent[:-1], over(s1.succedent, a)),
-                         "OverR", prems)
+            h, c = s1.antecedent, s1.succedent
+            a, rest = (h[-1], h[:-1]) if side else (h[0], h[1:])
+            t = over(c, a.type) if side else under(a.type, c)
+            return Proof(sequent(rest, t), rule, prems)
         if rule == "ProdR":
             s1, s2 = prems[0].conclusion, prems[1].conclusion
             return Proof(sequent(s1.antecedent + s2.antecedent,
@@ -156,23 +157,19 @@ def thin_index(p: Proof, calc):
             br = s1.antecedent[0]
             return Proof(sequent(br.children, boxdown(s1.succedent, br.index)),
                          "BoxDownR", prems)
-        if rule == "UnderL":
-            parent, g, _j = pr
+        if rule == "UnderL" or rule == "OverL":
+            # the result leaf at the block's start becomes the argument
+            # hedge with the connective leaf on its right (\) or left (/)
+            side = rule == "OverL"
+            parent, x = pr[0], pr[1]
             arg, ctx = prems[0].conclusion, prems[1].conclusion
-            b = children_at(ctx.antecedent, parent)[g].type
+            b = children_at(ctx.antecedent, parent)[x].type
+            a = arg.succedent
+            c = (leaf(over(b, a) if side else under(a, b)),)
             new_ante = replace_span(
-                ctx.antecedent, parent, g, g + 1,
-                arg.antecedent + (leaf(under(arg.succedent, b)),))
-            return Proof(sequent(new_ante, ctx.succedent), "UnderL", prems,
-                         principal=pr)
-        if rule == "OverL":
-            parent, j, _e = pr
-            arg, ctx = prems[0].conclusion, prems[1].conclusion
-            b = children_at(ctx.antecedent, parent)[j].type
-            new_ante = replace_span(
-                ctx.antecedent, parent, j, j + 1,
-                (leaf(over(b, arg.succedent)),) + arg.antecedent)
-            return Proof(sequent(new_ante, ctx.succedent), "OverL", prems,
+                ctx.antecedent, parent, x, x + 1,
+                c + arg.antecedent if side else arg.antecedent + c)
+            return Proof(sequent(new_ante, ctx.succedent), rule, prems,
                          principal=pr)
         ctx = prems[0].conclusion
         parent, j = pr
@@ -201,7 +198,7 @@ def thin_index(p: Proof, calc):
                      principal=pr)
 
     out = rebuild(p)
-    assert deindex(out.conclusion, theta) == p.conclusion
+    assert deindex(out.conclusion, theta) == deindex(p.conclusion)
     return out, theta
 
 
@@ -255,6 +252,49 @@ def _shift_level(path: tuple, parent: tuple, lo: int, hi: int) -> tuple:
     if len(path) > lp and path[:lp] == parent and path[lp] >= hi:
         return parent + (path[lp] - (hi - lo) + 1,) + path[lp + 1:]
     return path
+
+
+# Width change, at the principal's level, from a one-premise left rule's
+# conclusion to its premise.
+_GROWTH = {"ProdL": 1, "DiaL": 0, "UnitL": -1, "BoxDownL": 0}
+
+
+def _rule_span(rule: str, pr: tuple) -> tuple:
+    """Where a left rule acts on its principal's level.
+
+    Returns ``(b0, b1, a0, a1, delta)``: the rule rewrites the siblings
+    ``[b0, b1)`` of its conclusion, a slash rule's first premise proves
+    the argument hedge ``[a0, a1)`` (empty for the other rules), and
+    the last premise is ``delta`` trees wider there than the conclusion.
+    """
+    x, y = pr[1], pr[-1]
+    if rule == "UnderL" or rule == "OverL":
+        side = 1 if rule == "OverL" else 0
+        return x, y + 1 - side, x + side, y, x + side - y
+    return x, x + 1, x, x, _GROWTH[rule]
+
+
+def _offset(pr: tuple, parent: tuple, d: int) -> tuple:
+    """The left-rule principal ``pr`` moved under ``parent``, with its
+    sibling positions offset by ``d``."""
+    if len(pr) == 3:
+        return parent, pr[1] + d, pr[2] + d
+    return parent, pr[1] + d
+
+
+def _mirror(side, width: int, lo: int, hi: int) -> tuple:
+    """The span ``[lo, hi)`` of a level of ``width`` trees, read right
+    to left when ``side`` is set."""
+    return (width - hi, width - lo) if side else (lo, hi)
+
+
+def _slash_principal(side, parent: tuple, width: int, g: int, j: int):
+    """The principal of a slash rule whose argument is ``[g, j)`` in
+    UnderL's orientation, at a level of ``width`` trees: UnderL's own
+    ``(parent, g, j)``, or the OverL one of the mirror image."""
+    if side:
+        return parent, width - 1 - j, width - g
+    return parent, g, j
 
 
 def _extract(p: Proof, parent: tuple, lo: int, hi: int,
@@ -315,20 +355,16 @@ def _extract(p: Proof, parent: tuple, lo: int, hi: int,
         # The only nonempty span selects the single antecedent leaf.
         return ante[0].type, p, p
 
-    if rule == "UnderR":
+    if rule == "UnderR" or rule == "OverR":
+        # UnderR's premise has the argument leaf in front of the root
+        k = 1 if rule == "UnderR" else 0
         if parent:
-            sub = ((parent[0] + 1,) + parent[1:], lo, hi)
+            sub = ((parent[0] + k,) + parent[1:], lo, hi)
         else:
-            sub = ((), lo + 1, hi + 1)
+            sub = ((), lo + k, hi + k)
         e, l, r = _extract(p.premises[0], *sub, calc, guarded)
         right = Proof(sequent(_plug_type(ante, parent, lo, hi, e), succ),
-                      "UnderR", (r,))
-        return e, l, right
-
-    if rule == "OverR":
-        e, l, r = _extract(p.premises[0], parent, lo, hi, calc, guarded)
-        right = Proof(sequent(_plug_type(ante, parent, lo, hi, e), succ),
-                      "OverR", (r,))
+                      rule, (r,))
         return e, l, right
 
     if rule == "ProdR":
@@ -390,316 +426,123 @@ def _extract(p: Proof, parent: tuple, lo: int, hi: int,
                       "BoxDownR", (r,))
         return e, l, right
 
-    if rule == "UnderL":
-        P, g, j = p.principal
-        q1, q2 = p.premises
-        lP = len(P)
-        if P == parent:
-            if lo <= g and j < hi:
-                # The whole rule block sits inside the selection.
-                e, l, r = _extract(q2, parent, lo, hi - (j - g),
-                                   calc, guarded)
-                left = Proof(sequent(sel, e), "UnderL", (q1, l),
-                             principal=((), g - lo, j - lo))
-                return e, left, r
-            if g < lo <= j < hi:
-                # Keeps the connective leaf, loses a prefix of its
-                # argument: interpolate as E \ F.
-                e1, le, re = _extract(q1, (), 0, lo - g, calc, guarded)
-                f, lf, rf = _extract(q2, P, g, g + hi - j, calc, guarded)
-                e = under(e1, f)
-                inner = Proof(sequent((leaf(e1),) + sel, f), "UnderL",
-                              (re, lf), principal=((), 0, 1 + j - lo))
-                left = Proof(sequent(sel, e), "UnderR", (inner,))
-                right = Proof(
-                    sequent(_plug_type(ante, parent, lo, hi, e), succ),
-                    "UnderL", (le, rf), principal=(P, g, lo))
-                return e, left, right
-            if lo < g and g < hi <= j:
-                # Loses the connective leaf, keeps a prefix of its
-                # argument: interpolate as E • F.
-                f, lf, rf = _extract(q1, (), 0, hi - g, calc, guarded)
-                e1, le, re = _extract(q2, P, lo, g, calc, guarded)
-                e = prod(e1, f)
-                left = Proof(sequent(sel, e), "ProdR", (le, lf),
-                             principal=g - lo)
-                two = replace_span(ante, parent, lo, hi,
-                                   (leaf(e1), leaf(f)))
-                inner = Proof(sequent(two, succ), "UnderL", (rf, re),
-                              principal=(P, lo + 1, j - (hi - lo) + 2))
-                right = Proof(
-                    sequent(_plug_type(ante, parent, lo, hi, e), succ),
-                    "ProdL", (inner,), principal=(P, lo))
-                return e, left, right
-            if g <= lo and hi <= j:
-                # Entirely inside the argument hedge.
-                e, l, r = _extract(q1, (), lo - g, hi - g, calc, guarded)
-                right = Proof(
-                    sequent(_plug_type(ante, parent, lo, hi, e), succ),
-                    "UnderL", (r, q2),
-                    principal=(P, g, j - (hi - lo) + 1))
-                return e, l, right
-            if hi <= g:
-                e, l, r = _extract(q2, parent, lo, hi, calc, guarded)
-                shift = (hi - lo) - 1
-                right = Proof(
-                    sequent(_plug_type(ante, parent, lo, hi, e), succ),
-                    "UnderL", (q1, r), principal=(P, g - shift, j - shift))
-                return e, l, right
-            # lo >= j + 1
-            e, l, r = _extract(q2, parent, lo - (j - g), hi - (j - g),
-                               calc, guarded)
-            right = Proof(sequent(_plug_type(ante, parent, lo, hi, e), succ),
-                          "UnderL", (q1, r), principal=(P, g, j))
-            return e, l, right
-        if lP > lp and P[:lp] == parent and lo <= P[lp] < hi:
-            # The whole rule block sits deeper inside one selected tree.
-            e, l, r = _extract(q2, parent, lo, hi, calc, guarded)
-            inner = ((P[lp] - lo,) + P[lp + 1:], g, j)
-            left = Proof(sequent(sel, e), "UnderL", (q1, l), principal=inner)
-            return e, left, r
-        if lp > lP and parent[:lP] == P:
-            t = parent[lP]
-            if g <= t < j:
-                # Selection deeper inside the argument hedge.
-                sub = ((t - g,) + parent[lP + 1:], lo, hi)
-                e, l, r = _extract(q1, *sub, calc, guarded)
-                right = Proof(
-                    sequent(_plug_type(ante, parent, lo, hi, e), succ),
-                    "UnderL", (r, q2), principal=(P, g, j))
-                return e, l, right
-            # Selection deeper inside a context tree (t == j is
-            # impossible: that position holds the connective leaf).
-            tt = t - (j - g) if t > j else t
-            e, l, r = _extract(q2, P + (tt,) + parent[lP + 1:], lo, hi,
-                               calc, guarded)
-            right = Proof(sequent(_plug_type(ante, parent, lo, hi, e), succ),
-                          "UnderL", (q1, r), principal=(P, g, j))
-            return e, l, right
-        # Disjoint subtrees.
-        e, l, r = _extract(q2, parent, lo, hi, calc, guarded)
-        right = Proof(sequent(_plug_type(ante, parent, lo, hi, e), succ),
-                      "UnderL", (q1, r),
-                      principal=(_shift_level(P, parent, lo, hi), g, j))
-        return e, l, right
-
-    if rule == "OverL":
-        P, j, ee = p.principal
-        q1, q2 = p.premises
-        lP = len(P)
-        if P == parent:
-            if lo <= j and ee <= hi:
-                e, l, r = _extract(q2, parent, lo, hi - (ee - j - 1),
-                                   calc, guarded)
-                left = Proof(sequent(sel, e), "OverL", (q1, l),
-                             principal=((), j - lo, ee - lo))
-                return e, left, r
-            if lo <= j < hi < ee:
-                # Keeps the connective leaf, loses a suffix of its
-                # argument: interpolate as F / E.
-                e1, le, re = _extract(q1, (), hi - (j + 1), ee - (j + 1),
-                                      calc, guarded)
-                f, lf, rf = _extract(q2, P, lo, j + 1, calc, guarded)
-                e = over(f, e1)
-                inner = Proof(sequent(sel + (leaf(e1),), f), "OverL",
-                              (re, lf), principal=((), j - lo, hi - lo + 1))
-                left = Proof(sequent(sel, e), "OverR", (inner,))
-                right = Proof(
-                    sequent(_plug_type(ante, parent, lo, hi, e), succ),
-                    "OverL", (le, rf), principal=(P, lo, lo + 1 + ee - hi))
-                return e, left, right
-            if j < lo < ee < hi:
-                # Loses the connective leaf, keeps a suffix of its
-                # argument: interpolate as F • E.
-                f, lf, rf = _extract(q1, (), lo - (j + 1), ee - (j + 1),
-                                     calc, guarded)
-                e1, le, re = _extract(q2, P, j + 1, hi - (ee - j - 1),
-                                      calc, guarded)
-                e = prod(f, e1)
-                left = Proof(sequent(sel, e), "ProdR", (lf, le),
-                             principal=ee - lo)
-                two = replace_span(ante, parent, lo, hi,
-                                   (leaf(f), leaf(e1)))
-                inner = Proof(sequent(two, succ), "OverL", (rf, re),
-                              principal=(P, j, lo + 1))
-                right = Proof(
-                    sequent(_plug_type(ante, parent, lo, hi, e), succ),
-                    "ProdL", (inner,), principal=(P, lo))
-                return e, left, right
-            if j < lo and hi <= ee:
-                e, l, r = _extract(q1, (), lo - (j + 1), hi - (j + 1),
-                                   calc, guarded)
-                right = Proof(
-                    sequent(_plug_type(ante, parent, lo, hi, e), succ),
-                    "OverL", (r, q2),
-                    principal=(P, j, ee - (hi - lo) + 1))
-                return e, l, right
-            if hi <= j:
-                e, l, r = _extract(q2, parent, lo, hi, calc, guarded)
-                shift = (hi - lo) - 1
-                right = Proof(
-                    sequent(_plug_type(ante, parent, lo, hi, e), succ),
-                    "OverL", (q1, r), principal=(P, j - shift, ee - shift))
-                return e, l, right
-            # lo >= ee
-            d = ee - j - 1
-            e, l, r = _extract(q2, parent, lo - d, hi - d, calc, guarded)
-            right = Proof(sequent(_plug_type(ante, parent, lo, hi, e), succ),
-                          "OverL", (q1, r), principal=(P, j, ee))
-            return e, l, right
-        if lP > lp and P[:lp] == parent and lo <= P[lp] < hi:
-            e, l, r = _extract(q2, parent, lo, hi, calc, guarded)
-            inner = ((P[lp] - lo,) + P[lp + 1:], j, ee)
-            left = Proof(sequent(sel, e), "OverL", (q1, l), principal=inner)
-            return e, left, r
-        if lp > lP and parent[:lP] == P:
-            t = parent[lP]
-            if j < t < ee:
-                sub = ((t - (j + 1),) + parent[lP + 1:], lo, hi)
-                e, l, r = _extract(q1, *sub, calc, guarded)
-                right = Proof(
-                    sequent(_plug_type(ante, parent, lo, hi, e), succ),
-                    "OverL", (r, q2), principal=(P, j, ee))
-                return e, l, right
-            tt = t - (ee - j - 1) if t >= ee else t
-            e, l, r = _extract(q2, P + (tt,) + parent[lP + 1:], lo, hi,
-                               calc, guarded)
-            right = Proof(sequent(_plug_type(ante, parent, lo, hi, e), succ),
-                          "OverL", (q1, r), principal=(P, j, ee))
-            return e, l, right
-        e, l, r = _extract(q2, parent, lo, hi, calc, guarded)
-        right = Proof(sequent(_plug_type(ante, parent, lo, hi, e), succ),
-                      "OverL", (q1, r),
-                      principal=(_shift_level(P, parent, lo, hi), j, ee))
-        return e, l, right
-
-    if rule == "ProdL":
-        P, j = p.principal
-        q = p.premises[0]
-        lP = len(P)
-        if P == parent and lo <= j < hi:
-            e, l, r = _extract(q, parent, lo, hi + 1, calc, guarded)
-            left = Proof(sequent(sel, e), "ProdL", (l,),
-                         principal=((), j - lo))
-            return e, left, r
-        if lP > lp and P[:lp] == parent and lo <= P[lp] < hi:
-            e, l, r = _extract(q, parent, lo, hi, calc, guarded)
-            inner = ((P[lp] - lo,) + P[lp + 1:], j)
-            left = Proof(sequent(sel, e), "ProdL", (l,), principal=inner)
-            return e, left, r
-        if P == parent and j < lo:
-            sub = (parent, lo + 1, hi + 1)
-        elif lp > lP and parent[:lP] == P and parent[lP] > j:
-            sub = (P + (parent[lP] + 1,) + parent[lP + 1:], lo, hi)
-        else:
-            sub = (parent, lo, hi)
-        e, l, r = _extract(q, *sub, calc, guarded)
-        if P == parent and j >= hi:
-            newp = (P, j - (hi - lo) + 1)
-        else:
-            newp = (_shift_level(P, parent, lo, hi), j)
-        right = Proof(sequent(_plug_type(ante, parent, lo, hi, e), succ),
-                      "ProdL", (r,), principal=newp)
-        return e, l, right
-
-    if rule == "DiaL":
-        P, j = p.principal
-        q = p.premises[0]
-        lP = len(P)
-        if P == parent and lo <= j < hi:
-            e, l, r = _extract(q, parent, lo, hi, calc, guarded)
-            left = Proof(sequent(sel, e), "DiaL", (l,),
-                         principal=((), j - lo))
-            return e, left, r
-        if lP > lp and P[:lp] == parent and lo <= P[lp] < hi:
-            e, l, r = _extract(q, parent, lo, hi, calc, guarded)
-            inner = ((P[lp] - lo,) + P[lp + 1:], j)
-            left = Proof(sequent(sel, e), "DiaL", (l,), principal=inner)
-            return e, left, r
+    # Left rules.  The last premise holds the rewritten context; a
+    # slash rule's first premise proves its argument hedge.
+    pr = p.principal
+    P = pr[0]
+    lP = len(P)
+    q = p.premises[-1]
+    if rule == "UnitL" and P == parent and (lo, hi) == (pr[1], pr[1] + 1):
+        # The selection is exactly the unit leaf this rule deletes.
+        left = Proof(sequent(sel, UNIT), "UnitL",
+                     (Proof(sequent((), UNIT), "UnitR"),),
+                     principal=((), 0))
+        return UNIT, left, p
+    if rule == "BoxDownL" and parent == P + (pr[1],):
+        # The selection is exactly the boxed leaf inside the principal
+        # bracket: interpolate the replacing type and box the result.
+        j = pr[1]
+        e0, l0, r0 = _extract(q, P, j, j + 1, calc, guarded)
+        br = children_at(ante, P)[j]
+        e = boxdown(e0, br.index)
+        t = br.children[0].type
+        inner = Proof(sequent((bracket((leaf(t),), br.index),), e0),
+                      "BoxDownL", (l0,), principal=((), 0))
+        left = Proof(sequent((leaf(t),), e), "BoxDownR", (inner,))
+        right = Proof(
+            sequent(_plug_type(ante, parent, lo, hi, e), succ),
+            "BoxDownL", (r0,), principal=pr)
+        return e, left, right
+    if lP > lp and P[:lp] == parent and lo <= P[lp] < hi:
+        # The whole rule block sits deeper inside one selected tree.
         e, l, r = _extract(q, parent, lo, hi, calc, guarded)
-        if P == parent and j >= hi:
-            newp = (P, j - (hi - lo) + 1)
-        else:
-            newp = (_shift_level(P, parent, lo, hi), j)
-        right = Proof(sequent(_plug_type(ante, parent, lo, hi, e), succ),
-                      "DiaL", (r,), principal=newp)
-        return e, l, right
-
-    if rule == "UnitL":
-        P, j = p.principal
-        q = p.premises[0]
-        lP = len(P)
-        if P == parent and (lo, hi) == (j, j + 1):
-            # The selection is exactly the unit leaf this rule deletes.
-            left = Proof(sequent(sel, UNIT), "UnitL",
-                         (Proof(sequent((), UNIT), "UnitR"),),
-                         principal=((), 0))
-            return UNIT, left, p
-        if P == parent and lo <= j < hi:
-            e, l, r = _extract(q, parent, lo, hi - 1, calc, guarded)
-            left = Proof(sequent(sel, e), "UnitL", (l,),
-                         principal=((), j - lo))
+        inner = ((P[lp] - lo,) + P[lp + 1:],) + pr[1:]
+        left = Proof(sequent(sel, e), rule, p.premises[:-1] + (l,),
+                     principal=inner)
+        return e, left, r
+    # otherwise the selection is outside the rule block, in the last
+    # premise (or, deeper, in the argument), offset by d at its level
+    k, path, d = len(p.premises) - 1, parent, 0
+    if P == parent:
+        b0, b1, a0, a1, delta = _rule_span(rule, pr)
+        if lo <= b0 and b1 <= hi:
+            # The whole rule block sits inside the selection.
+            e, l, r = _extract(q, parent, lo, hi + delta, calc, guarded)
+            left = Proof(sequent(sel, e), rule, p.premises[:-1] + (l,),
+                         principal=_offset(pr, (), -lo))
             return e, left, r
-        if lP > lp and P[:lp] == parent and lo <= P[lp] < hi:
-            e, l, r = _extract(q, parent, lo, hi, calc, guarded)
-            inner = ((P[lp] - lo,) + P[lp + 1:], j)
-            left = Proof(sequent(sel, e), "UnitL", (l,), principal=inner)
-            return e, left, r
-        if P == parent and j < lo:
-            sub = (parent, lo - 1, hi - 1)
-        elif lp > lP and parent[:lP] == P and parent[lP] > j:
-            sub = (P + (parent[lP] - 1,) + parent[lP + 1:], lo, hi)
-        else:
-            sub = (parent, lo, hi)
-        e, l, r = _extract(q, *sub, calc, guarded)
-        if P == parent and j >= hi:
-            newp = (P, j - (hi - lo) + 1)
-        else:
-            newp = (_shift_level(P, parent, lo, hi), j)
-        right = Proof(sequent(_plug_type(ante, parent, lo, hi, e), succ),
-                      "UnitL", (r,), principal=newp)
-        return e, l, right
-
-    if rule == "BoxDownL":
-        P, j = p.principal
-        q = p.premises[0]
-        lP = len(P)
-        if parent == P + (j,):
-            # The selection is exactly the boxed leaf inside the
-            # principal bracket: interpolate the replacing type and
-            # box the result.
-            e0, l0, r0 = _extract(q, P, j, j + 1, calc, guarded)
-            br = children_at(ante, P)[j]
-            e = boxdown(e0, br.index)
-            t = br.children[0].type
-            inner = Proof(sequent((bracket((leaf(t),), br.index),), e0),
-                          "BoxDownL", (l0,), principal=((), 0))
-            left = Proof(sequent((leaf(t),), e), "BoxDownR", (inner,))
+        if a0 <= lo and hi <= a1:
+            # Entirely inside a slash rule's argument hedge.
+            e, l, r = _extract(p.premises[0], (), lo - a0, hi - a0,
+                               calc, guarded)
             right = Proof(
                 sequent(_plug_type(ante, parent, lo, hi, e), succ),
-                "BoxDownL", (r0,), principal=(P, j))
+                rule, (r, q), principal=(P, pr[1], pr[2] - (hi - lo) + 1))
+            return e, l, right
+        if lo < b1 and b0 < hi:
+            # The selection crosses one end of a slash rule's block.  The
+            # two cases are written for UnderL, whose argument [g, j)
+            # precedes the connective leaf at j; OverL reads them through
+            # the mirror image of this one level (n trees wide, with m
+            # selected and na in the argument).
+            side = rule == "OverL"
+            n, m, na = len(children_at(ante, P)), hi - lo, a1 - a0
+            g, lo_, hi_ = (n - b1, n - hi, n - lo) if side else (b0, lo, hi)
+            j = g + na
+            if j < hi_:
+                # Keeps the connective leaf, loses the far end of its
+                # argument: interpolate as E \ F (or F / E).
+                e1, le, re = _extract(p.premises[0], (),
+                                      *_mirror(side, na, 0, lo_ - g),
+                                      calc, guarded)
+                f, lf, rf = _extract(q, P,
+                                     *_mirror(side, n - na, g, g + hi_ - j),
+                                     calc, guarded)
+                e = over(f, e1) if side else under(e1, f)
+                a = (leaf(e1),)
+                inner = Proof(sequent(sel + a if side else a + sel, f), rule,
+                              (re, lf), principal=_slash_principal(
+                                  side, (), m + 1, 0, 1 + j - lo_))
+                left = Proof(sequent(sel, e), "OverR" if side else "UnderR",
+                             (inner,))
+                right = Proof(
+                    sequent(_plug_type(ante, parent, lo, hi, e), succ),
+                    rule, (le, rf), principal=_slash_principal(
+                        side, P, n - m + 1, g, lo_))
+                return e, left, right
+            # Loses the connective leaf, keeps the far end of its
+            # argument: interpolate as E • F (or F • E).
+            f, lf, rf = _extract(p.premises[0], (),
+                                 *_mirror(side, na, 0, hi_ - g), calc, guarded)
+            e1, le, re = _extract(q, P, *_mirror(side, n - na, lo_, g),
+                                  calc, guarded)
+            pair, halves, split = (e1, f), (le, lf), g - lo_
+            if side:
+                pair, halves, split = (f, e1), (lf, le), m - split
+            e = prod(*pair)
+            left = Proof(sequent(sel, e), "ProdR", halves, principal=split)
+            two = replace_span(ante, parent, lo, hi,
+                               (leaf(pair[0]), leaf(pair[1])))
+            inner = Proof(sequent(two, succ), rule, (rf, re),
+                          principal=_slash_principal(
+                              side, P, n - m + 2, lo_ + 1, j - m + 2))
+            right = Proof(sequent(_plug_type(ante, parent, lo, hi, e), succ),
+                          "ProdL", (inner,), principal=(P, lo))
             return e, left, right
-        if P == parent and lo <= j < hi:
-            e, l, r = _extract(q, parent, lo, hi, calc, guarded)
-            left = Proof(sequent(sel, e), "BoxDownL", (l,),
-                         principal=((), j - lo))
-            return e, left, r
-        if lP > lp and P[:lp] == parent and lo <= P[lp] < hi:
-            e, l, r = _extract(q, parent, lo, hi, calc, guarded)
-            inner = ((P[lp] - lo,) + P[lp + 1:], j)
-            left = Proof(sequent(sel, e), "BoxDownL", (l,), principal=inner)
-            return e, left, r
-        e, l, r = _extract(q, parent, lo, hi, calc, guarded)
-        if P == parent and j >= hi:
-            newp = (P, j - (hi - lo) + 1)
-        else:
-            newp = (_shift_level(P, parent, lo, hi), j)
-        right = Proof(sequent(_plug_type(ante, parent, lo, hi, e), succ),
-                      "BoxDownL", (r,), principal=newp)
-        return e, l, right
-
-    raise AssertionError(
-        f"no interpolation case for rule {rule} at {parent!r}:{lo}:{hi}")
+        if lo >= b1:
+            d = delta
+    elif lp > lP and parent[:lP] == P:
+        # The selection sits deeper inside a tree at the rule's level.
+        k, path = _premise_route(p, parent)
+    e, l, r = _extract(p.premises[k], path, lo + d, hi + d, calc, guarded)
+    if P == parent and pr[1] >= hi:
+        newp = _offset(pr, P, 1 - (hi - lo))
+    else:
+        newp = (_shift_level(P, parent, lo, hi),) + pr[1:]
+    right = Proof(sequent(_plug_type(ante, parent, lo, hi, e), succ),
+                  rule, p.premises[:k] + (r,) + p.premises[k + 1:],
+                  principal=newp)
+    return e, l, right
 
 
 # ---------------------------------------------------------------------------
@@ -762,7 +605,7 @@ def _acts_inside(rule: str, pr, beta: tuple) -> bool:
     restructure the root and never work strictly inside a surviving
     bracket.
     """
-    if rule not in ("UnderL", "OverL", "ProdL", "DiaL", "UnitL", "BoxDownL"):
+    if rule not in LEFT_RULES:
         return False
     path = pr[0]
     return len(path) >= len(beta) and path[:len(beta)] == beta
@@ -771,10 +614,9 @@ def _acts_inside(rule: str, pr, beta: tuple) -> bool:
 def _premise_route(node: Proof, beta: tuple):
     """Which premise holds the bracket at ``beta``, and at what address."""
     rule, pr = node.rule, node.principal
-    if rule == "UnderR":
-        return 0, (beta[0] + 1,) + beta[1:]
-    if rule == "OverR":
-        return 0, beta
+    if rule == "UnderR" or rule == "OverR":
+        # UnderR's premise has the argument leaf in front of the root
+        return 0, (beta[0] + (1 if rule == "UnderR" else 0),) + beta[1:]
     if rule == "ProdR":
         if beta[0] < pr:
             return 0, beta
@@ -783,40 +625,18 @@ def _premise_route(node: Proof, beta: tuple):
         return 0, beta[1:]
     if rule == "BoxDownR":
         return 0, (0,) + beta
-    if rule == "UnderL":
-        P, g, j = pr
+    if rule in LEFT_RULES:
+        P = pr[0]
         lP = len(P)
         if len(beta) > lP and beta[:lP] == P:
+            b0, b1, a0, a1, delta = _rule_span(rule, pr)
             t = beta[lP]
-            if g <= t < j:
-                return 0, (t - g,) + beta[lP + 1:]
-            if t > j:
-                return 1, P + (t - (j - g),) + beta[lP + 1:]
-        return 1, beta
-    if rule == "OverL":
-        P, j, e_ = pr
-        lP = len(P)
-        if len(beta) > lP and beta[:lP] == P:
-            t = beta[lP]
-            if j < t < e_:
-                return 0, (t - (j + 1),) + beta[lP + 1:]
-            if t >= e_:
-                return 1, P + (t - (e_ - j - 1),) + beta[lP + 1:]
-        return 1, beta
-    if rule == "ProdL":
-        P, j = pr
-        lP = len(P)
-        if len(beta) > lP and beta[:lP] == P and beta[lP] > j:
-            return 0, P + (beta[lP] + 1,) + beta[lP + 1:]
-        return 0, beta
-    if rule == "UnitL":
-        P, j = pr
-        lP = len(P)
-        if len(beta) > lP and beta[:lP] == P and beta[lP] > j:
-            return 0, P + (beta[lP] - 1,) + beta[lP + 1:]
-        return 0, beta
-    if rule in ("DiaL", "BoxDownL"):
-        return 0, beta
+            if a0 <= t < a1:
+                return 0, (t - a0,) + beta[lP + 1:]
+            if t >= b1:
+                return (len(node.premises) - 1,
+                        P + (t + delta,) + beta[lP + 1:])
+        return len(node.premises) - 1, beta
     raise AssertionError(f"a bracket cannot reach rule {rule}")
 
 
@@ -861,10 +681,7 @@ def _descend(node: Proof, beta: tuple, icalc: Calculus):
         contents = subtree(s.antecedent, beta).children
         prems = list(node.premises)
         prems[target] = pa
-        if rule in ("UnderL", "OverL"):
-            inner = (pr[0][len(beta):],) + pr[1:]
-        else:
-            inner = (pr[0][len(beta):], pr[1])
+        inner = (pr[0][len(beta):],) + pr[1:]
         new_pa = Proof(sequent(contents, pa.conclusion.succedent), rule,
                        tuple(prems), principal=inner)
         return b, variant, new_pa, pb

@@ -30,7 +30,7 @@ from .syntax import (
 )
 
 __all__ = [
-    "Proof", "ProofSearchTimeout", "RULES",
+    "Proof", "ProofSearchTimeout", "RULES", "LEFT_RULES",
     "Prover", "prove", "prove_flat", "check",
     "premises_of", "instances",
     "print_proof", "parse_proof", "deindex_proof",
@@ -40,8 +40,11 @@ __all__ = [
 RULES = ("Ax", "UnderL", "UnderR", "OverL", "OverR", "ProdL", "ProdR",
          "DiaL", "DiaR", "BoxDownL", "BoxDownR", "UnitL", "UnitR")
 
-# rules whose principal field is always None
-_NO_PRINCIPAL = frozenset(["Ax", "UnitR", "UnderR", "OverR", "DiaR", "BoxDownR"])
+# rules whose principal is a position tuple ``(parent, ...)`` in the
+# antecedent; all other rules but ProdR have principal None
+LEFT_RULES = frozenset(["UnderL", "OverL", "ProdL", "DiaL", "BoxDownL",
+                        "UnitL"])
+_NO_PRINCIPAL = frozenset(RULES) - LEFT_RULES - {"ProdR"}
 
 
 class ProofSearchTimeout(RuntimeError):
@@ -93,6 +96,9 @@ class Proof:
 #            node at ``parent`` (() is the root hedge), with the argument
 #            hedge being the siblings g..j-1.
 #   OverL    (parent, j, e): leaf ``B / A`` at j, argument siblings j+1..e-1.
+#            The two are mirror images: with side = 0 for UnderL and 1
+#            for OverL, a principal (parent, x, y) rewrites the siblings
+#            x..y-side, whose argument hedge is x+side..y-1.
 #   ProdL, DiaL, UnitL  (parent, j): the principal leaf position.
 #   BoxDownL (parent, j): position of the bracket holding the boxd leaf.
 #   ProdR    k: the antecedent split point.
@@ -112,14 +118,15 @@ def premises_of(s: Sequent, rule: str, principal, calc: Calculus):
         return () if ok else None
     if rule == "UnitR":
         return () if calc.unit and not ante and succ is UNIT else None
-    if rule == "UnderR":
-        if not isinstance(succ, Under):
+    if rule == "UnderR" or rule == "OverR":
+        side = rule == "OverR"
+        if not isinstance(succ, Over if side else Under):
             return None
-        return (sequent((leaf(succ.left),) + ante, succ.right),)
-    if rule == "OverR":
-        if not isinstance(succ, Over):
-            return None
-        return (sequent(ante + (leaf(succ.right),), succ.left),)
+        # A \ B and B / A move A into the antecedent on their own side
+        arg, res = ((succ.right, succ.left) if side
+                    else (succ.left, succ.right))
+        a = (leaf(arg),)
+        return (sequent(ante + a if side else a + ante, res),)
     if rule == "ProdR":
         if not isinstance(succ, Prod) or not isinstance(principal, int):
             return None
@@ -150,30 +157,21 @@ def premises_of(s: Sequent, rule: str, principal, calc: Calculus):
             return siblings[j].type
         return None
 
-    if rule == "UnderL":
+    if rule == "UnderL" or rule == "OverL":
         if len(rest) != 2:
             return None
-        g, j = rest
-        t = leaf_at(j)
-        if not isinstance(t, Under) or not 0 <= g <= j:
+        x, y = rest
+        side = 1 if rule == "OverL" else 0
+        t = leaf_at(x if side else y)
+        if (not isinstance(t, Over if side else Under)
+                or not 0 <= x + side <= y <= len(siblings)):
             return None
-        if g == j and not calc.starred:
+        if x + side == y and not calc.starred:
             return None
-        return (sequent(siblings[g:j], t.left),
-                sequent(replace_span(ante, parent, g, j + 1,
-                                     (leaf(t.right),)), succ))
-    if rule == "OverL":
-        if len(rest) != 2:
-            return None
-        j, e = rest
-        t = leaf_at(j)
-        if not isinstance(t, Over) or not j + 1 <= e <= len(siblings):
-            return None
-        if e == j + 1 and not calc.starred:
-            return None
-        return (sequent(siblings[j + 1:e], t.right),
-                sequent(replace_span(ante, parent, j, e,
-                                     (leaf(t.left),)), succ))
+        arg, res = (t.right, t.left) if side else (t.left, t.right)
+        return (sequent(siblings[x + side:y], arg),
+                sequent(replace_span(ante, parent, x, y + 1 - side,
+                                     (leaf(res),)), succ))
     if len(rest) != 1:
         return None
     (j,) = rest
@@ -228,10 +226,8 @@ def instances(s: Sequent, calc: Calculus) -> Iterator:
         yield "Ax", None
     if calc.unit and not ante and succ is UNIT:
         yield "UnitR", None
-    if isinstance(succ, Under):
-        yield "UnderR", None
-    elif isinstance(succ, Over):
-        yield "OverR", None
+    if isinstance(succ, (Under, Over)):
+        yield ("OverR" if isinstance(succ, Over) else "UnderR"), None
     elif isinstance(succ, Prod):
         lo, hi = (0, len(ante)) if calc.starred else (1, len(ante) - 1)
         for k in range(lo, hi + 1):
@@ -250,12 +246,16 @@ def instances(s: Sequent, calc: Calculus) -> Iterator:
                 yield "BoxDownL", (parent, j)
             continue
         t = tr.type
-        if isinstance(t, Under):
-            for g in range(0, j + (1 if calc.starred else 0)):
-                yield "UnderL", (parent, g, j)
-        elif isinstance(t, Over):
-            for e in range(j + (1 if calc.starred else 2), len(siblings) + 1):
-                yield "OverL", (parent, j, e)
+        if isinstance(t, (Under, Over)):
+            # the argument's far end: UnderL tries g = 0, 1, ... (longest
+            # argument first), OverL tries e = j+1, j+2, ... (shortest
+            # first); canonical proofs depend on both orders
+            side = isinstance(t, Over)
+            empty = 1 if calc.starred else 0
+            rule = "OverL" if side else "UnderL"
+            for f in (range(j + 2 - empty, len(siblings) + 1) if side
+                      else range(0, j + empty)):
+                yield rule, ((parent, j, f) if side else (parent, f, j))
         elif isinstance(t, Prod):
             yield "ProdL", (parent, j)
         elif isinstance(t, Dia):

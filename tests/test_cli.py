@@ -8,7 +8,7 @@ import pytest
 from lambrack.cli import main
 from lambrack.harness import Report
 from lambrack.prover import ProofSearchTimeout, check, parse_proof
-from lambrack.syntax import LDIA_M, parse_sequent
+from lambrack.syntax import L1STAR_DIA_M, LDIA_M, parse_sequent
 
 THIN_GOAL = "[ [ p ] dia p \\ p ] => boxd dia dia p"
 THIN_CONCLUSION = ("[:2 [:1 p1 ]:1 dia:1 p1 \\ p2 ]:2 "
@@ -127,6 +127,19 @@ class TestThin:
         payload = json.loads(out)
         assert payload["theta"] == {"p1": "p", "p2": "p"}
         assert parse_proof(payload["proof"]) is not None
+
+    def test_indexed_proof(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "prove", "--calculus", "L1starDiaM",
+                           "[:1 p ]:1 => dia:1 p")
+        assert code == 0
+        path = tmp_path / "indexed.proof"
+        path.write_text(out)
+        code, out, err = run(capsys, "thin", str(path),
+                             "--calculus", "L1starDiaM")
+        assert (code, err) == (0, "")
+        thin = parse_proof(out.split("theta:")[0])
+        assert thin.conclusion == parse_sequent("[:1 p1 ]:1 => dia:1 p1")
+        assert check(thin, L1STAR_DIA_M)
 
 
 class TestSmallCommands:
@@ -279,4 +292,17 @@ class TestUsage:
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["compile", "anbn.lg", "--timeout-ms", "5"],
+        ["parse", "-", "a b", "--calculus", "Ldia"],
+        ["report", "--calculus", "Ldia"],
+        ["interpret", "p", "--cache-dir", "."],
+        ["thin", "-", "--timeout-ms", "5"],
+    ])
+    def test_flag_the_handler_ignores(self, capsys, argv):
+        # a flag is offered only where its handler reads it
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
         assert exc.value.code == 2

@@ -136,6 +136,17 @@ class TestBuildRulesets:
         assert again.flat_rules == fresh.flat_rules
         assert "p => q" not in path.read_text().splitlines()
 
+    def test_truncated_cache_recomputed(self, tmp_path):
+        # a cut-off file keeps its header but loses rules and the trailer
+        fresh = build_rulesets({"p"}, 2, LDIA, cache_dir=tmp_path)
+        path = next(tmp_path.glob("rules-*.txt"))
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:len(lines) // 3]) + "\n")
+        again = build_rulesets({"p"}, 2, LDIA, cache_dir=tmp_path)
+        assert again.flat_rules == fresh.flat_rules
+        assert path.read_text().splitlines() == lines
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_stale_version_recomputed(self, tmp_path):
         fresh = build_rulesets({"p"}, 2, LDIA, cache_dir=tmp_path)
         path = next(tmp_path.glob("rules-*.txt"))

@@ -1,27 +1,82 @@
 """Tests for interpolant extraction, thin indexing, bracket
 elimination, and the flat Cut reduction."""
 
+import hashlib
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lambrack.cfgkit import cut_leaf, cut_node, replay_cuts
+from lambrack.compiler import enum_types
 from lambrack.freegroup import wlen, word_of
 from lambrack.interpolate import (
     cut_reduce_flat, eliminate_bracket, extract_interpolant,
     indexed_counterpart, partition_at, thin_index,
     thin_interpolant_length_ok,
 )
-from lambrack.prover import Proof, check, is_guarded, prove
+from lambrack.harness import _cut_candidates, _interp_population
+from lambrack.prover import (
+    Proof, Prover, check, is_guarded, print_proof, prove,
+)
 from lambrack.syntax import (
     HOLE, L1STAR, L1STAR_DIA, L1STAR_DIA_M, LDIA, LDIA_M, LSTAR_DIA, UNIT,
     boxdown, bracket, bracket_addresses, children_at, deindex, dia,
     hole_coords, is_thin, leaf, length, mod_counts, over, parse_sequent,
-    parse_type, plug, prim, prim_counts, print_sequent, prod, replace_span,
-    sequent, sequent_types, under,
+    parse_type, partitions, plug, prim, prim_counts, print_sequent,
+    print_type, prod, replace_span, sequent, sequent_types, subtree, under,
 )
 from test_prover import GOLDEN, _small_sequents
 
 P, Q = prim("p"), prim("q")
+
+
+# Sequent rows swept at every partition, by calculus: the unit
+# calculus unguarded, the starred calculus, the unit calculus in
+# guarded mode, and plain rows whose brackets get eliminated.
+UNIT_ROWS = [
+    "p => p",
+    "p p \\ q => q",
+    "1 p => p",
+    "p 1 => p",
+    "1 => 1",
+    "=> 1",
+    "p p \\ q q \\ q => q",
+    "[ p ] => dia p",
+    "[ 1 p ] => dia p",
+    "[ p ] dia p \\ q => q",
+    "[ [ p ] ] => dia dia p",
+    "p * q => p * (q * 1)",
+    "[ 1 ] => dia 1",
+    "q / p p => q * 1",
+    "q / p p 1 => q",
+    "[ [ boxd q ] 1 ] => dia q",
+]
+
+STARRED_ROWS = [
+    "=> p / p",
+    "p => q / (p \\ q)",
+    "[ p p \\ q ] => dia q",
+    "q / p => q / p",
+    "p \\ p => p \\ p",
+    "dia boxd p => dia boxd p",
+]
+
+GUARDED_ROWS = [
+    "[ ] => dia 1",
+    "dia 1 / dia 1 [ ] => dia 1",
+    "[ ] dia 1 \\ p p \\ q => q",
+    "[ dia 1 dia 1 \\ p ] => dia p",
+    "[ p [ ] ] => dia (p * dia 1)",
+    "p => (p * dia 1) / dia 1",
+]
+
+BRACKET_ROWS = [
+    "[ p p \\ boxd p ] => p",
+    "[ [ p ] dia p \\ p ] => dia p",
+    "q / dia p [ p ] => q",
+    "[ p ] dia p \\ dia p => dia p",
+]
 
 
 def _partitions(ante, calc):
@@ -113,6 +168,21 @@ class TestThinIndex:
             assert is_thin(q.conclusion)
             assert check(q, LDIA_M)
             assert deindex(q.conclusion, theta) == s
+
+    def test_indexed_proofs(self):
+        # an indexed input is renamed apart like any other; deindexing
+        # the new conclusion through theta strips the old indices too
+        rows = [
+            "[:1 p ]:1 => dia:1 p",
+            "p3 / dia:1 (p1 * dia:2 (p2 / p2)) [:1 p1 [:2 ]:2 ]:1 => p3",
+        ]
+        for text in rows:
+            s = parse_sequent(text)
+            pf = prove(s, L1STAR_DIA_M)
+            q, theta = thin_index(pf, L1STAR_DIA_M)
+            assert is_thin(q.conclusion), text
+            assert check(q, L1STAR_DIA_M), text
+            assert deindex(q.conclusion, theta) == deindex(s), text
 
 
 def _occurrence_bounds_ok(res, part, succedent):
@@ -253,26 +323,8 @@ class TestExtractSweeps:
         assert seen > 50
 
     def test_unit_universe(self):
-        rows = [
-            "p => p",
-            "p p \\ q => q",
-            "1 p => p",
-            "p 1 => p",
-            "1 => 1",
-            "=> 1",
-            "p p \\ q q \\ q => q",
-            "[ p ] => dia p",
-            "[ 1 p ] => dia p",
-            "[ p ] dia p \\ q => q",
-            "[ [ p ] ] => dia dia p",
-            "p * q => p * (q * 1)",
-            "[ 1 ] => dia 1",
-            "q / p p => q * 1",
-            "q / p p 1 => q",
-            "[ [ boxd q ] 1 ] => dia q",
-        ]
         seen = 0
-        for text in rows:
+        for text in UNIT_ROWS:
             s = parse_sequent(text)
             pf = prove(s, L1STAR_DIA)
             assert pf is not None, text
@@ -284,15 +336,7 @@ class TestExtractSweeps:
         assert seen > 60
 
     def test_starred_universe(self):
-        rows = [
-            "=> p / p",
-            "p => q / (p \\ q)",
-            "[ p p \\ q ] => dia q",
-            "q / p => q / p",
-            "p \\ p => p \\ p",
-            "dia boxd p => dia boxd p",
-        ]
-        for text in rows:
+        for text in STARRED_ROWS:
             s = parse_sequent(text)
             pf = prove(s, LSTAR_DIA)
             assert pf is not None, text
@@ -301,16 +345,8 @@ class TestExtractSweeps:
                 assert _extraction_ok(res, part, s, LSTAR_DIA), text
 
     def test_guarded_universe(self):
-        rows = [
-            "[ ] => dia 1",
-            "dia 1 / dia 1 [ ] => dia 1",
-            "[ ] dia 1 \\ p p \\ q => q",
-            "[ dia 1 dia 1 \\ p ] => dia p",
-            "[ p [ ] ] => dia (p * dia 1)",
-            "p => (p * dia 1) / dia 1",
-        ]
         seen = 0
-        for text in rows:
+        for text in GUARDED_ROWS:
             s = parse_sequent(text)
             assert all(is_guarded(t) for t in sequent_types(s)), text
             pf = prove(s, L1STAR_DIA)
@@ -403,16 +439,10 @@ class TestEliminateBracket:
         _recompose(s, (0,), b, variant, pa, pb, LDIA)
 
     def test_recomposition_sweep(self):
-        extra = [
-            "[ p p \\ boxd p ] => p",
-            "[ [ p ] dia p \\ p ] => dia p",
-            "q / dia p [ p ] => q",
-            "[ p ] dia p \\ dia p => dia p",
-        ]
         cases = [(s, pf) for s, pf in _provable_small()
                  if bracket_addresses(s.antecedent)]
         cases += [(parse_sequent(t), prove(parse_sequent(t), LDIA))
-                  for t in extra]
+                  for t in BRACKET_ROWS]
         assert len(cases) >= 10
         for s, pf in cases:
             for beta in bracket_addresses(s.antecedent):
@@ -525,3 +555,110 @@ class TestCutReduceFlat:
         s = parse_sequent("p p p \\ p => p")
         with pytest.raises(ValueError):
             cut_reduce_flat(s, {"p"}, 2, LDIA)
+
+
+# ---------------------------------------------------------------------------
+# Differential digest
+#
+# One SHA-256 over everything the proof-walking code produces on the
+# sweep populations: canonical proofs, interpolants with both proofs,
+# thin-indexed proofs, and bracket eliminations, each proof with its
+# principals.  A refactor of the prover or the interpolator must leave
+# it unchanged; any change to an answer, a proof or a principal
+# encoding moves it, and only a deliberate one may update DIGEST.
+
+# The last rule is a one-premise left rule whose principal leaf sits
+# next to a bracket, so the selection or the eliminated bracket lies
+# inside a sibling tree before or after the rule's position.
+SIBLING_ROWS = [
+    ("p * q [ q ] => p * (q * dia q)", LDIA),
+    ("1 [ p ] => dia p", L1STAR_DIA),
+    ("[ p ] 1 => dia p", L1STAR_DIA),
+]
+
+DIGEST = "afba3157f632a094093dd4bad5fb9085346542ca484195dfa29587af2bd57b94"
+
+
+def _proof_record(p):
+    """The proof text plus every node's principal, preorder."""
+    principals, stack = [], [p]
+    while stack:
+        node = stack.pop()
+        principals.append(repr(node.principal))
+        stack.extend(reversed(node.premises))
+    return print_proof(p) + "\n" + " ".join(principals)
+
+
+def _extractions(pf, calc, empty, modes, tally):
+    ante = pf.conclusion.antecedent
+    for parent, lo, hi in partitions(ante, include_empty=empty):
+        part = partition_at(ante, parent, lo, hi)
+        for guarded in modes:
+            tally["extractions"] += 1
+            yield f"extract {parent} {lo} {hi} {guarded}"
+            try:
+                res = extract_interpolant(pf, part, calc, guarded)
+            except ValueError as exc:
+                yield f"ValueError {exc}"
+                continue
+            yield print_type(res.interpolant)
+            yield _proof_record(res.left_proof)
+            yield _proof_record(res.right_proof)
+
+
+def _sweep(pf, calc, empty, modes, tally):
+    """Records of one canonical proof, its extractions at every
+    partition, its thin form with the thin extractions, and the
+    elimination of every nonempty bracket."""
+    tally["proofs"] += 1
+    yield _proof_record(pf)
+    yield from _extractions(pf, calc, empty, modes, tally)
+    thin, theta = thin_index(pf, calc)
+    yield _proof_record(thin)
+    yield repr(sorted(theta.items()))
+    yield from _extractions(thin, indexed_counterpart(calc), empty, modes,
+                            tally)
+    if not calc.brackets:
+        return
+    ante = pf.conclusion.antecedent
+    for beta in bracket_addresses(ante):
+        if subtree(ante, beta).children:
+            tally["eliminations"] += 1
+            b, variant, (pa, pb) = eliminate_bracket(pf, calc, beta)
+            yield f"eliminate {beta} {print_type(b)} {variant}"
+            yield _proof_record(pa)
+            yield _proof_record(pb)
+
+
+def _digest_records(tally):
+    for _, pf in _interp_population():
+        yield from _sweep(pf, LDIA, False, (None,), tally)
+    tally["plain"] = dict(tally)
+    prover = Prover(L1STAR_DIA)
+    for s in _cut_candidates(L1STAR_DIA, enum_types({"p"}, 2, guarded=True)):
+        pf = prover.prove(s)
+        if pf is not None:
+            tally["unit provables"] += 1
+            yield from _sweep(pf, L1STAR_DIA, True, (None, False), tally)
+    rows = ([(t, L1STAR_DIA, True, (False,)) for t in UNIT_ROWS]
+            + [(t, LSTAR_DIA, False, (None,)) for t in STARRED_ROWS]
+            + [(t, L1STAR_DIA, False, (None,)) for t in GUARDED_ROWS]
+            + [(t, LDIA, False, (None,)) for t in BRACKET_ROWS + [GOLDEN]]
+            + [(t, c, True, (None,)) for t, c in SIBLING_ROWS])
+    for text, calc, empty, modes in rows:
+        yield from _sweep(prove(parse_sequent(text), calc), calc, empty,
+                          modes, tally)
+    for i in (1, 2, 3):
+        yield from _sweep(_telescope(i), L1STAR, True, (None,), tally)
+
+
+class TestDifferentialDigest:
+    def test_digest(self):
+        tally = Counter()
+        h = hashlib.sha256()
+        for record in _digest_records(tally):
+            h.update(record.encode() + b"\n")
+        assert tally["plain"] == {"proofs": 1996, "extractions": 18684,
+                                  "eliminations": 1058}
+        assert tally["unit provables"] == 47
+        assert h.hexdigest() == DIGEST
