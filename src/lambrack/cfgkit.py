@@ -14,6 +14,7 @@ over the sub-hedges of the goal's antecedent.
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .syntax import (
@@ -147,6 +148,11 @@ class Cfg:
                             f"unknown nonterminal {print_type(sym)!r}")
                 elif sym not in self.terminals:
                     raise ValueError(f"unknown terminal {sym!r}")
+
+    @cached_property
+    def _recognizer(self) -> "_Recognizer":
+        # built on the first ``derives`` and kept as long as the grammar
+        return _Recognizer(self)
 
     def __repr__(self):
         return (f"<cfg start {print_type(self.start)}: "
@@ -393,6 +399,10 @@ def derives(g: Cfg, nt: Type, symbols) -> Optional[Derivation]:
     ``symbols`` mixes terminals and nonterminals; the empty sequence
     asks whether ``nt`` is nullable.  Returns ``None`` when no
     derivation exists, and raises on symbols outside the grammar.
+
+    The chart recognizer (the epsilon-free, binarized, unary-closed
+    image of ``g``) is built by the first call on ``g`` and kept on
+    ``g`` for as long as the grammar lives; later calls only parse.
     """
     if nt not in g.nonterminals:
         raise ValueError(f"unknown nonterminal {print_type(nt)!r}")
@@ -403,7 +413,7 @@ def derives(g: Cfg, nt: Type, symbols) -> Optional[Derivation]:
                 raise ValueError(f"unknown nonterminal {print_type(sym)!r}")
         elif sym not in g.terminals:
             raise ValueError(f"unknown symbol {sym!r}")
-    rec = _Recognizer(g)
+    rec = g._recognizer
     if not toks:
         return rec.null.get(nt)
     chart = rec.parse(toks)

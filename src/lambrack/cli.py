@@ -340,15 +340,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValueError, FileNotFoundError) as exc:
+    except BrokenPipeError:
+        # the reader went away mid-stream (e.g. piping into head); it is
+        # an OSError, so this clause must come before the one below
+        return 0
+    except (ParseError, ValueError, OSError) as exc:
+        # OSError: an input file that cannot be read, or an output file
+        # or --cache-dir that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ProofSearchTimeout as exc:
         print(f"error: proof search timed out: {exc}", file=sys.stderr)
         return 1
-    except BrokenPipeError:
-        # the reader went away mid-stream (e.g. piping into head)
-        return 0
 
 
 if __name__ == "__main__":

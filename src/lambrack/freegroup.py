@@ -84,11 +84,8 @@ def wlen(u: Word) -> int:
     return len(u)
 
 
-_type_words: dict = {}
-
-
 def _word_of_type(t: Type) -> Word:
-    w = _type_words.get(t)
+    w = t._word
     if w is not None:
         return w
     if isinstance(t, Prim):
@@ -109,19 +106,25 @@ def _word_of_type(t: Type) -> Word:
                 (close_letter(t.index, -1),))
     else:
         raise TypeError(f"cannot interpret {t!r}")
-    _type_words[t] = w
+    t._word = w
     return w
 
 
 def _word_of_tree(tr: Tree) -> Word:
+    w = tr._word
+    if w is not None:
+        return w
     if isinstance(tr, Leaf):
-        return _word_of_type(tr.type)
-    if isinstance(tr, Bracket):
+        w = _word_of_type(tr.type)
+    elif isinstance(tr, Bracket):
         w = (open_letter(tr.index),)
         for ch in tr.children:
             w = mul(w, _word_of_tree(ch))
-        return mul(w, (close_letter(tr.index),))
-    raise TypeError(f"cannot interpret {tr!r}")
+        w = mul(w, (close_letter(tr.index),))
+    else:
+        raise TypeError(f"cannot interpret {tr!r}")
+    tr._word = w
+    return w
 
 
 def word_of(x, allow_plain: bool = False) -> Word:
@@ -132,6 +135,12 @@ def word_of(x, allow_plain: bool = False) -> Word:
     That collapsed reading is what the prover's pruning filter uses; it
     is sound because the provability invariant holds index by index and
     in the collapsed form alike.
+
+    The word of each type and tree node is computed once and kept in
+    the node's ``_word`` slot, so it lives exactly as long as the node:
+    forever for interned types, until the last reference goes for
+    trees.  A hedge is a plain tuple and has no slot; its word is the
+    product of its trees' cached words, formed anew on each call.
     """
     mode = getattr(x, "mode", None)
     if isinstance(x, tuple):

@@ -20,7 +20,6 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 from importlib import resources
 from itertools import product
 from pathlib import Path
@@ -140,34 +139,50 @@ def _finish(claim, started, counts, failures, notes=(), artifacts=()):
 # Hedge enumeration for the brute-force side of language membership
 
 
-@lru_cache(maxsize=None)
-def _hedges_exact(seg: tuple, b: int, allow_empty: bool) -> tuple:
+def _hedges_exact(seg: tuple, b: int, allow_empty: bool, memo: dict) -> tuple:
     """All hedges with yield ``seg`` and exactly ``b`` bracket pairs.
 
     Decomposition by the first tree is unique, so no hedge is produced
     twice.  ``allow_empty`` admits brackets with no contents, which only
     the calculi with empty antecedents accept.
+
+    ``memo`` maps each ``(seg, b, allow_empty)`` enumerated so far to
+    its hedges, so sub-hedges are shared between the hedges that
+    contain them and each bracket node computes its free-group word
+    once.  The caller owns the memo: every claim keeps one for its own
+    run only, so the hedges and their cached words are dropped when
+    the claim returns.
     """
+    key = (seg, b, allow_empty)
+    out = memo.get(key)
+    if out is not None:
+        return out
     if b == 0:
-        return (tuple(leaf(t) for t in seg),)
+        out = (tuple(leaf(t) for t in seg),)
+        memo[key] = out
+        return out
     out = []
     if seg:
-        for rest in _hedges_exact(seg[1:], b, allow_empty):
-            out.append((leaf(seg[0]),) + rest)
+        first = leaf(seg[0])
+        for rest in _hedges_exact(seg[1:], b, allow_empty, memo):
+            out.append((first,) + rest)
     for k in range(len(seg) + 1):
         for i in range(b):
-            for inner in _hedges_exact(seg[:k], i, allow_empty):
+            for inner in _hedges_exact(seg[:k], i, allow_empty, memo):
                 if not inner and not allow_empty:
                     continue
                 first = bracket(inner)
-                for rest in _hedges_exact(seg[k:], b - 1 - i, allow_empty):
+                for rest in _hedges_exact(seg[k:], b - 1 - i, allow_empty,
+                                          memo):
                     out.append((first,) + rest)
-    return tuple(out)
+    out = tuple(out)
+    memo[key] = out
+    return out
 
 
-def _bracketings(row, budget, allow_empty):
+def _bracketings(row, budget, allow_empty, memo):
     for b in range(budget + 1):
-        yield from _hedges_exact(tuple(row), b, allow_empty)
+        yield from _hedges_exact(tuple(row), b, allow_empty, memo)
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +323,10 @@ def _interp_population(timeout_ms=None):
 
     grow((), 0, 0)
     prover = Prover(LDIA, timeout_ms=timeout_ms)
+    hedges = {}
     found = []
     for row, conn, mods in rows:
-        for h in _bracketings(row, mods, False):
+        for h in _bracketings(row, mods, False, hedges):
             hw = word_of(h, allow_plain=True)
             for c_succ, succ in succ_by_word.get(hw, ()):
                 if conn + c_succ > 3:
@@ -525,7 +541,9 @@ def run_reduction_sweep(timeout_ms: Optional[float] = None,
 
 def _cut_candidates(calc, types):
     """Candidate bracketed sequents: yields up to 4 types, brackets
-    within the modality budget of the sequent."""
+    within the modality budget of the sequent.  The hedge memo lives as
+    long as the generator."""
+    hedges = {}
     lo_n = 0 if calc.starred else 1
     for n in range(lo_n, 5):
         for row in product(types, repeat=n):
@@ -535,7 +553,8 @@ def _cut_candidates(calc, types):
                 for b in range(budget + 1):
                     if b == 0 and n == 0 and not calc.starred:
                         continue
-                    for h in _hedges_exact(tuple(row), b, calc.starred):
+                    for h in _hedges_exact(tuple(row), b, calc.starred,
+                                           hedges):
                         yield sequent(h, succ)
 
 
@@ -623,16 +642,17 @@ def load_grammar(source):
     return name.rsplit(".", 1)[0], bundled_grammar(name)
 
 
-def _grammar_member(g, word_toks, calc, prover, extra_brackets=0):
+def _grammar_member(g, word_toks, calc, prover, hedges, extra_brackets=0):
     """Brute-force membership: some bracketing of some lexicon type
-    assignment derives the distinguished type."""
+    assignment derives the distinguished type.  ``hedges`` is the
+    caller's memo for ``_hedges_exact``."""
     target = g.distinguished
     target_word = word_of(target, allow_plain=True)
     assigns = [g.types_of(tok) for tok in word_toks]
     for row in product(*assigns):
         budget = (sum(mod_total(t) for t in row) + length(target)
                   + extra_brackets)
-        for h in _bracketings(row, budget, calc.starred):
+        for h in _bracketings(row, budget, calc.starred, hedges):
             if not h and not calc.starred:
                 continue
             if word_of(h, allow_plain=True) != target_word:
@@ -665,6 +685,7 @@ def run_equivalence(source, calc=LDIA, max_len: Optional[int] = None,
         max_len = 4 if calc.starred else 5
     cfg = compile_cfg(g, calc, cache_dir=cache_dir)
     prover = Prover(calc, timeout_ms=timeout_ms)
+    hedges = {}
     alphabet = sorted(g.alphabet)
     strings = []
     for n in range(0 if calc.starred else 1, max_len + 1):
@@ -673,7 +694,7 @@ def run_equivalence(source, calc=LDIA, max_len: Optional[int] = None,
     artifacts = []
     try:
         for toks in strings:
-            direct = _grammar_member(g, toks, calc, prover)
+            direct = _grammar_member(g, toks, calc, prover, hedges)
             compiled = derives(cfg, cfg.start, list(toks)) is not None
             shown = " ".join(toks) if toks else "the empty string"
             if direct != compiled:
@@ -681,7 +702,7 @@ def run_equivalence(source, calc=LDIA, max_len: Optional[int] = None,
                     f"membership disagrees on {shown}: grammar side "
                     f"{direct}, compiled side {compiled}")
                 continue
-            if _grammar_member(g, toks, calc, prover,
+            if _grammar_member(g, toks, calc, prover, hedges,
                                extra_brackets=1) != direct:
                 failures.append(
                     f"a witness for {shown} appears only at the bracket "

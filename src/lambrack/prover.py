@@ -285,14 +285,18 @@ class Prover:
         self._ticks = 0
 
     def prove(self, s: Sequent) -> Optional[Proof]:
+        """A cut-free proof of ``s``, or None when there is none.
+
+        Every goal the search settles is kept in ``self.memo`` for the
+        life of this instance.  A goal whose two sides have different
+        free-group words, the root included, is refuted without being
+        stored, so bulk enumeration of unbalanced goals does not grow
+        the table; the words themselves are cached on the type and tree
+        nodes (see ``freegroup.word_of``).
+        """
         validate_sequent(s, self.calc)
         if self.timeout_ms is not None:
             self._deadline = time.monotonic() + self.timeout_ms / 1000.0
-        # an unbalanced top-level goal is refuted without touching the
-        # memo table, so bulk enumeration does not grow it
-        if word_of(s.antecedent, allow_plain=True) != \
-                word_of(s.succedent, allow_plain=True):
-            return None
         return self._search(s)
 
     def _search(self, s: Sequent) -> Optional[Proof]:
@@ -305,20 +309,21 @@ class Prover:
         found, result = self._lookup(s)
         if found:
             return result
-        result = None
-        if word_of(s.antecedent, allow_plain=True) == \
+        if word_of(s.antecedent, allow_plain=True) != \
                 word_of(s.succedent, allow_plain=True):
-            for rule, principal in instances(s, self.calc):
-                premises = premises_of(s, rule, principal, self.calc)
-                subproofs = []
-                for premise in premises:
-                    sub = self._search(premise)
-                    if sub is None:
-                        break
-                    subproofs.append(sub)
-                else:
-                    result = Proof(s, rule, tuple(subproofs), principal)
+            return None
+        result = None
+        for rule, principal in instances(s, self.calc):
+            premises = premises_of(s, rule, principal, self.calc)
+            subproofs = []
+            for premise in premises:
+                sub = self._search(premise)
+                if sub is None:
                     break
+                subproofs.append(sub)
+            else:
+                result = Proof(s, rule, tuple(subproofs), principal)
+                break
         self.memo[s] = result
         return result
 

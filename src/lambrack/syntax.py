@@ -81,7 +81,7 @@ def _check_index(index: Optional[int]) -> Optional[int]:
 class Type:
     """A formula.  Instances are interned; equality is identity."""
 
-    __slots__ = ("length", "prims", "mods", "units", "mode", "_str")
+    __slots__ = ("length", "prims", "mods", "units", "mode", "_str", "_word")
 
     length: int
     prims: Counter
@@ -89,6 +89,7 @@ class Type:
     units: int
     mode: Optional[str]
     _str: str
+    _word: Optional[tuple]
 
     def __repr__(self) -> str:
         return f"<type {self._str}>"
@@ -148,6 +149,7 @@ def _fill(t: Type, mode, length, prims, mods, units, text) -> Type:
     t.mods = mods
     t.units = units
     t._str = text
+    t._word = None
     return t
 
 
@@ -236,7 +238,7 @@ class Tree:
     """A node of the bracketed antecedent structure."""
 
     __slots__ = ("mode", "n_leaves", "holes", "brackets", "empty_brackets",
-                 "units", "_hash", "_prims", "_mods", "_str")
+                 "units", "_hash", "_prims", "_mods", "_str", "_word")
 
     def __hash__(self) -> int:
         return self._hash
@@ -299,6 +301,7 @@ def leaf(t: Type) -> Leaf:
     tr._prims = t.prims
     tr._mods = t.mods
     tr._str = None
+    tr._word = None
     return tr
 
 
@@ -333,6 +336,7 @@ def bracket(children, index: Optional[int] = None) -> Bracket:
     tr._prims = None
     tr._mods = None
     tr._str = None
+    tr._word = None
     return tr
 
 
@@ -348,6 +352,7 @@ def _make_hole() -> Hole:
     tr._prims = _EMPTY_COUNTER
     tr._mods = _EMPTY_COUNTER
     tr._str = "_"
+    tr._word = None
     return tr
 
 

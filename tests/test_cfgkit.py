@@ -6,12 +6,15 @@ import random
 
 import pytest
 
+from lambrack import cfgkit
 from lambrack.cfgkit import (
     Cfg, CutDerivation, cfg, cut_derives, cut_leaf, cut_node,
     derivation_yield, derives, language_upto, parse_cfg, print_cfg,
     replay_cuts,
 )
 from lambrack.cfgkit import replay_derivation
+from lambrack.compiler import compile_cfg
+from lambrack.harness import BUNDLED_GRAMMARS, bundled_grammar
 from lambrack.syntax import (
     HOLE, UNIT, bracket, dia, leaf, parse_sequent, prim, replace_span,
     sequent, under,
@@ -107,6 +110,41 @@ class TestDerives:
         assert derives(g, s, ["x", "z"]) is None
         assert derives(g, b, ["x", "z", "y"]) is not None
         assert language_upto(g, 3) == {"z", "x z y"}
+
+    def test_recognizer_built_once(self, monkeypatch):
+        built = []
+
+        class Counting(cfgkit._Recognizer):
+            def __init__(self, g):
+                built.append(g)
+                super().__init__(g)
+
+        monkeypatch.setattr(cfgkit, "_Recognizer", Counting)
+        g = _fragment()
+        for toks in (["a"], [], ["a", "a"], [P, D], [DU], ["a"]):
+            derives(g, D, toks)
+        derives(g, P, ["a"])
+        assert built == [g]
+
+    @pytest.mark.parametrize("name,calc", BUNDLED_GRAMMARS)
+    def test_reused_recognizer_matches_fresh(self, name, calc):
+        g = compile_cfg(bundled_grammar(name), calc)
+        members = [tuple(w.split()) for w in sorted(language_upto(g, 4))]
+        near = {w + (t,) for w in members for t in sorted(g.terminals)}
+        near |= {w[:-1] for w in members if w}
+        near |= {w[1:] + w[:1] for w in members}
+        assert len(near - set(members)) > 0
+        for toks in members + sorted(near):
+            fresh = cfgkit._Recognizer(g)
+            if toks:
+                chart = fresh.parse(toks)
+                expected = (fresh.rebuild(chart, 0, len(toks), g.start, toks)
+                            if g.start in chart[(0, len(toks))] else None)
+            else:
+                expected = fresh.null.get(g.start)
+            assert derives(g, g.start, toks) == expected
+            if len(toks) <= 4:
+                assert (expected is not None) == (toks in members)
 
 
 def _bfs_language(g, n, cap=60000):

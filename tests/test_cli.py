@@ -6,6 +6,7 @@ import json
 import pytest
 
 from lambrack.cli import main
+from lambrack.compiler import build_rulesets
 from lambrack.harness import Report
 from lambrack.prover import ProofSearchTimeout, check, parse_proof
 from lambrack.syntax import L1STAR_DIA_M, LDIA_M, parse_sequent
@@ -200,6 +201,29 @@ class TestCompileAndParse:
         code, _, err = run(capsys, "compile", "nowhere.lg")
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["compile", "compare", "report"])
+    def test_unusable_cache_dir(self, capsys, monkeypatch, tmp_path,
+                                command):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        cache = str(blocker / "sub")
+
+        def run_all(**kwargs):
+            # the part of the battery that writes the rule cache
+            build_rulesets({"p"}, 1, "Ldia", cache_dir=kwargs["cache_dir"])
+
+        monkeypatch.setattr("lambrack.cli.run_all", run_all)
+        argv = {
+            "compile": ["compile", "starred.lg", "--calculus", "LstarDia"],
+            "compare": ["compare", "starred.lg", "--calculus", "LstarDia",
+                        "--max-len", "1"],
+            "report": ["report", "--out", str(tmp_path / "out")],
+        }[command]
+        code, out, err = run(capsys, *argv, "--cache-dir", cache)
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "sub" in err
 
 
 class TestCutDerive:

@@ -5,11 +5,17 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lambrack import harness
+from lambrack.compiler import enum_types
 from lambrack.freegroup import (
     IDENTITY, close_letter, inv, mul, open_letter, prim_letter, print_word,
     shrinking_pair, wlen, word, word_of,
 )
-from lambrack.syntax import parse_hedge, parse_sequent, parse_type
+from lambrack.harness import _cut_candidates, _interp_population
+from lambrack.syntax import (
+    L1STAR_DIA, UNIT, BoxDown, Bracket, Dia, Leaf, Over, Prim, Prod, Under,
+    parse_hedge, parse_sequent, parse_type,
+)
 
 a = (prim_letter("a"),)
 b = (prim_letter("b"),)
@@ -154,3 +160,110 @@ def test_print_word():
     assert print_word(IDENTITY) == "e"
     assert print_word((open_letter(1), prim_letter("p1"),
                        close_letter(2, -1))) == "<1 p1 >2'"
+
+
+# ---------------------------------------------------------------------------
+# Differential check: cached words against words read off the syntax
+
+
+def _inverse_letters(letters):
+    return [(kind, value, -sign) for kind, value, sign in reversed(letters)]
+
+
+def _flat_letters(x):
+    """The unreduced letters of a type or tree, with no cache involved."""
+    if isinstance(x, Leaf):
+        return _flat_letters(x.type)
+    if isinstance(x, Bracket):
+        out = [open_letter(x.index)]
+        for ch in x.children:
+            out += _flat_letters(ch)
+        return out + [close_letter(x.index)]
+    if isinstance(x, Prim):
+        return [prim_letter(x.name)]
+    if x is UNIT:
+        return []
+    if isinstance(x, Under):
+        return _inverse_letters(_flat_letters(x.left)) + _flat_letters(x.right)
+    if isinstance(x, Over):
+        return _flat_letters(x.left) + _inverse_letters(_flat_letters(x.right))
+    if isinstance(x, Prod):
+        return _flat_letters(x.left) + _flat_letters(x.right)
+    assert isinstance(x, (Dia, BoxDown)), x
+    sign = 1 if isinstance(x, Dia) else -1
+    return ([open_letter(x.index, sign)] + _flat_letters(x.body)
+            + [close_letter(x.index, sign)])
+
+
+def _nodes(x):
+    yield x
+    if isinstance(x, Leaf):
+        yield from _nodes(x.type)
+    elif isinstance(x, Bracket):
+        for ch in x.children:
+            yield from _nodes(ch)
+    elif isinstance(x, (Under, Over, Prod)):
+        yield from _nodes(x.left)
+        yield from _nodes(x.right)
+    elif isinstance(x, (Dia, BoxDown)):
+        yield from _nodes(x.body)
+
+
+def _check_words(items):
+    """Every node of every hedge or type in ``items`` has the word its
+    letters reduce to, on the first (filling) and the second (cached)
+    request alike.  ``items`` must stay alive: nodes are told apart by
+    identity."""
+    seen = set()
+    for item in items:
+        trees = item if isinstance(item, tuple) else (item,)
+        letters = [x for tr in trees for x in _flat_letters(tr)]
+        assert word_of(item, allow_plain=True) == word(letters)
+        for tr in trees:
+            for node in _nodes(tr):
+                if id(node) in seen:
+                    continue
+                seen.add(id(node))
+                expected = word(_flat_letters(node))
+                assert word_of(node, allow_plain=True) == expected
+                assert word_of(node, allow_plain=True) == expected
+    return len(seen)
+
+
+def _interp_items():
+    return [x for s, _ in _interp_population()
+            for x in (s.antecedent, s.succedent)]
+
+
+def _cut_items():
+    types = enum_types({"p"}, 2, guarded=True)
+    sampled = [s for i, s in enumerate(_cut_candidates(L1STAR_DIA, types))
+               if i % 97 == 0]
+    return [x for s in sampled for x in (s.antecedent, s.succedent)]
+
+
+def _grammar_items(monkeypatch):
+    # every hedge the brute-force membership side enumerates passes
+    # through harness.word_of before it reaches the prover
+    seen = []
+    original = harness.word_of
+
+    def recording(x, allow_plain=False):
+        seen.append(x)
+        return original(x, allow_plain=allow_plain)
+
+    monkeypatch.setattr(harness, "word_of", recording)
+    assert harness.run_equivalence("brackets.lg", max_len=3).ok
+    monkeypatch.undo()
+    return seen
+
+
+@pytest.mark.parametrize("population", ["interp", "cut", "grammar"])
+def test_cached_words_match_letters(population, monkeypatch):
+    if population == "interp":
+        items = _interp_items()
+    elif population == "cut":
+        items = _cut_items()
+    else:
+        items = _grammar_items(monkeypatch)
+    assert _check_words(items) >= 1000

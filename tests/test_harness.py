@@ -1,6 +1,7 @@
 """Tests for the report harness: reference checks, randomized trials,
 equivalence runs, and report plumbing."""
 
+import gc
 import json
 
 import pytest
@@ -11,7 +12,7 @@ from lambrack.harness import (
     run_golden, run_shrinking_trials, write_reports,
 )
 from lambrack.prover import check, parse_proof
-from lambrack.syntax import LDIA, L1STAR_DIA_M, prim
+from lambrack.syntax import LDIA, L1STAR_DIA_M, Bracket, prim
 
 
 class TestReportType:
@@ -32,27 +33,42 @@ class TestReportType:
         assert r.to_dict()["reproducer"] == "p => q"
 
 
+def _live_brackets():
+    gc.collect()
+    return sum(1 for x in gc.get_objects() if isinstance(x, Bracket))
+
+
 class TestHedgeEnumeration:
     def test_flat_base_case(self):
         p = prim("p")
-        assert _hedges_exact((p, p), 0, False) == \
-            _hedges_exact((p, p), 0, True)
-        assert len(_hedges_exact((p, p), 0, False)) == 1
+        assert _hedges_exact((p, p), 0, False, {}) == \
+            _hedges_exact((p, p), 0, True, {})
+        assert len(_hedges_exact((p, p), 0, False, {})) == 1
 
     def test_empty_bracket_control(self):
-        assert len(_hedges_exact((), 2, True)) == 2
-        assert _hedges_exact((), 2, False) == ()
+        assert len(_hedges_exact((), 2, True, {})) == 2
+        assert _hedges_exact((), 2, False, {}) == ()
 
     def test_single_leaf_one_bracket(self):
         p = prim("p")
-        assert len(_hedges_exact((p,), 1, False)) == 1
-        assert len(_hedges_exact((p,), 1, True)) == 3
+        assert len(_hedges_exact((p,), 1, False, {})) == 1
+        assert len(_hedges_exact((p,), 1, True, {})) == 3
 
     def test_no_duplicates(self):
         p, q = prim("p"), prim("q")
+        memo = {}
         for b in range(4):
-            out = _hedges_exact((p, q), b, True)
+            out = _hedges_exact((p, q), b, True, memo)
             assert len(set(out)) == len(out)
+            # the same memo answers a repeated request with the same
+            # hedges, and a fresh one with equal hedges
+            assert _hedges_exact((p, q), b, True, memo) is out
+            assert _hedges_exact((p, q), b, True, {}) == out
+
+    def test_memo_ends_with_the_claim(self):
+        before = _live_brackets()
+        assert run_equivalence("brackets.lg", max_len=2).ok
+        assert _live_brackets() == before
 
 
 class TestGolden:
