@@ -352,6 +352,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ProofSearchTimeout as exc:
         print(f"error: proof search timed out: {exc}", file=sys.stderr)
         return 1
+    except RecursionError:
+        # the parser, the prover and the proof walks recurse once per
+        # nesting level, so an input deep enough to pass Python's
+        # recursion limit is refused rather than answered
+        print("error: input nests too deeply for the recursion limit",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

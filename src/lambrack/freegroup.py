@@ -28,7 +28,8 @@ from .syntax import (
 __all__ = [
     "Letter", "Word", "IDENTITY",
     "prim_letter", "open_letter", "close_letter", "word",
-    "mul", "inv", "wlen", "word_of", "shrinking_pair", "print_word",
+    "mul", "inv", "wlen", "word_of", "count_key", "shrinking_pair",
+    "print_word",
 ]
 
 Letter = Tuple[str, object, int]
@@ -160,6 +161,25 @@ def word_of(x, allow_plain: bool = False) -> Word:
     if isinstance(x, Tree):
         return _word_of_tree(x)
     raise TypeError(f"cannot interpret {x!r}")
+
+
+def count_key(letters: Iterable[Letter]) -> tuple:
+    """The image of a word in the free abelian group, as a count key.
+
+    Returns ``(rest, opens, closes)``: ``rest`` is the frozen set of the
+    nonzero exponent sums ``((kind, value), n)`` of every generator but
+    the plain brackets, and ``opens``/``closes`` are the exponent sums
+    of ``("<", None)`` and ``(">", None)``.  Exponent sums ignore
+    cancellation, so any spelling of a word, reduced or not, has the
+    same key, and equal words have equal keys: this is the count
+    invariant of the Lambek calculus, read off the free-group one.
+    """
+    sums = {}
+    for kind, value, sign in letters:
+        sums[kind, value] = sums.get((kind, value), 0) + sign
+    opens = sums.pop(("<", None), 0)
+    closes = sums.pop((">", None), 0)
+    return frozenset(kv for kv in sums.items() if kv[1]), opens, closes
 
 
 def shrinking_pair(words: Sequence[Word]) -> int:

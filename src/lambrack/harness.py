@@ -21,15 +21,15 @@ import random
 import time
 from dataclasses import dataclass, field
 from importlib import resources
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 from typing import Mapping, Optional
 
 from .cfgkit import cut_derives, derives, print_cfg, replay_cuts
 from .compiler import build_rulesets, compile_cfg, enum_types
 from .freegroup import (
-    IDENTITY, inv, mul, prim_letter, print_word, shrinking_pair, wlen, word,
-    word_of,
+    IDENTITY, count_key, inv, mul, prim_letter, print_word, shrinking_pair,
+    wlen, word, word_of,
 )
 from .interpolate import (
     extract_interpolant, partition_at, thin_index, thin_interpolant_length_ok,
@@ -152,6 +152,10 @@ def _hedges_exact(seg: tuple, b: int, allow_empty: bool, memo: dict) -> tuple:
     once.  The caller owns the memo: every claim keeps one for its own
     run only, so the hedges and their cached words are dropped when
     the claim returns.
+
+    The claims that look for word-balanced hedges ask only for the
+    ``b`` that ``_bracket_count`` finds feasible, so no hedge is
+    enumerated at a bracket count that cannot balance.
     """
     key = (seg, b, allow_empty)
     out = memo.get(key)
@@ -180,9 +184,26 @@ def _hedges_exact(seg: tuple, b: int, allow_empty: bool, memo: dict) -> tuple:
     return out
 
 
-def _bracketings(row, budget, allow_empty, memo):
-    for b in range(budget + 1):
-        yield from _hedges_exact(tuple(row), b, allow_empty, memo)
+def _row_key(row, words):
+    """Count key of a row of types, read off the types' ``words``."""
+    return count_key(chain.from_iterable(words[t] for t in row))
+
+
+def _bracket_count(row_key, succ_key):
+    """The one number of plain bracket pairs that can balance a row
+    against a succedent, or None.
+
+    A plain bracket adds one ``<`` and one ``>`` letter, so every hedge
+    over the row with ``b`` brackets has the row's count key with both
+    bracket sums raised by ``b``.  Equal words have equal count keys, so
+    no hedge at any other ``b`` has the succedent's word.
+    """
+    rest, opens, closes = row_key
+    succ_rest, succ_opens, succ_closes = succ_key
+    b = succ_opens - opens
+    if b < 0 or succ_closes - closes != b or succ_rest != rest:
+        return None
+    return b
 
 
 # ---------------------------------------------------------------------------
@@ -298,17 +319,23 @@ def _interp_population(timeout_ms=None):
 
     Each bracket pair of a provable sequent is consumed by a modality
     occurrence, so hedges never need more brackets than the sequent has
-    modalities; the compiled population is cached for reuse by the
-    free-group soundness sweep.
+    modalities; of those bracket counts, only the ones at which some
+    succedent's count key balances the row are enumerated.  The
+    compiled population is cached for reuse by the free-group soundness
+    sweep.
     """
     if "interp" in _POPULATIONS:
         return _POPULATIONS["interp"]
     by_conn = _types_by_connectives(("p", "q"), 3)
+    words = {}
     succ_by_word = {}
+    succ_keys = {}
     for c in range(4):
         for t in by_conn[c]:
-            key = word_of(t, allow_plain=True)
-            succ_by_word.setdefault(key, []).append((c, t))
+            w = words[t] = word_of(t, allow_plain=True)
+            succ_by_word.setdefault(w, []).append((c, t))
+            key = count_key(w)
+            succ_keys.setdefault(key[0], set()).add((c, key))
 
     rows = []
 
@@ -326,15 +353,22 @@ def _interp_population(timeout_ms=None):
     hedges = {}
     found = []
     for row, conn, mods in rows:
-        for h in _bracketings(row, mods, False, hedges):
-            hw = word_of(h, allow_plain=True)
-            for c_succ, succ in succ_by_word.get(hw, ()):
-                if conn + c_succ > 3:
-                    continue
-                s = sequent(h, succ)
-                pf = prover.prove(s)
-                if pf is not None:
-                    found.append((s, pf))
+        row_key = _row_key(row, words)
+        feasible = set()
+        for c_succ, key in succ_keys.get(row_key[0], ()):
+            b = _bracket_count(row_key, key)
+            if b is not None and b <= mods and conn + c_succ <= 3:
+                feasible.add(b)
+        for b in sorted(feasible):
+            for h in _hedges_exact(row, b, False, hedges):
+                hw = word_of(h, allow_plain=True)
+                for c_succ, succ in succ_by_word.get(hw, ()):
+                    if conn + c_succ > 3:
+                        continue
+                    s = sequent(h, succ)
+                    pf = prover.prove(s)
+                    if pf is not None:
+                        found.append((s, pf))
     _POPULATIONS["interp"] = found
     return found
 
@@ -539,23 +573,27 @@ def run_reduction_sweep(timeout_ms: Optional[float] = None,
 # Cut completeness
 
 
-def _cut_candidates(calc, types):
-    """Candidate bracketed sequents: yields up to 4 types, brackets
-    within the modality budget of the sequent.  The hedge memo lives as
-    long as the generator."""
+def _cut_groups(calc, types):
+    """Candidate bracketed sequents, grouped: yields ``(row, succ, b,
+    hedges)`` for every row of up to 4 types, every succedent, and every
+    bracket count ``b`` within the modality budget of the sequent, where
+    ``hedges`` are the row's hedges with ``b`` brackets.  The hedge memo
+    lives as long as the generator."""
     hedges = {}
-    lo_n = 0 if calc.starred else 1
-    for n in range(lo_n, 5):
+    for n in range(0 if calc.starred else 1, 5):
         for row in product(types, repeat=n):
             mods = sum(mod_total(t) for t in row)
             for succ in types:
-                budget = mods + mod_total(succ)
-                for b in range(budget + 1):
-                    if b == 0 and n == 0 and not calc.starred:
-                        continue
-                    for h in _hedges_exact(tuple(row), b, calc.starred,
-                                           hedges):
-                        yield sequent(h, succ)
+                for b in range(mods + mod_total(succ) + 1):
+                    yield row, succ, b, _hedges_exact(row, b, calc.starred,
+                                                      hedges)
+
+
+def _cut_candidates(calc, types):
+    """The candidate sequents of ``_cut_groups``, one by one."""
+    for _, succ, _, hedges in _cut_groups(calc, types):
+        for h in hedges:
+            yield sequent(h, succ)
 
 
 def run_cut_completeness(timeout_ms: Optional[float] = None,
@@ -571,6 +609,9 @@ def run_cut_completeness(timeout_ms: Optional[float] = None,
     contradict the provability of the base, so on that side every
     ``sample_stride``-th candidate is checked to be underivable rather
     than all of them; small populations are checked exhaustively.
+    Only the groups of candidates whose bracket count the count key
+    admits are compared word by word; the others are unbalanced as a
+    whole.
     """
     started = time.monotonic()
     failures = []
@@ -582,38 +623,45 @@ def run_cut_completeness(timeout_ms: Optional[float] = None,
             rules = build_rulesets({"p"}, 2, calc, cache_dir=cache_dir)
             base = list(rules.rules)
             prover = Prover(calc, timeout_ms=timeout_ms)
-            succ_words = {t: word_of(t, allow_plain=True) for t in types}
-            candidates = list(_cut_candidates(calc, types))
-            total += len(candidates)
-            stride = 1 if len(candidates) <= 10000 else sample_stride
+            words = {t: word_of(t, allow_plain=True) for t in types}
+            groups = list(_cut_groups(calc, types))
+            n_candidates = sum(len(hedges) for *_, hedges in groups)
+            total += n_candidates
+            stride = 1 if n_candidates <= 10000 else sample_stride
             unbalanced_i = 0
-            for s in candidates:
-                hw = word_of(s.antecedent, allow_plain=True)
-                if hw == succ_words[s.succedent]:
-                    balanced_n += 1
-                    pf = prover.prove(s)
-                    d = cut_derives(base, s)
-                    if pf is not None:
-                        provable += 1
-                        thin_forms.append(thin_index(pf, calc)[0].conclusion)
-                    if d is not None:
-                        derivable += 1
-                        if not replay_cuts(d, base):
+            for row, succ, b, hedges in groups:
+                feasible = _bracket_count(_row_key(row, words),
+                                          count_key(words[succ])) == b
+                for h in hedges:
+                    if feasible and \
+                            word_of(h, allow_plain=True) == words[succ]:
+                        s = sequent(h, succ)
+                        balanced_n += 1
+                        pf = prover.prove(s)
+                        d = cut_derives(base, s)
+                        if pf is not None:
+                            provable += 1
+                            thin_forms.append(
+                                thin_index(pf, calc)[0].conclusion)
+                        if d is not None:
+                            derivable += 1
+                            if not replay_cuts(d, base):
+                                failures.append(
+                                    f"derivation fails replay: "
+                                    f"{print_sequent(s)}")
+                        if (pf is None) != (d is None):
                             failures.append(
-                                f"derivation fails replay: "
-                                f"{print_sequent(s)}")
-                    if (pf is None) != (d is None):
-                        failures.append(
-                            f"provability and Cut-derivability disagree: "
-                            f"{print_sequent(s)}")
-                else:
-                    if unbalanced_i % stride == 0:
-                        sampled += 1
-                        if cut_derives(base, s) is not None:
-                            failures.append(
-                                f"word-unbalanced sequent Cut-derives: "
-                                f"{print_sequent(s)}")
-                    unbalanced_i += 1
+                                f"provability and Cut-derivability "
+                                f"disagree: {print_sequent(s)}")
+                    else:
+                        if unbalanced_i % stride == 0:
+                            sampled += 1
+                            s = sequent(h, succ)
+                            if cut_derives(base, s) is not None:
+                                failures.append(
+                                    f"word-unbalanced sequent Cut-derives: "
+                                    f"{print_sequent(s)}")
+                        unbalanced_i += 1
     except ProofSearchTimeout as exc:
         failures.append(f"proof search timed out: {exc}")
 
@@ -645,14 +693,25 @@ def load_grammar(source):
 def _grammar_member(g, word_toks, calc, prover, hedges, extra_brackets=0):
     """Brute-force membership: some bracketing of some lexicon type
     assignment derives the distinguished type.  ``hedges`` is the
-    caller's memo for ``_hedges_exact``."""
+    caller's memo for ``_hedges_exact``.
+
+    Of the bracket counts within the budget, each assignment is
+    bracketed only at the one its count key admits, and is skipped when
+    that count is missing or over the budget; the hedges enumerated
+    there are still filtered by word before the prover sees them.
+    """
     target = g.distinguished
     target_word = word_of(target, allow_plain=True)
+    target_key = count_key(target_word)
     assigns = [g.types_of(tok) for tok in word_toks]
+    words = {t: word_of(t, allow_plain=True) for ts in assigns for t in ts}
     for row in product(*assigns):
+        b = _bracket_count(_row_key(row, words), target_key)
         budget = (sum(mod_total(t) for t in row) + length(target)
                   + extra_brackets)
-        for h in _bracketings(row, budget, calc.starred, hedges):
+        if b is None or b > budget:
+            continue
+        for h in _hedges_exact(row, b, calc.starred, hedges):
             if not h and not calc.starred:
                 continue
             if word_of(h, allow_plain=True) != target_word:
@@ -667,12 +726,18 @@ def run_equivalence(source, calc=LDIA, max_len: Optional[int] = None,
                     cache_dir=None) -> Report:
     """Grammar and compiled CFG agree on all short strings.
 
-    The grammar side enumerates every lexicon type assignment and every
-    bracketing within the modality budget (plus the distinguished
-    type's length) and asks the prover; the compiled side parses with
-    the chart recognizer.  Each string is additionally re-decided with
-    one extra bracket allowed, which must not change the answer: no
-    witness appears first at the boundary.
+    The grammar side enumerates every lexicon type assignment and its
+    bracketings within the modality budget (plus the distinguished
+    type's length) and asks the prover; only the one bracket count at
+    which an assignment's count key balances the distinguished type's
+    is enumerated.  The compiled side parses with the chart recognizer.
+    Each string is additionally re-decided with one extra bracket
+    allowed, which must not change the answer: no witness appears first
+    at the boundary.  The re-check adds exactly the hedges at
+    ``b = budget + 1`` to the search, the only ones it could ever add;
+    by the count invariant a balancing ``b`` is at most the modalities
+    of the assignment plus those of the distinguished type, which is
+    below the budget, so none of them balances.
     """
     started = time.monotonic()
     failures = []

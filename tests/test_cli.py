@@ -71,6 +71,13 @@ class TestProve:
         assert code == 1
         assert "timed out" in err
 
+    def test_deep_input_is_usage_error(self, capsys):
+        goal = "p " + "p\\p " * 4999 + "=> p"
+        code, out, err = run(capsys, "prove", goal)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: input nests too deeply")
+
 
 class TestInterpolate:
     SEQUENT = "p3 / dia:1 (p1 * dia:2 (p2 / p2)) [:1 p1 [:2 ]:2 ]:1 => p3"

@@ -1,20 +1,22 @@
 """Tests for reduced-word arithmetic and the free-group interpretation."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lambrack import harness
 from lambrack.compiler import enum_types
 from lambrack.freegroup import (
     IDENTITY, close_letter, inv, mul, open_letter, prim_letter, print_word,
     shrinking_pair, wlen, word, word_of,
 )
-from lambrack.harness import _cut_candidates, _interp_population
+from lambrack.harness import (
+    _cut_candidates, _hedges_exact, _interp_population, bundled_grammar,
+)
 from lambrack.syntax import (
     L1STAR_DIA, UNIT, BoxDown, Bracket, Dia, Leaf, Over, Prim, Prod, Under,
-    parse_hedge, parse_sequent, parse_type,
+    length, mod_total, parse_hedge, parse_sequent, parse_type,
 )
 
 a = (prim_letter("a"),)
@@ -242,28 +244,28 @@ def _cut_items():
     return [x for s in sampled for x in (s.antecedent, s.succedent)]
 
 
-def _grammar_items(monkeypatch):
-    # every hedge the brute-force membership side enumerates passes
-    # through harness.word_of before it reaches the prover
-    seen = []
-    original = harness.word_of
-
-    def recording(x, allow_plain=False):
-        seen.append(x)
-        return original(x, allow_plain=allow_plain)
-
-    monkeypatch.setattr(harness, "word_of", recording)
-    assert harness.run_equivalence("brackets.lg", max_len=3).ok
-    monkeypatch.undo()
-    return seen
+def _grammar_items():
+    # every hedge the brute-force membership side could bracket a
+    # lexical row of brackets.lg into, up to the extra-bracket re-check
+    g = bundled_grammar("brackets.lg")
+    budget = length(g.distinguished) + 1
+    memo = {}
+    items = []
+    for n in range(1, 4):
+        for toks in product(sorted(g.alphabet), repeat=n):
+            for row in product(*(g.types_of(tok) for tok in toks)):
+                mods = sum(mod_total(t) for t in row)
+                for b in range(mods + budget + 1):
+                    items.extend(_hedges_exact(row, b, False, memo))
+    return items
 
 
 @pytest.mark.parametrize("population", ["interp", "cut", "grammar"])
-def test_cached_words_match_letters(population, monkeypatch):
+def test_cached_words_match_letters(population):
     if population == "interp":
         items = _interp_items()
     elif population == "cut":
         items = _cut_items()
     else:
-        items = _grammar_items(monkeypatch)
+        items = _grammar_items()
     assert _check_words(items) >= 1000

@@ -3,16 +3,26 @@ equivalence runs, and report plumbing."""
 
 import gc
 import json
+from itertools import product
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from lambrack import harness
+from lambrack.compiler import enum_types
+from lambrack.freegroup import count_key, word_of
 from lambrack.harness import (
-    BUNDLED_GRAMMARS, DEFAULT_SEED, Report, _hedges_exact, bundled_grammar,
-    format_reports, load_grammar, run_identity_family, run_equivalence,
-    run_golden, run_shrinking_trials, write_reports,
+    BUNDLED_GRAMMARS, DEFAULT_SEED, Report, _bracket_count, _cut_candidates,
+    _grammar_member, _hedges_exact, bundled_grammar, format_reports,
+    load_grammar, run_identity_family, run_equivalence, run_golden,
+    run_shrinking_trials, write_reports,
 )
-from lambrack.prover import check, parse_proof
-from lambrack.syntax import LDIA, L1STAR_DIA_M, Bracket, prim
+from lambrack.prover import Prover, check, parse_proof
+from lambrack.syntax import (
+    LDIA, L1STAR_DIA, L1STAR_DIA_M, UNIT, Bracket, Leaf, boxdown, calculus,
+    dia, leaf, length, mod_total, over, prim, prod, sequent, under,
+)
 
 
 class TestReportType:
@@ -69,6 +79,139 @@ class TestHedgeEnumeration:
         before = _live_brackets()
         assert run_equivalence("brackets.lg", max_len=2).ok
         assert _live_brackets() == before
+
+
+# ---------------------------------------------------------------------------
+# Differential checks: the count prefilter against enumerating every
+# bracket count and filtering each hedge by its word
+
+
+class _RecordingProver:
+    """A prover that notes every goal it is handed, in order."""
+
+    def __init__(self, calc):
+        self.inner = Prover(calc)
+        self.goals = []
+
+    def prove(self, s):
+        self.goals.append(s)
+        return self.inner.prove(s)
+
+
+def _reference_member(g, toks, calc, prover, extra_brackets):
+    target = g.distinguished
+    target_word = word_of(target, allow_plain=True)
+    memo = {}
+    for row in product(*(g.types_of(tok) for tok in toks)):
+        budget = (sum(mod_total(t) for t in row) + length(target)
+                  + extra_brackets)
+        for b in range(budget + 1):
+            for h in _hedges_exact(row, b, calc.starred, memo):
+                if not h and not calc.starred:
+                    continue
+                if word_of(h, allow_plain=True) != target_word:
+                    continue
+                if prover.prove(sequent(h, target)) is not None:
+                    return True
+    return False
+
+
+@pytest.mark.parametrize("name,calc_name,max_len", [
+    ("brackets.lg", "Ldia", 4), ("anbn.lg", "Ldia", 5),
+    ("starred.lg", "LstarDia", 3),
+])
+def test_grammar_member_matches_reference(name, calc_name, max_len):
+    g = bundled_grammar(name)
+    calc = calculus(calc_name)
+    hedges = {}
+    members = 0
+    for n in range(0 if calc.starred else 1, max_len + 1):
+        for toks in product(sorted(g.alphabet), repeat=n):
+            for extra in (0, 1):
+                got, want = _RecordingProver(calc), _RecordingProver(calc)
+                answer = _grammar_member(g, toks, calc, got, hedges, extra)
+                assert answer == _reference_member(g, toks, calc, want,
+                                                   extra), (toks, extra)
+                assert got.goals == want.goals, (toks, extra)
+                members += answer
+    assert members > 0
+
+
+def test_cut_completeness_hands_over_the_same_sequents(monkeypatch):
+    calls = []
+
+    class Recorder:
+        def __init__(self, calc, timeout_ms=None):
+            pass
+
+        def prove(self, s):
+            calls.append(("prove", s))
+
+    monkeypatch.setattr(harness, "_POPULATIONS", {})
+    monkeypatch.setattr(harness, "Prover", Recorder)
+    monkeypatch.setattr(harness, "cut_derives",
+                        lambda base, s: calls.append(("cut", s)))
+    monkeypatch.setattr(harness, "build_rulesets",
+                        lambda *a, **k: SimpleNamespace(rules=()))
+    r = harness.run_cut_completeness()
+
+    expected = []
+    total = balanced = 0
+    for calc, guarded in ((LDIA, False), (L1STAR_DIA, True)):
+        types = enum_types({"p"}, 2, guarded=guarded)
+        candidates = list(_cut_candidates(calc, types))
+        total += len(candidates)
+        stride = 1 if len(candidates) <= 10000 else 50
+        unbalanced_i = 0
+        for s in candidates:
+            if word_of(s.antecedent, allow_plain=True) == \
+                    word_of(s.succedent, allow_plain=True):
+                balanced += 1
+                expected += [("prove", s), ("cut", s)]
+            else:
+                if unbalanced_i % stride == 0:
+                    expected.append(("cut", s))
+                unbalanced_i += 1
+    assert r.ok
+    assert (r.counts["candidates"], r.counts["balanced"]) == \
+        (total, balanced)
+    assert calls == expected
+
+
+_types = st.recursive(
+    st.sampled_from([prim("p"), prim("q")]),
+    lambda inner: st.one_of(
+        st.builds(dia, inner), st.builds(boxdown, inner),
+        st.builds(under, inner, inner), st.builds(over, inner, inner),
+        st.builds(prod, inner, inner)),
+    max_leaves=3)
+
+
+def _type_of_hedge(h):
+    """A type whose word is the hedge's: brackets read as diamonds."""
+    out = UNIT
+    for tr in h:
+        t = (tr.type if isinstance(tr, Leaf)
+             else dia(_type_of_hedge(tr.children)))
+        out = t if out is UNIT else prod(out, t)
+    return out
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.lists(_types, max_size=3), st.integers(0, 3), st.booleans(),
+       _types)
+def test_count_key_fixes_the_bracket_count(row, b, allow_empty, succ):
+    row = tuple(row)
+    row_key = count_key(
+        word_of(tuple(leaf(t) for t in row), allow_plain=True))
+    rest, opens, closes = row_key
+    for h in _hedges_exact(row, b, allow_empty, {}):
+        hw = word_of(h, allow_plain=True)
+        assert count_key(hw) == (rest, opens + b, closes + b)
+        for s in (succ, _type_of_hedge(h)):
+            sw = word_of(s, allow_plain=True)
+            if hw == sw:
+                assert _bracket_count(row_key, count_key(sw)) == b
 
 
 class TestGolden:
