@@ -13,6 +13,7 @@ over the sub-hedges of the goal's antecedent.
 """
 
 import itertools
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -479,48 +480,57 @@ def print_cfg(g: Cfg) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_cfg(text: str) -> Cfg:
-    """Parse the output of ``print_cfg``."""
+# A symbol is a quoted type, or a bare token running to the next blank
+# (quotes inside it included); a quote that is never closed is refused.
+_CFG_SYMBOL_RE = re.compile(r'"([^"]*)"|([^\s"]\S*)|(")')
 
-    def tokens_of(line):
+
+def parse_cfg(text: str) -> Cfg:
+    """Parse the output of ``print_cfg``; errors name their line.
+
+    Each distinct quoted type text is parsed once per call.
+    """
+    types = {}
+
+    def symbols(lineno, part):
         out = []
-        pos = 0
-        while pos < len(line):
-            ch = line[pos]
-            if ch.isspace():
-                pos += 1
-            elif ch == '"':
-                end = line.index('"', pos + 1)
-                out.append(parse_type(line[pos + 1:end]))
-                pos = end + 1
-            else:
-                end = pos
-                while end < len(line) and not line[end].isspace():
-                    end += 1
-                out.append(line[pos:end])
-                pos = end
+        for quoted, bare, stray in _CFG_SYMBOL_RE.findall(part):
+            if stray:
+                raise ValueError(f"line {lineno}: unterminated quote")
+            if bare:
+                out.append(bare)
+                continue
+            t = types.get(quoted)
+            if t is None:
+                try:
+                    t = types[quoted] = parse_type(quoted)
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: {exc}") from None
+            out.append(t)
         return out
+
+    def one_type(lineno, part, what):
+        syms = symbols(lineno, part)
+        if len(syms) != 1 or not isinstance(syms[0], Type):
+            raise ValueError(f"line {lineno}: {what} must be one quoted type")
+        return syms[0]
 
     start = None
     prods = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("start:"):
             if start is not None:
-                raise ValueError("duplicate start line")
-            (start,) = tokens_of(line[len("start:"):])
-            if not isinstance(start, Type):
-                raise ValueError("the start symbol must be a quoted type")
+                raise ValueError(f"line {lineno}: duplicate start line")
+            start = one_type(lineno, line[len("start:"):], "the start symbol")
             continue
         if "->" not in line:
-            raise ValueError(f"not a production line: {line!r}")
+            raise ValueError(f"line {lineno}: not a production line: {line!r}")
         head, _, body = line.partition("->")
-        (lhs,) = tokens_of(head)
-        if not isinstance(lhs, Type):
-            raise ValueError("production heads must be quoted types")
-        rhs = tokens_of(body)
+        lhs = one_type(lineno, head, "a production head")
+        rhs = symbols(lineno, body)
         if rhs == ["eps"]:
             rhs = []
         prods.append((lhs, tuple(rhs)))

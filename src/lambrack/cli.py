@@ -206,10 +206,13 @@ def _cut_lines(d, depth=0):
 
 def _cmd_cut_derive(args) -> int:
     base = []
-    for line in _read_text(args.base).splitlines():
+    for lineno, line in enumerate(_read_text(args.base).splitlines(), start=1):
         line = line.strip()
         if line and not line.startswith("#"):
-            base.append(parse_sequent(line))
+            try:
+                base.append(parse_sequent(line))
+            except ValueError as exc:
+                raise ParseError(f"line {lineno}: {exc}") from None
     goal = parse_sequent(args.sequent)
     d = cut_derives(base, goal)
     if d is None:

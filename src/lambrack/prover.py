@@ -24,7 +24,7 @@ from typing import Iterator, Optional
 from .freegroup import word_of
 from .syntax import (
     UNIT, BoxDown, Bracket, Dia, Leaf, Over, Prim, Prod, Sequent, Type,
-    Under, Calculus, calculus, children_at, leaf, bracket, deindex,
+    Under, Calculus, ParseError, calculus, children_at, leaf, bracket, deindex,
     over, parse_sequent, prim, prim_count, print_sequent,
     prod, replace_span, sequent, under, validate_sequent,
 )
@@ -429,7 +429,11 @@ def parse_proof(text: str) -> Proof:
         parts = stripped.split(None, 1)
         if len(parts) != 2 or parts[0] not in RULES:
             raise ValueError(f"line {lineno}: expected '<rule>  <sequent>'")
-        entries.append((indent // 2, parts[0], parse_sequent(parts[1])))
+        try:
+            s = parse_sequent(parts[1])
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+        entries.append((indent // 2, parts[0], s))
     if not entries:
         raise ValueError("empty proof text")
 

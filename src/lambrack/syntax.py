@@ -24,6 +24,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Optional, Union
 
 __all__ = [
@@ -133,6 +134,13 @@ class BoxDown(Type):
 _BINARY = (Under, Over, Prod)
 _EMPTY_COUNTER = Counter()
 
+# The interning table.  It lives as long as the process and only grows:
+# every type ever built stays in it.  Keys are ``("p", name)`` for a
+# primitive, ``(tag, left, right)`` for a binary type with tag ``\``, ``/``
+# or ``*``, and ``(tag, index, body)`` for a modality with tag ``dia`` or
+# ``boxd``; children in keys are themselves interned types.  The unit is
+# the constant ``UNIT`` and has no entry.  The lexer resolves each
+# distinct primitive token through it once per parse call.
 _type_table: dict = {}
 
 
@@ -456,91 +464,114 @@ def print_sequent(s: Sequent) -> str:
 # ---------------------------------------------------------------------------
 # Parsing
 
+# One scan splits a text into token strings: ``findall`` skips the blanks
+# between them, and the last alternative takes everything from the first
+# character no other alternative accepts, so nothing non-blank is dropped
+# and a refused token is never equal to an accepted one.
 _TOKEN_RE = re.compile(
     r"""
-      (?P<arrow>=>)
-    | (?P<lbrk_i>\[:(?P<lbrk_n>\d+))
-    | (?P<rbrk_i>\]:(?P<rbrk_n>\d+))
-    | (?P<lbrk>\[)
-    | (?P<rbrk>\])
-    | (?P<lpar>\()
-    | (?P<rpar>\))
-    | (?P<op>[\\/*])
-    | (?P<hole>_(?![A-Za-z0-9_]))
-    | (?P<word>[A-Za-z][A-Za-z0-9_]*(?::\d+)?)
-    | (?P<one>1(?!\d))
-    | (?P<num>\d+)
+      =>
+    | [\[\]](?::\d+)?                   # brackets, optionally indexed
+    | [()\\/*]
+    | _(?![A-Za-z0-9_])                 # the hole
+    | [A-Za-z][A-Za-z0-9_]*(?::\d+)?    # primitives and modality prefixes
+    | 1(?!\d)
+    | \d+
+    | \S[\s\S]*
     """,
     re.VERBOSE,
 )
 
-_WS_RE = re.compile(r"\s*")
+_PLAIN_TOKENS = {
+    "=>": ("arrow", None), "[": ("lbrk", None), "]": ("rbrk", None),
+    "(": ("lpar", None), ")": ("rpar", None), "_": ("hole", None),
+    "\\": ("op", "\\"), "/": ("op", "/"), "*": ("op", "*"),
+    "1": ("atom", UNIT),
+}
+_END = ("end", None)
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = _WS_RE.match(text).end()
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        value = m.group()
-        if kind == "lbrk_i":
-            kind, value = "lbrk", int(m.group("lbrk_n"))
-        elif kind == "rbrk_i":
-            kind, value = "rbrk", int(m.group("rbrk_n"))
-        elif kind == "lbrk":
-            value = None
-        elif kind == "rbrk":
-            value = None
-        elif kind == "word":
-            base, _, idx = value.partition(":")
-            if base in ("dia", "boxd"):
-                kind = "prefix"
-                value = (base, int(idx) if idx else None)
-                if idx and int(idx) < 1:
-                    raise ParseError("modality index must be positive", pos)
-            elif idx:
-                raise ParseError(f"unexpected index on identifier {base!r}", pos)
-        elif kind == "num":
-            raise ParseError(f"unexpected number {value!r}", pos)
-        if kind == "lbrk" and isinstance(value, int) and value < 1:
-            raise ParseError("bracket index must be positive", pos)
-        tokens.append((kind, value, pos))
-        pos = _WS_RE.match(text, m.end()).end()
-    tokens.append(("end", None, len(text)))
+def _classify(tok: str) -> tuple:
+    """The ``(kind, value)`` of one token string.
+
+    Primitives and the unit are ``atom`` tokens whose value is the
+    interned type.  A refused token is ``("error", message)``.
+    """
+    plain = _PLAIN_TOKENS.get(tok)
+    if plain is not None:
+        return plain
+    head = tok[0]
+    if head in "[]":
+        index = int(tok[2:])
+        if head == "]":
+            return "rbrk", index
+        if index < 1:
+            return "error", "bracket index must be positive"
+        return "lbrk", index
+    if head.isascii() and head.isalpha():
+        base, _, idx = tok.partition(":")
+        if base in ("dia", "boxd"):
+            if idx and int(idx) < 1:
+                return "error", "modality index must be positive"
+            return "prefix", (base, int(idx) if idx else None)
+        if idx:
+            return "error", f"unexpected index on identifier {base!r}"
+        return "atom", prim(tok)
+    if head.isdecimal():    # what ``\d`` matches
+        return "error", f"unexpected number {tok!r}"
+    return "error", f"unexpected character {head!r}"
+
+
+def _token_pos(text: str, i: int) -> int:
+    """Where the ``i``-th token of ``text`` starts (its length for the end)."""
+    for m in islice(_TOKEN_RE.finditer(text), i, None):
+        return m.start()
+    return len(text)
+
+
+def _tokenize(text: str) -> list:
+    """The ``(kind, value)`` of every token of ``text``, then the end token.
+
+    Each distinct token string is classified once per call, in order of
+    first occurrence, so the first refused token in the text is the one
+    reported.  Tokens carry no positions; an error recovers its own.
+    """
+    strings = _TOKEN_RE.findall(text)
+    table = {}
+    for tok in dict.fromkeys(strings):
+        entry = table[tok] = _classify(tok)
+        if entry[0] == "error":
+            raise ParseError(entry[1], _token_pos(text, strings.index(tok)))
+    tokens = [table[tok] for tok in strings]
+    tokens.append(_END)
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+    def error(self, message: str, i: int) -> ParseError:
+        return ParseError(message, _token_pos(self.text, i))
 
     def expect(self, kind: str, what: str):
-        tok = self.next()
-        if tok[0] != kind:
-            raise ParseError(f"expected {what}", tok[2])
-        return tok
+        if self.tokens[self.i][0] != kind:
+            raise self.error(f"expected {what}", self.i)
+        self.i += 1
 
     def expect_end(self):
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ParseError("unexpected trailing input", tok[2])
+        if self.tokens[self.i][0] != "end":
+            raise self.error("unexpected trailing input", self.i)
 
     # types
 
     def type_operand(self) -> Type:
-        kind, value, pos = self.next()
+        kind, value = self.tokens[self.i]
+        self.i += 1
+        if kind == "atom":
+            return value
         if kind == "prefix":
             word, index = value
             body = self.type_operand()
@@ -549,21 +580,18 @@ class _Parser:
             t = self.type_expr()
             self.expect("rpar", "')'")
             return t
-        if kind == "one":
-            return UNIT
-        if kind == "word":
-            return prim(value)
-        raise ParseError("expected a type", pos)
+        raise self.error("expected a type", self.i - 1)
 
     def type_expr(self) -> Type:
         left = self.type_operand()
-        if self.peek()[0] != "op":
+        kind, op = self.tokens[self.i]
+        if kind != "op":
             return left
-        _, op, _ = self.next()
+        self.i += 1
         right = self.type_operand()
-        if self.peek()[0] == "op":
-            raise ParseError("nested binary operators need parentheses",
-                             self.peek()[2])
+        if self.tokens[self.i][0] == "op":
+            raise self.error("nested binary operators need parentheses",
+                             self.i)
         if op == "\\":
             return under(left, right)
         if op == "/":
@@ -573,26 +601,28 @@ class _Parser:
     # trees and hedges
 
     def tree(self) -> Tree:
-        kind, value, pos = self.peek()
+        kind, value = self.tokens[self.i]
         if kind == "hole":
-            self.next()
+            self.i += 1
             return HOLE
         if kind == "lbrk":
-            self.next()
+            self.i += 1
             children = self.hedge()
-            ckind, cvalue, cpos = self.next()
+            ckind, cvalue = self.tokens[self.i]
             if ckind != "rbrk":
-                raise ParseError("expected a closing bracket", cpos)
+                raise self.error("expected a closing bracket", self.i)
             if cvalue != value:
-                raise ParseError(
+                raise self.error(
                     f"bracket index mismatch: opened {value!r}, closed {cvalue!r}",
-                    cpos)
+                    self.i)
+            self.i += 1
             return bracket(children, value)
         return leaf(self.type_expr())
 
     def hedge(self) -> Hedge:
         trees = []
-        while self.peek()[0] not in ("rbrk", "arrow", "end"):
+        tokens = self.tokens
+        while tokens[self.i][0] not in ("rbrk", "arrow", "end"):
             trees.append(self.tree())
         return tuple(trees)
 

@@ -16,8 +16,8 @@ from lambrack.cfgkit import replay_derivation
 from lambrack.compiler import compile_cfg
 from lambrack.harness import BUNDLED_GRAMMARS, bundled_grammar
 from lambrack.syntax import (
-    HOLE, UNIT, bracket, dia, leaf, parse_sequent, prim, replace_span,
-    sequent, under,
+    HOLE, UNIT, bracket, dia, leaf, parse_sequent, parse_type, prim,
+    replace_span, sequent, under,
 )
 
 P, Q, D = prim("p"), prim("q"), prim("d")
@@ -264,6 +264,49 @@ class TestTextFormat:
     def test_unquoted_head_rejected(self):
         with pytest.raises(ValueError):
             parse_cfg('start: "p"\np -> a\n')
+
+    @pytest.mark.parametrize("text,message", [
+        ('start: "s\n', "line 1: unterminated quote"),
+        ('start: "p"\n"p" -> a "q\n', "line 2: unterminated quote"),
+        ('start: "p"\n\n"p" a\n',
+         "line 3: not a production line: '\"p\" a'"),
+        ('start: "p"\nstart: "p"\n', "line 2: duplicate start line"),
+        ('start: p\n', "line 1: the start symbol must be one quoted type"),
+        ('start: "p" "q"\n',
+         "line 1: the start symbol must be one quoted type"),
+        ('start: "p"\np -> a\n',
+         "line 2: a production head must be one quoted type"),
+        ('start: "p"\n"p" "p" -> a\n',
+         "line 2: a production head must be one quoted type"),
+        ('# c\nstart: "p"\n"p" -> "(q"\n',
+         "line 3: expected ')' (at position 2)"),
+    ])
+    def test_errors_name_their_line(self, text, message):
+        with pytest.raises(ValueError) as info:
+            parse_cfg(text)
+        assert str(info.value) == message
+
+    def test_quotes_inside_bare_tokens(self):
+        g = parse_cfg('start: "p"\n"p" -> a"b "q"c\n"q" -> eps\n')
+        assert g.productions == ((P, ('a"b', Q, "c")), (Q, ()))
+
+    def test_each_quoted_text_parsed_once(self, monkeypatch):
+        texts = []
+
+        def counting(text):
+            texts.append(text)
+            return parse_type(text)
+
+        monkeypatch.setattr(cfgkit, "parse_type", counting)
+        g = parse_cfg('start: "p"\n"p" -> "q" "p"\n"q" -> "p" "p / q"\n'
+                      '"p / q" -> a\n')
+        assert sorted(texts) == ["p", "p / q", "q"]
+        assert g.start is P
+
+    @pytest.mark.parametrize("name,calc", BUNDLED_GRAMMARS)
+    def test_round_trip_compiled(self, name, calc):
+        g = compile_cfg(bundled_grammar(name), calc)
+        assert parse_cfg(print_cfg(g)) == g
 
 
 def _cut_base_simple():

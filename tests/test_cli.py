@@ -150,6 +150,14 @@ class TestThin:
         assert check(thin, L1STAR_DIA_M)
 
 
+    def test_bad_line_is_named(self, capsys, tmp_path):
+        path = tmp_path / "bad.proof"
+        path.write_text("Ax  b => b\nAx  a => a\nAx  b => (b\n")
+        code, _, err = run(capsys, "thin", str(path))
+        assert code == 2
+        assert err == "error: line 3: expected ')' (at position 7)\n"
+
+
 class TestSmallCommands:
     def test_interpret_type(self, capsys):
         code, out, _ = run(capsys, "interpret", "dia p")
@@ -268,6 +276,14 @@ class TestCutDerive:
         code, _, err = run(capsys, "cut-derive", str(path), "p => p")
         assert code == 2
         assert err.startswith("error:")
+
+
+    def test_bad_base_line_is_named(self, capsys, tmp_path):
+        path = tmp_path / "base.seq"
+        path.write_text("# base\np => p\n\nb => (b\n")
+        code, _, err = run(capsys, "cut-derive", str(path), "p => p")
+        assert code == 2
+        assert err == "error: line 4: expected ')' (at position 7)\n"
 
 
 class TestCompare:

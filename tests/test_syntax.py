@@ -1,10 +1,13 @@
 """Tests for the object language: parsing, printing, measures, structure."""
 
-import pytest
+import re
 from collections import Counter
+
+import pytest
 
 from hypothesis import given, settings, strategies as st
 
+from lambrack.prover import print_proof, prove
 from lambrack.syntax import (
     HOLE, L1STAR_DIA_M, LDIA, LDIA_M, L, L1STAR, LSTAR_DIA,
     Bracket, BoxDown, Dia, Leaf, Over, Prim, Prod, UNIT, Under,
@@ -371,3 +374,311 @@ def test_parse_grammar_errors():
         parse_grammar("lexicon a : dia:1 p\ntarget : p")   # indexed
     with pytest.raises(ParseError):
         parse_grammar("lexicon a : 1 / p\ntarget : p")     # unit
+
+
+# --- the one-scan lexer against the per-token lexer it replaced -------------
+#
+# The reference below is the tokenizer and parser as they were before the
+# lexer became one regex scan: one match per token, one whitespace match
+# after it, positions carried on every token.  Both build types through
+# the same interning factories, so equal results are identical objects.
+
+_REF_TOKEN_RE = re.compile(
+    r"""
+      (?P<arrow>=>)
+    | (?P<lbrk_i>\[:(?P<lbrk_n>\d+))
+    | (?P<rbrk_i>\]:(?P<rbrk_n>\d+))
+    | (?P<lbrk>\[)
+    | (?P<rbrk>\])
+    | (?P<lpar>\()
+    | (?P<rpar>\))
+    | (?P<op>[\\/*])
+    | (?P<hole>_(?![A-Za-z0-9_]))
+    | (?P<word>[A-Za-z][A-Za-z0-9_]*(?::\d+)?)
+    | (?P<one>1(?!\d))
+    | (?P<num>\d+)
+    """,
+    re.VERBOSE,
+)
+
+_REF_WS_RE = re.compile(r"\s*")
+
+
+def _ref_tokenize(text):
+    tokens = []
+    pos = _REF_WS_RE.match(text).end()
+    while pos < len(text):
+        m = _REF_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        kind = m.lastgroup
+        value = m.group()
+        if kind == "lbrk_i":
+            kind, value = "lbrk", int(m.group("lbrk_n"))
+        elif kind == "rbrk_i":
+            kind, value = "rbrk", int(m.group("rbrk_n"))
+        elif kind == "lbrk":
+            value = None
+        elif kind == "rbrk":
+            value = None
+        elif kind == "word":
+            base, _, idx = value.partition(":")
+            if base in ("dia", "boxd"):
+                kind = "prefix"
+                value = (base, int(idx) if idx else None)
+                if idx and int(idx) < 1:
+                    raise ParseError("modality index must be positive", pos)
+            elif idx:
+                raise ParseError(f"unexpected index on identifier {base!r}", pos)
+        elif kind == "num":
+            raise ParseError(f"unexpected number {value!r}", pos)
+        if kind == "lbrk" and isinstance(value, int) and value < 1:
+            raise ParseError("bracket index must be positive", pos)
+        tokens.append((kind, value, pos))
+        pos = _REF_WS_RE.match(text, m.end()).end()
+    tokens.append(("end", None, len(text)))
+    return tokens
+
+
+class _RefParser:
+    def __init__(self, text):
+        self.tokens = _ref_tokenize(text)
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def next(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, kind, what):
+        tok = self.next()
+        if tok[0] != kind:
+            raise ParseError(f"expected {what}", tok[2])
+        return tok
+
+    def expect_end(self):
+        tok = self.peek()
+        if tok[0] != "end":
+            raise ParseError("unexpected trailing input", tok[2])
+
+    def type_operand(self):
+        kind, value, pos = self.next()
+        if kind == "prefix":
+            word, index = value
+            body = self.type_operand()
+            return dia(body, index) if word == "dia" else boxdown(body, index)
+        if kind == "lpar":
+            t = self.type_expr()
+            self.expect("rpar", "')'")
+            return t
+        if kind == "one":
+            return UNIT
+        if kind == "word":
+            return prim(value)
+        raise ParseError("expected a type", pos)
+
+    def type_expr(self):
+        left = self.type_operand()
+        if self.peek()[0] != "op":
+            return left
+        _, op, _ = self.next()
+        right = self.type_operand()
+        if self.peek()[0] == "op":
+            raise ParseError("nested binary operators need parentheses",
+                             self.peek()[2])
+        if op == "\\":
+            return under(left, right)
+        if op == "/":
+            return over(left, right)
+        return prod(left, right)
+
+    def tree(self):
+        kind, value, pos = self.peek()
+        if kind == "hole":
+            self.next()
+            return HOLE
+        if kind == "lbrk":
+            self.next()
+            children = self.hedge()
+            ckind, cvalue, cpos = self.next()
+            if ckind != "rbrk":
+                raise ParseError("expected a closing bracket", cpos)
+            if cvalue != value:
+                raise ParseError(
+                    f"bracket index mismatch: opened {value!r}, closed {cvalue!r}",
+                    cpos)
+            return bracket(children, value)
+        return leaf(self.type_expr())
+
+    def hedge(self):
+        trees = []
+        while self.peek()[0] not in ("rbrk", "arrow", "end"):
+            trees.append(self.tree())
+        return tuple(trees)
+
+
+def _ref_parse_type(text):
+    p = _RefParser(text)
+    t = p.type_expr()
+    p.expect_end()
+    return t
+
+
+def _ref_parse_any_hedge(text):
+    p = _RefParser(text)
+    h = p.hedge()
+    p.expect_end()
+    return h
+
+
+def _ref_parse_hedge(text):
+    h = _ref_parse_any_hedge(text)
+    if any(tr.holes for tr in h):
+        raise ParseError("hole token outside context parsing")
+    return h
+
+
+def _ref_parse_context(text):
+    h = _ref_parse_any_hedge(text)
+    holes = sum(tr.holes for tr in h)
+    if holes != 1:
+        raise ParseError(f"a context needs exactly one hole, found {holes}")
+    return h
+
+
+def _ref_parse_sequent(text):
+    p = _RefParser(text)
+    ante = p.hedge()
+    p.expect("arrow", "'=>'")
+    succ = p.type_expr()
+    p.expect_end()
+    if any(tr.holes for tr in ante):
+        raise ParseError("hole token outside context parsing")
+    return sequent(ante, succ)
+
+
+_PARSERS = (
+    (parse_type, _ref_parse_type),
+    (parse_hedge, _ref_parse_hedge),
+    (parse_context, _ref_parse_context),
+    (parse_sequent, _ref_parse_sequent),
+)
+
+
+def _outcome(fn, text):
+    try:
+        return "ok", fn(text)
+    except ValueError as exc:   # ParseError, and mixed indexing or holes
+        return type(exc), str(exc), getattr(exc, "pos", None)
+
+
+def _assert_same_parses(text):
+    for new, ref in _PARSERS:
+        got, want = _outcome(new, text), _outcome(ref, text)
+        if want[0] == "ok" and got[0] == "ok" and new is parse_type:
+            assert got[1] is want[1], (new.__name__, text)
+        else:
+            assert got == want, (new.__name__, text)
+
+
+# Pieces of text, well formed and malformed; drawn lists of them are joined
+# by drawn separators, the empty one included, so neighbours also fuse
+# into longer words and numbers.
+_PIECES = (
+    "p", "q", "p1", "x_2", "a1b", "1", "dia", "boxd", "dia:1", "boxd:2",
+    "dia:12", "[", "]", "[:1", "]:1", "[:2", "]:2", "(", ")", "\\", "/",
+    "*", "=>", "_", "dia:0", "p:1", "[:0", "]:0", "12", "0", "_a", "=",
+    "⇒", "$", "\t", "é", ":", "1p",
+)
+_SEPARATORS = ("", " ", " ", "  ", "\t", "\n")
+
+
+@st.composite
+def _piece_texts(draw):
+    pairs = draw(st.lists(st.tuples(st.sampled_from(_PIECES),
+                                    st.sampled_from(_SEPARATORS)),
+                          max_size=14))
+    return draw(st.sampled_from(("", " "))) + "".join(a + b for a, b in pairs)
+
+
+def _random_sequent(rng):
+    """A random sequent, plain or indexed throughout."""
+    indexed = rng.random() < 0.3
+
+    def index():
+        return rng.randint(1, 3) if indexed else None
+
+    def ty(depth):
+        r = rng.random()
+        if depth == 0 or r < 0.3:
+            return rng.choice((p, q, prim("x1"), UNIT))
+        if r < 0.5:
+            return rng.choice((dia, boxdown))(ty(depth - 1), index())
+        op = rng.choice((under, over, prod))
+        return op(ty(depth - 1), ty(depth - 1))
+
+    def hedge(depth):
+        trees = []
+        for _ in range(rng.randint(0, 3)):
+            if depth and rng.random() < 0.3:
+                trees.append(bracket(hedge(depth - 1), index()))
+            else:
+                trees.append(leaf(ty(3)))
+        return tuple(trees)
+
+    return sequent(hedge(3), ty(3))
+
+
+@st.composite
+def _sequent_texts(draw):
+    """Printed sequents, half of them with one piece spliced in."""
+    rng = draw(st.randoms(use_true_random=False))
+    text = print_sequent(_random_sequent(rng))
+    if rng.random() < 0.5:
+        at = rng.randint(0, len(text))
+        text = text[:at] + rng.choice(_PIECES) + text[at + rng.randint(0, 3):]
+    return text
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(st.one_of(_piece_texts(), _sequent_texts()))
+def test_lexer_matches_reference(text):
+    _assert_same_parses(text)
+
+
+@pytest.mark.parametrize("text", [
+    "", " ", "p", "p => p", "_a", "p _a", "dia:0 p", "p:1 => p", "[:0 p ]:0",
+    "[ p ]:0 => p", "12 => p", "p = > p", "p ⇒ p", "p\t=>\tq", "[:1 _ ]:1",
+    "$", "p $", "(p", "p)", "p \\ q \\ r", "[ p => p", "1 1p", "dia:01 p",
+])
+def test_lexer_matches_reference_examples(text):
+    _assert_same_parses(text)
+
+
+def _chain_row(family, n):
+    """Antecedent types and succedent of a chain goal of size ``n`` over
+    alternating atoms, built as the benchmark's ladder families are."""
+    xs = [("a", "b")[i % 2] for i in range(n + 1)]
+    if family == "chain_under":
+        row = [xs[0]] + [f"{xs[i]} \\ {xs[i + 1]}" for i in range(n - 1)]
+        return row, xs[n - 1]
+    if family == "chain_over":
+        row = [f"{xs[i + 1]} / {xs[i]}" for i in reversed(range(n - 1))]
+        return row + [xs[0]], xs[n - 1]
+    row = [f"{xs[i]} \\ {xs[i + 1]}" for i in range(n)]
+    return row, f"{xs[0]} \\ {xs[n]}"
+
+
+@pytest.mark.parametrize("family", ["chain_under", "chain_over", "composition"])
+def test_lexer_matches_reference_on_chain_proofs(family):
+    for n in (1, 2, 5, 13, 50, 200):
+        row, succ = _chain_row(family, n)
+        goal = " ".join(f"({t})" if " " in t else t for t in row)
+        proof = prove(parse_sequent(f"{goal} => {succ}"), L)
+        assert proof is not None, (family, n)
+        for line in print_proof(proof).splitlines():
+            text = line.split(None, 1)[1]
+            assert parse_sequent(text) == _ref_parse_sequent(text)
