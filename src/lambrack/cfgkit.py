@@ -8,8 +8,15 @@ on an epsilon-eliminated, binarized image with back-mapping, and
 sequents: a leaf is a base sequent, and an inner node combines a
 derivation of ``Γ ⇒ A`` with a derivation of ``Δ[A] ⇒ B`` into one of
 ``Δ[Γ] ⇒ B``, where ``position`` records the context ``Δ[∎]``.
-``cut_derives`` searches for such a derivation by dynamic programming
-over the sub-hedges of the goal's antecedent.
+``cut_derives`` searches for such a derivation by deductive parsing
+over the sub-hedges of the goal's antecedent: items are filled
+innermost bracket first and narrowest span first, each span closed
+from an agenda of its new types, and each span tries only the base
+sequents whose first tree can start there; inside a goal bracket no
+base bracket can enter, nothing is filled.  The base is indexed once
+as a ``CutBase`` (by succedent, by first tree, by leaf type for the
+same-span closure, and by the indices of its non-empty brackets);
+callers build one per rule set and pass it to every call.
 """
 
 import itertools
@@ -27,7 +34,8 @@ from .syntax import (
 __all__ = [
     "Cfg", "Derivation", "derivation_yield", "derives", "language_upto",
     "print_cfg", "parse_cfg",
-    "CutDerivation", "cut_leaf", "cut_node", "replay_cuts", "cut_derives",
+    "CutBase", "CutDerivation", "cut_leaf", "cut_node", "replay_cuts",
+    "cut_derives",
 ]
 
 
@@ -543,88 +551,183 @@ def parse_cfg(text: str) -> Cfg:
 # Cut-only derivability
 
 
+class CutBase:
+    """A base set of sequents, indexed once for ``cut_derives``.
+
+    ``rules`` keeps the base without duplicates, in its given order,
+    and so does every rule list of the indexes:
+
+    - ``by_succedent`` maps each succedent to its rules;
+    - ``by_first`` maps the key of each antecedent's first top-level
+      tree (its leaf type, or ``("bracket", index)``) to the rules
+      starting with it;
+    - ``by_leaf`` maps a type to the rules whose antecedent is a row of
+      leaves with one of that type: the only rules that can rewrite a
+      span again once the span rewrites to that type;
+    - ``empty`` holds the rules with an empty antecedent;
+    - ``inner_indices`` holds the indices of the base's brackets, at any
+      depth, that have something inside: only a goal bracket with one
+      of these indices can have items inside it that a match reads.
+
+    Build one per rule set and pass it to every ``cut_derives`` call
+    over that set.  It supports ``in``, so it can also be the base of
+    ``replay_cuts``.
+    """
+
+    def __init__(self, rules):
+        self.rules = tuple(dict.fromkeys(rules))
+        self._members = frozenset(self.rules)
+        self.by_succedent = {}
+        self.by_first = {}
+        self.by_leaf = {}
+        self.empty = []
+        self.inner_indices = set()
+        for r in self.rules:
+            ante = r.antecedent
+            _add_inner_indices(ante, self.inner_indices)
+            self.by_succedent.setdefault(r.succedent, []).append(r)
+            if not ante:
+                self.empty.append(r)
+                continue
+            self.by_first.setdefault(_first_key(ante[0]), []).append(r)
+            if all(isinstance(tr, Leaf) for tr in ante):
+                for t in dict.fromkeys(tr.type for tr in ante):
+                    self.by_leaf.setdefault(t, []).append(r)
+
+    def __contains__(self, s) -> bool:
+        return s in self._members
+
+    def __repr__(self):
+        return f"<cut base of {len(self.rules)} sequents>"
+
+
+def _add_inner_indices(trees, out: set):
+    """Add the indices of the non-empty brackets in ``trees`` to ``out``."""
+    for tr in trees:
+        if isinstance(tr, Bracket) and tr.children:
+            out.add(tr.index)
+            _add_inner_indices(tr.children, out)
+
+
+def _first_key(tr) -> object:
+    """The ``CutBase.by_first`` key of a tree."""
+    return tr.type if isinstance(tr, Leaf) else ("bracket", tr.index)
+
+
 def cut_derives(base, s: Sequent) -> Optional[CutDerivation]:
     """A Cut-only derivation of ``s`` from the base set, or ``None``.
 
-    Dynamic programming over the connected sub-hedges of the goal's
-    antecedent: a span rewrites to a type ``E`` when some base sequent
-    with succedent ``E`` matches it, each base antecedent leaf covering
-    either one equal goal leaf or a sub-span already rewritten to that
-    leaf's type.  This normal form is complete: in any Cut tree the
-    final base sequent's antecedent splits the goal the same way.
+    ``base`` is a ``CutBase`` or any iterable of sequents, which is
+    wrapped in one; build the ``CutBase`` once when many goals share a
+    base.
+
+    Deductive parsing over the connected sub-hedges of the goal's
+    antecedent: an item ``(parent, lo, hi, E)`` says that the children
+    ``lo:hi`` under the bracket at ``parent`` rewrite to the type ``E``,
+    because some base sequent with succedent ``E`` matches that span,
+    each of its antecedent leaves covering either one equal goal leaf
+    or a sub-span that already rewrites to that leaf's type, and each
+    of its brackets one goal bracket with the same index whose children
+    it matches whole.  This normal form is complete: in any Cut tree
+    the final base sequent's antecedent splits the goal the same way.
+
+    Items are filled in dependency order: the children of a bracket
+    before its parent, and narrow spans before wide ones.  Inside a goal
+    bracket, items are filled only when a match can read them: when its
+    index is in ``CutBase.inner_indices`` and the brackets around it are
+    filled too.  A span first tries the base rules whose first tree can
+    start at ``lo`` (the goal tree there, or a type with an item from
+    ``lo``), then closes itself from an agenda of the types it has newly
+    rewritten to: each retries only the ``CutBase.by_leaf`` rules of
+    that type, until the agenda is empty.  Sub-items are read from the
+    filled ends, kept per ``(parent, start)`` and type in ascending
+    order.  A goal whose succedent no base sequent has is refused before
+    any item is built, since the last Cut of a derivation ends in a base
+    sequent's succedent.
     """
-    base_seqs = []
-    seen = set()
-    for b in base:
-        if b not in seen:
-            seen.add(b)
-            base_seqs.append(b)
-    by_succ = {}
-    for b in base_seqs:
-        by_succ.setdefault(b.succedent, []).append(b)
+    if not isinstance(base, CutBase):
+        base = CutBase(base)
+    if s.succedent not in base.by_succedent:
+        return None
     goal_ante = s.antecedent
-    parents = [()] + list(bracket_addresses(goal_ante))
-    states = []
-    for parent in parents:
-        w = len(children_at(goal_ante, parent))
-        for lo in range(w + 1):
-            for hi in range(lo, w + 1):
-                for e in by_succ:
-                    states.append((parent, lo, hi, e))
-    table = {}
+    # bracket_addresses lists a bracket after the brackets around it
+    sibs_at = {(): goal_ante}
+    for addr in bracket_addresses(goal_ante):
+        if addr[:-1] in sibs_at:
+            tr = sibs_at[addr[:-1]][addr[-1]]
+            if tr.index in base.inner_indices:
+                sibs_at[addr] = tr.children
+    parents = list(sibs_at)
+    table = {}   # item -> (base sequent, substitutions)
+    ends = {}    # (parent, start) -> {type: ascending ends of its items}
 
-    def match_hedge(trees, qpath, parent, lo, hi):
-        """Match base antecedent trees against the span; returns a list
-        of (base leaf address, table state) substitutions or None."""
-        sibs = children_at(goal_ante, parent)
-
-        def go(ti, pos):
-            if ti == len(trees):
-                return [] if pos == hi else None
-            tr = trees[ti]
-            if isinstance(tr, Bracket):
-                if pos < hi:
-                    orig = sibs[pos]
-                    if (isinstance(orig, Bracket)
-                            and orig.index == tr.index):
-                        sub = match_hedge(tr.children, qpath + (ti,),
-                                          parent + (pos,), 0,
-                                          len(orig.children))
-                        if sub is not None:
-                            rest = go(ti + 1, pos + 1)
-                            if rest is not None:
-                                return sub + rest
-                return None
-            f = tr.type
-            if (pos < hi and isinstance(sibs[pos], Leaf)
-                    and sibs[pos].type is f):
-                rest = go(ti + 1, pos + 1)
-                if rest is not None:
-                    return rest
-            for end in range(pos, hi + 1):
-                state = (parent, pos, end, f)
-                if table.get(state) is not None:
-                    rest = go(ti + 1, end)
-                    if rest is not None:
-                        return [((qpath, ti), state)] + rest
+    def match(trees, ti, qpath, parent, pos, hi):
+        """Match ``trees[ti:]`` against the children ``pos:hi`` at
+        ``parent``; a list of (base leaf address, item) substitutions,
+        or None."""
+        if ti == len(trees):
+            return [] if pos == hi else None
+        tr = trees[ti]
+        sibs = sibs_at[parent]
+        if isinstance(tr, Bracket):
+            if pos < hi:
+                orig = sibs[pos]
+                if isinstance(orig, Bracket) and orig.index == tr.index:
+                    sub = match(tr.children, 0, qpath + (ti,),
+                                parent + (pos,), 0, len(orig.children))
+                    if sub is not None:
+                        rest = match(trees, ti + 1, qpath, parent, pos + 1,
+                                     hi)
+                        if rest is not None:
+                            return sub + rest
             return None
+        f = tr.type
+        if pos < hi and isinstance(sibs[pos], Leaf) and sibs[pos].type is f:
+            rest = match(trees, ti + 1, qpath, parent, pos + 1, hi)
+            if rest is not None:
+                return rest
+        for end in ends[(parent, pos)].get(f, ()):
+            if end > hi:
+                break
+            rest = match(trees, ti + 1, qpath, parent, end, hi)
+            if rest is not None:
+                return [((qpath, ti), (parent, pos, end, f))] + rest
+        return None
 
-        return go(0, lo)
+    for parent in reversed(parents):
+        sibs = sibs_at[parent]
+        n = len(sibs)
+        for width in range(n + 1):
+            for lo in range(n - width + 1):
+                hi = lo + width
+                # every item from lo filled so far ends at or before hi
+                from_lo = ends.setdefault((parent, lo), {})
+                starts = dict.fromkeys(from_lo)
+                if lo < hi:
+                    starts[_first_key(sibs[lo])] = None
+                candidates = [base.by_first.get(k, ()) for k in starts]
+                if lo == hi:
+                    candidates.append(base.empty)
+                agenda = []
+                rules = itertools.chain.from_iterable(candidates)
+                while True:
+                    for b in rules:
+                        e = b.succedent
+                        item = (parent, lo, hi, e)
+                        if item in table:
+                            continue
+                        sub = match(b.antecedent, 0, (), parent, lo, hi)
+                        if sub is not None:
+                            table[item] = (b, sub)
+                            from_lo.setdefault(e, []).append(hi)
+                            agenda.append(e)
+                    if not agenda:
+                        break
+                    rules = base.by_leaf.get(agenda.pop(), ())
 
-    changed = True
-    while changed:
-        changed = False
-        for state in states:
-            if table.get(state) is not None:
-                continue
-            parent, lo, hi, e = state
-            for b in by_succ[e]:
-                sub = match_hedge(b.antecedent, (), parent, lo, hi)
-                if sub is not None:
-                    table[state] = (b, sub)
-                    changed = True
-                    break
-
+    top = ((), 0, len(goal_ante), s.succedent)
+    if top not in table:
+        return None
     built = {}
 
     def build(state):
@@ -641,11 +744,6 @@ def cut_derives(base, s: Sequent) -> Optional[CutDerivation]:
         built[state] = d
         return d
 
-    if s.succedent not in by_succ:
-        return None
-    top = ((), 0, len(goal_ante), s.succedent)
-    if table.get(top) is None:
-        return None
     d = build(top)
     assert d.conclusion == s, print_sequent(d.conclusion)
     return d

@@ -25,7 +25,7 @@ from itertools import chain, product
 from pathlib import Path
 from typing import Mapping, Optional
 
-from .cfgkit import cut_derives, derives, print_cfg, replay_cuts
+from .cfgkit import CutBase, cut_derives, derives, print_cfg, replay_cuts
 from .compiler import build_rulesets, compile_cfg, enum_types
 from .freegroup import (
     IDENTITY, count_key, inv, mul, prim_letter, print_word, shrinking_pair,
@@ -182,6 +182,66 @@ def _hedges_exact(seg: tuple, b: int, allow_empty: bool, memo: dict) -> tuple:
     out = tuple(out)
     memo[key] = out
     return out
+
+
+def _hedge_count(n: int, b: int, allow_empty: bool, memo: dict) -> int:
+    """``len(_hedges_exact(seg, b, allow_empty, ...))`` for any ``seg``
+    of length ``n``, by the same decomposition; ``memo`` maps each
+    ``(n, b, allow_empty)`` counted so far to its count."""
+    key = (n, b, allow_empty)
+    out = memo.get(key)
+    if out is not None:
+        return out
+    if b == 0:
+        out = 1
+    else:
+        out = _hedge_count(n - 1, b, allow_empty, memo) if n else 0
+        for k in range(n + 1):
+            for i in range(b):
+                inner = _hedge_count(k, i, allow_empty, memo)
+                if k == 0 and i == 0 and not allow_empty:
+                    inner = 0
+                out += inner * _hedge_count(n - k, b - 1 - i, allow_empty,
+                                            memo)
+    memo[key] = out
+    return out
+
+
+def _hedge_at(seg: tuple, b: int, allow_empty: bool, index: int,
+              counts: dict) -> tuple:
+    """``_hedges_exact(seg, b, allow_empty, ...)[index]``, built alone.
+
+    Unranks along ``_hedges_exact``'s decomposition: first the hedges
+    that start with a leaf, then those that start with a bracket over
+    ``seg[:k]`` holding ``i`` brackets, for ``k`` and then ``i``
+    ascending; within one ``(k, i)`` the inner hedge varies slowest.
+    ``counts`` is ``_hedge_count``'s memo.
+    """
+    if b == 0:
+        if index:
+            raise IndexError("hedge index out of range")
+        return tuple(leaf(t) for t in seg)
+    n = len(seg)
+    if n:
+        c = _hedge_count(n - 1, b, allow_empty, counts)
+        if index < c:
+            return (leaf(seg[0]),) + _hedge_at(seg[1:], b, allow_empty,
+                                               index, counts)
+        index -= c
+    for k in range(n + 1):
+        for i in range(b):
+            if k == 0 and i == 0 and not allow_empty:
+                continue
+            rest = _hedge_count(n - k, b - 1 - i, allow_empty, counts)
+            block = _hedge_count(k, i, allow_empty, counts) * rest
+            if index < block:
+                inner, index = divmod(index, rest)
+                first = bracket(_hedge_at(seg[:k], i, allow_empty, inner,
+                                          counts))
+                return (first,) + _hedge_at(seg[k:], b - 1 - i, allow_empty,
+                                            index, counts)
+            index -= block
+    raise IndexError("hedge index out of range")
 
 
 def _row_key(row, words):
@@ -574,25 +634,25 @@ def run_reduction_sweep(timeout_ms: Optional[float] = None,
 
 
 def _cut_groups(calc, types):
-    """Candidate bracketed sequents, grouped: yields ``(row, succ, b,
-    hedges)`` for every row of up to 4 types, every succedent, and every
-    bracket count ``b`` within the modality budget of the sequent, where
-    ``hedges`` are the row's hedges with ``b`` brackets.  The hedge memo
-    lives as long as the generator."""
-    hedges = {}
+    """Candidate bracketed sequents, grouped: yields ``(row, succ, b)``
+    for every row of up to 4 types, every succedent, and every bracket
+    count ``b`` within the modality budget of the sequent.  The group's
+    candidates are ``sequent(h, succ)`` for the hedges ``h`` of
+    ``_hedges_exact(row, b, calc.starred, ...)``; no hedge is built
+    here."""
     for n in range(0 if calc.starred else 1, 5):
         for row in product(types, repeat=n):
             mods = sum(mod_total(t) for t in row)
             for succ in types:
                 for b in range(mods + mod_total(succ) + 1):
-                    yield row, succ, b, _hedges_exact(row, b, calc.starred,
-                                                      hedges)
+                    yield row, succ, b
 
 
 def _cut_candidates(calc, types):
     """The candidate sequents of ``_cut_groups``, one by one."""
-    for _, succ, _, hedges in _cut_groups(calc, types):
-        for h in hedges:
+    hedges = {}
+    for row, succ, b in _cut_groups(calc, types):
+        for h in _hedges_exact(row, b, calc.starred, hedges):
             yield sequent(h, succ)
 
 
@@ -609,59 +669,73 @@ def run_cut_completeness(timeout_ms: Optional[float] = None,
     contradict the provability of the base, so on that side every
     ``sample_stride``-th candidate is checked to be underivable rather
     than all of them; small populations are checked exhaustively.
+
     Only the groups of candidates whose bracket count the count key
-    admits are compared word by word; the others are unbalanced as a
-    whole.
+    admits are built and compared word by word.  The others are
+    unbalanced as a whole: they are counted with ``_hedge_count``, and
+    only their sampled candidates are built, by ``_hedge_at``, so the
+    same candidates are sampled as if every group were enumerated.
+    The rule set of each mode is indexed once, as a ``CutBase``, for
+    all of its ``cut_derives`` calls.
     """
     started = time.monotonic()
     failures = []
     total = balanced_n = provable = derivable = sampled = 0
     thin_forms = []
+
+    def spot_check(base, s):
+        if cut_derives(base, s) is not None:
+            failures.append(f"word-unbalanced sequent Cut-derives: "
+                            f"{print_sequent(s)}")
+
     try:
         for calc, guarded in ((LDIA, False), (L1STAR_DIA, True)):
             types = enum_types({"p"}, 2, guarded=guarded)
             rules = build_rulesets({"p"}, 2, calc, cache_dir=cache_dir)
-            base = list(rules.rules)
+            base = CutBase(rules.rules)
             prover = Prover(calc, timeout_ms=timeout_ms)
             words = {t: word_of(t, allow_plain=True) for t in types}
-            groups = list(_cut_groups(calc, types))
-            n_candidates = sum(len(hedges) for *_, hedges in groups)
+            counts = {}
+            n_candidates = sum(
+                _hedge_count(len(row), b, calc.starred, counts)
+                for row, _, b in _cut_groups(calc, types))
             total += n_candidates
             stride = 1 if n_candidates <= 10000 else sample_stride
             unbalanced_i = 0
-            for row, succ, b, hedges in groups:
-                feasible = _bracket_count(_row_key(row, words),
-                                          count_key(words[succ])) == b
-                for h in hedges:
-                    if feasible and \
-                            word_of(h, allow_plain=True) == words[succ]:
-                        s = sequent(h, succ)
-                        balanced_n += 1
-                        pf = prover.prove(s)
-                        d = cut_derives(base, s)
-                        if pf is not None:
-                            provable += 1
-                            thin_forms.append(
-                                thin_index(pf, calc)[0].conclusion)
-                        if d is not None:
-                            derivable += 1
-                            if not replay_cuts(d, base):
-                                failures.append(
-                                    f"derivation fails replay: "
-                                    f"{print_sequent(s)}")
-                        if (pf is None) != (d is None):
-                            failures.append(
-                                f"provability and Cut-derivability "
-                                f"disagree: {print_sequent(s)}")
-                    else:
+            hedges = {}
+            for row, succ, b in _cut_groups(calc, types):
+                if _bracket_count(_row_key(row, words),
+                                  count_key(words[succ])) != b:
+                    size = _hedge_count(len(row), b, calc.starred, counts)
+                    for j in range(-unbalanced_i % stride, size, stride):
+                        sampled += 1
+                        spot_check(base, sequent(
+                            _hedge_at(row, b, calc.starred, j, counts),
+                            succ))
+                    unbalanced_i += size
+                    continue
+                for h in _hedges_exact(row, b, calc.starred, hedges):
+                    if word_of(h, allow_plain=True) != words[succ]:
                         if unbalanced_i % stride == 0:
                             sampled += 1
-                            s = sequent(h, succ)
-                            if cut_derives(base, s) is not None:
-                                failures.append(
-                                    f"word-unbalanced sequent Cut-derives: "
-                                    f"{print_sequent(s)}")
+                            spot_check(base, sequent(h, succ))
                         unbalanced_i += 1
+                        continue
+                    s = sequent(h, succ)
+                    balanced_n += 1
+                    pf = prover.prove(s)
+                    d = cut_derives(base, s)
+                    if pf is not None:
+                        provable += 1
+                        thin_forms.append(thin_index(pf, calc)[0].conclusion)
+                    if d is not None:
+                        derivable += 1
+                        if not replay_cuts(d, base):
+                            failures.append(f"derivation fails replay: "
+                                            f"{print_sequent(s)}")
+                    if (pf is None) != (d is None):
+                        failures.append(f"provability and Cut-derivability "
+                                        f"disagree: {print_sequent(s)}")
     except ProofSearchTimeout as exc:
         failures.append(f"proof search timed out: {exc}")
 

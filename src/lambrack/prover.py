@@ -297,12 +297,15 @@ class Prover:
         validate_sequent(s, self.calc)
         if self.timeout_ms is not None:
             self._deadline = time.monotonic() + self.timeout_ms / 1000.0
+            self._ticks = 0
         return self._search(s)
 
     def _search(self, s: Sequent) -> Optional[Proof]:
+        # the deadline is read on the first goal of each ``prove`` call
+        # and on every 32nd goal after it
         if self._deadline is not None:
             self._ticks += 1
-            if self._ticks % 32 == 0 and time.monotonic() > self._deadline:
+            if self._ticks % 32 == 1 and time.monotonic() >= self._deadline:
                 raise ProofSearchTimeout(
                     f"no answer for {print_sequent(s)} within "
                     f"{self.timeout_ms} ms")

@@ -6,18 +6,19 @@ import random
 
 import pytest
 
-from lambrack import cfgkit
+from lambrack import cfgkit, harness
 from lambrack.cfgkit import (
-    Cfg, CutDerivation, cfg, cut_derives, cut_leaf, cut_node,
+    Cfg, CutBase, CutDerivation, cfg, cut_derives, cut_leaf, cut_node,
     derivation_yield, derives, language_upto, parse_cfg, print_cfg,
     replay_cuts,
 )
 from lambrack.cfgkit import replay_derivation
-from lambrack.compiler import compile_cfg
+from lambrack.compiler import build_rulesets, compile_cfg
 from lambrack.harness import BUNDLED_GRAMMARS, bundled_grammar
 from lambrack.syntax import (
-    HOLE, UNIT, bracket, dia, leaf, parse_sequent, parse_type, prim,
-    replace_span, sequent, under,
+    HOLE, LDIA, UNIT, Bracket, Leaf, bracket, bracket_addresses, children_at,
+    dia, leaf, parse_sequent, parse_type, prim, print_sequent, replace_span,
+    sequent, under,
 )
 
 P, Q, D = prim("p"), prim("q"), prim("d")
@@ -357,6 +358,21 @@ class TestCutDerives:
         assert d is not None and d.conclusion == s
         assert replay_cuts(d, set(base))
 
+    def test_same_span_closure(self):
+        # a span rewrites to q, then again to d from q
+        base = [parse_sequent("q => d"), parse_sequent("p => q")]
+        s = parse_sequent("p => d")
+        d = cut_derives(base, s)
+        assert d is not None and d.conclusion == s and d.cut_count() == 1
+        # "1 p => d" is tried at the span before p is found there, with
+        # 1 covering the empty span in front of it
+        base = [sequent((), UNIT), parse_sequent("1 p => d"),
+                parse_sequent("q => p")]
+        s = parse_sequent("q => d")
+        d = cut_derives(base, s)
+        assert d is not None and d.conclusion == s
+        assert replay_cuts(d, set(base))
+
     def test_agrees_with_forward_closure(self):
         rng = random.Random(7)
         pool = [P, Q, under(P, Q), dia(P)]
@@ -387,6 +403,174 @@ class TestCutDerives:
                 else:
                     assert replay_cuts(d, set(base))
                     assert d.conclusion == s
+
+
+class TestCutBase:
+    def test_deduplicated_in_order_and_indexed(self):
+        a, b, c = (parse_sequent("p p \\ p => p"), parse_sequent("p => p"),
+                   sequent((bracket((leaf(P),)),), dia(P)))
+        cb = CutBase([a, b, a, c, b])
+        assert cb.rules == (a, b, c) and a in cb
+        assert parse_sequent("q => q") not in cb
+        assert cb.by_succedent == {P: [a, b], dia(P): [c]}
+        assert cb.by_first == {P: [a, b], ("bracket", None): [c]}
+        assert cb.by_leaf == {P: [a, b], under(P, P): [a]}
+        assert cb.empty == [] and cb.inner_indices == {None}
+        # an empty bracket matches only an empty goal bracket, so no
+        # items inside a goal bracket of its index are ever read
+        cb = CutBase([parse_sequent("[:2 ]:2 => q"),
+                      parse_sequent("[:1 [:3 p ]:3 [:4 ]:4 ]:1 => q")])
+        assert cb.inner_indices == {1, 3}
+
+    def test_brackets_the_base_cannot_enter(self):
+        base = [parse_sequent("q => p"), parse_sequent("[:1 p ]:1 => q"),
+                parse_sequent("[:2 ]:2 => q"),
+                parse_sequent("[:4 [:3 p ]:3 ]:4 => q")]
+        for text, derivable in [("[:1 q ]:1 => q", True),
+                                ("[:1 [:2 ]:2 ]:1 => q", True),
+                                ("[:2 ]:2 => q", True),
+                                ("[:4 [:3 q ]:3 ]:4 => q", True),
+                                ("[:2 q ]:2 => q", False),
+                                ("[:1 [:2 q ]:2 ]:1 => q", False),
+                                ("[:1 [:3 q ]:3 ]:1 => q", False)]:
+            s = parse_sequent(text)
+            d = cut_derives(base, s)
+            assert (d is not None) == derivable == \
+                _reference_cut_derives(base, s), text
+            assert d is None or replay_cuts(d, CutBase(base))
+
+    def test_iterables_are_wrapped(self):
+        base = _cut_base_simple()
+        s = sequent((bracket((leaf(P), leaf(under(P, P)))),), dia(P))
+        for given in (base, tuple(base), iter(base), CutBase(base)):
+            d = cut_derives(given, s)
+            assert d is not None and d.conclusion == s
+            assert replay_cuts(d, CutBase(base))
+
+    def test_unknown_succedent_refused_before_any_item(self, monkeypatch):
+        monkeypatch.setattr(cfgkit, "bracket_addresses", None)
+        assert cut_derives(_cut_base_simple(), parse_sequent("p => q")) \
+            is None
+
+
+def _reference_cut_derives(base, s):
+    """The fixpoint search ``cut_derives`` replaced, reduced to its
+    verdict: every state of every span, re-scanned until a full pass
+    changes nothing."""
+    base_seqs = list(dict.fromkeys(base))
+    by_succ = {}
+    for b in base_seqs:
+        by_succ.setdefault(b.succedent, []).append(b)
+    goal_ante = s.antecedent
+    parents = [()] + list(bracket_addresses(goal_ante))
+    states = []
+    for parent in parents:
+        w = len(children_at(goal_ante, parent))
+        for lo in range(w + 1):
+            for hi in range(lo, w + 1):
+                for e in by_succ:
+                    states.append((parent, lo, hi, e))
+    table = {}
+
+    def match_hedge(trees, parent, lo, hi):
+        sibs = children_at(goal_ante, parent)
+
+        def go(ti, pos):
+            if ti == len(trees):
+                return pos == hi
+            tr = trees[ti]
+            if isinstance(tr, Bracket):
+                return (pos < hi and isinstance(sibs[pos], Bracket)
+                        and sibs[pos].index == tr.index
+                        and match_hedge(tr.children, parent + (pos,), 0,
+                                        len(sibs[pos].children))
+                        and go(ti + 1, pos + 1))
+            f = tr.type
+            if (pos < hi and isinstance(sibs[pos], Leaf)
+                    and sibs[pos].type is f and go(ti + 1, pos + 1)):
+                return True
+            return any((parent, pos, end, f) in table and go(ti + 1, end)
+                       for end in range(pos, hi + 1))
+
+        return go(0, lo)
+
+    changed = True
+    while changed:
+        changed = False
+        for state in states:
+            if state in table:
+                continue
+            parent, lo, hi, e = state
+            for b in by_succ[e]:
+                if match_hedge(b.antecedent, parent, lo, hi):
+                    table[state] = b
+                    changed = True
+                    break
+    return ((), 0, len(goal_ante), s.succedent) in table
+
+
+def _criterion_6_goals(monkeypatch):
+    """Every (base, goal) that criterion 6 at stride 500 hands to
+    ``cut_derives``."""
+    goals = []
+    monkeypatch.setattr(harness, "_POPULATIONS", {})
+    monkeypatch.setattr(harness, "cut_derives",
+                        lambda base, s: goals.append((base, s)))
+    harness.run_cut_completeness(sample_stride=500)
+    monkeypatch.undo()
+    return goals
+
+
+def _bracketed_goals(n):
+    """Goals over {p} with types of length at most 3: application chains
+    whose head may be a box-down leaf in its bracket, under a bracket
+    when the goal is a diamond; every odd one has two neighbours
+    swapped."""
+    rng = random.Random(8)
+    out = []
+    for i in range(n):
+        trees = ([rng.choice(("p", "[ boxd p ]"))] + ["(p \\ p)"] * (i % 4))
+        if rng.random() < 0.5:
+            trees.insert(0, "(p / p)")
+        if i % 2 == 1 and len(trees) > 1:
+            j = rng.randrange(len(trees) - 1)
+            trees[j:j + 2] = reversed(trees[j:j + 2])
+        if rng.random() < 0.5:
+            out.append(parse_sequent(f"[ {' '.join(trees)} ] => dia p"))
+        else:
+            out.append(parse_sequent(f"{' '.join(trees)} => p"))
+    return out
+
+
+class TestCutDerivesDifferential:
+    """The indexed item search against the fixpoint it replaced."""
+
+    def _agree(self, base, goals):
+        derivable = 0
+        for s in goals:
+            d = cut_derives(base, s)
+            assert (d is not None) == _reference_cut_derives(base.rules, s), \
+                print_sequent(s)
+            if d is not None:
+                derivable += 1
+                assert d.conclusion == s
+                assert replay_cuts(d, base)
+        return derivable
+
+    def test_criterion_6_goals(self, monkeypatch):
+        goals = _criterion_6_goals(monkeypatch)
+        assert len(goals) == 3050
+        bases = {id(base): base for base, _ in goals}
+        assert len(bases) == 2
+        assert all(isinstance(b, CutBase) for b in bases.values())
+        derivable = sum(self._agree(base, [s for b, s in goals if b is base])
+                        for base in bases.values())
+        assert derivable == 90
+
+    def test_bracketed_goals_over_a_larger_base(self):
+        base = CutBase(build_rulesets({"p"}, 3, LDIA).rules)
+        derivable = self._agree(base, _bracketed_goals(60))
+        assert 0 < derivable < 60
 
 
 def _tree_size(tr):

@@ -14,9 +14,9 @@ from lambrack.compiler import enum_types
 from lambrack.freegroup import count_key, word_of
 from lambrack.harness import (
     BUNDLED_GRAMMARS, DEFAULT_SEED, Report, _bracket_count, _cut_candidates,
-    _grammar_member, _hedges_exact, bundled_grammar, format_reports,
-    load_grammar, run_identity_family, run_equivalence, run_golden,
-    run_shrinking_trials, write_reports,
+    _grammar_member, _hedge_at, _hedge_count, _hedges_exact, bundled_grammar,
+    format_reports, load_grammar, run_identity_family, run_equivalence,
+    run_golden, run_shrinking_trials, write_reports,
 )
 from lambrack.prover import Prover, check, parse_proof
 from lambrack.syntax import (
@@ -74,6 +74,19 @@ class TestHedgeEnumeration:
             # hedges, and a fresh one with equal hedges
             assert _hedges_exact((p, q), b, True, memo) is out
             assert _hedges_exact((p, q), b, True, {}) == out
+
+    def test_count_and_unranking_follow_the_enumeration(self):
+        seg = (prim("p"), prim("q"), under(prim("p"), prim("q")),
+               dia(prim("p")))
+        for n, b, allow_empty in product(range(5), range(6), (False, True)):
+            row = seg[:n]
+            hedges = _hedges_exact(row, b, allow_empty, {})
+            counts = {}
+            assert _hedge_count(n, b, allow_empty, counts) == len(hedges)
+            for i, h in enumerate(hedges):
+                assert _hedge_at(row, b, allow_empty, i, counts) == h
+            with pytest.raises(IndexError):
+                _hedge_at(row, b, allow_empty, len(hedges), counts)
 
     def test_memo_ends_with_the_claim(self):
         before = _live_brackets()

@@ -411,6 +411,15 @@ class TestEngine:
             prove(s, LDIA, timeout_ms=0)
         assert prove(s, LDIA) is None
 
+    def test_timeout_polled_on_the_first_goal(self):
+        with pytest.raises(ProofSearchTimeout):
+            prove(parse_sequent("p => p"), LDIA, timeout_ms=0)
+        # a reused prover polls again on the first goal of the next call
+        shared = Prover(LDIA, timeout_ms=0)
+        for _ in range(2):
+            with pytest.raises(ProofSearchTimeout):
+                shared.prove(parse_sequent("p => p"))
+
     def test_prover_reuse_matches_fresh_calls(self):
         shared = Prover(LDIA)
         for text in [GOLDEN, "dia boxd p dia boxd q => dia boxd (p * q)",
