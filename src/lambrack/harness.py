@@ -764,15 +764,18 @@ def load_grammar(source):
     return name.rsplit(".", 1)[0], bundled_grammar(name)
 
 
-def _grammar_member(g, word_toks, calc, prover, hedges, extra_brackets=0):
+def _grammar_member(g, word_toks, calc, prover, hedges):
     """Brute-force membership: some bracketing of some lexicon type
     assignment derives the distinguished type.  ``hedges`` is the
     caller's memo for ``_hedges_exact``.
 
-    Of the bracket counts within the budget, each assignment is
-    bracketed only at the one its count key admits, and is skipped when
-    that count is missing or over the budget; the hedges enumerated
-    there are still filtered by word before the prover sees them.
+    Each assignment is bracketed only at the one bracket count its
+    count key admits, and skipped when there is none; the hedges
+    enumerated there are still filtered by word before the prover sees
+    them.  No modality budget is needed: by the count invariant a
+    balancing count is at most the modalities of the assignment plus
+    those of the distinguished type, below the assignment's modalities
+    plus the distinguished type's length.
     """
     target = g.distinguished
     target_word = word_of(target, allow_plain=True)
@@ -781,9 +784,7 @@ def _grammar_member(g, word_toks, calc, prover, hedges, extra_brackets=0):
     words = {t: word_of(t, allow_plain=True) for ts in assigns for t in ts}
     for row in product(*assigns):
         b = _bracket_count(_row_key(row, words), target_key)
-        budget = (sum(mod_total(t) for t in row) + length(target)
-                  + extra_brackets)
-        if b is None or b > budget:
+        if b is None:
             continue
         for h in _hedges_exact(row, b, calc.starred, hedges):
             if not h and not calc.starred:
@@ -801,17 +802,13 @@ def run_equivalence(source, calc=LDIA, max_len: Optional[int] = None,
     """Grammar and compiled CFG agree on all short strings.
 
     The grammar side enumerates every lexicon type assignment and its
-    bracketings within the modality budget (plus the distinguished
-    type's length) and asks the prover; only the one bracket count at
+    bracketings and asks the prover; only the one bracket count at
     which an assignment's count key balances the distinguished type's
-    is enumerated.  The compiled side parses with the chart recognizer.
-    Each string is additionally re-decided with one extra bracket
-    allowed, which must not change the answer: no witness appears first
-    at the boundary.  The re-check adds exactly the hedges at
-    ``b = budget + 1`` to the search, the only ones it could ever add;
-    by the count invariant a balancing ``b`` is at most the modalities
-    of the assignment plus those of the distinguished type, which is
-    below the budget, so none of them balances.
+    is enumerated.  That count lies within the modality budget (the
+    assignment's modalities plus the distinguished type's length), so
+    no witness appears first at the budget's boundary (see
+    ``_grammar_member``).  The compiled side parses with the chart
+    recognizer.
     """
     started = time.monotonic()
     failures = []
@@ -840,12 +837,6 @@ def run_equivalence(source, calc=LDIA, max_len: Optional[int] = None,
                 failures.append(
                     f"membership disagrees on {shown}: grammar side "
                     f"{direct}, compiled side {compiled}")
-                continue
-            if _grammar_member(g, toks, calc, prover, hedges,
-                               extra_brackets=1) != direct:
-                failures.append(
-                    f"a witness for {shown} appears only at the bracket "
-                    f"boundary")
                 continue
             if direct:
                 members += 1

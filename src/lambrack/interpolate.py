@@ -244,14 +244,22 @@ def _plug_type(ante: Hedge, parent: tuple, lo: int, hi: int, e: Type) -> Hedge:
     return replace_span(ante, parent, lo, hi, (leaf(e),))
 
 
-def _shift_level(path: tuple, parent: tuple, lo: int, hi: int) -> tuple:
-    """Remap a path that crosses ``parent``'s level after the span
-    ``[lo, hi)`` there collapses to a single leaf.  The path must not
-    descend through the span itself."""
+def _shift(pr, parent: tuple, at: int, d: int):
+    """The principal ``pr`` with each position at ``parent``'s level
+    that is ``at`` or more moved by ``d``: the sibling positions of a
+    left rule acting there, the tree a deeper one acts under, or
+    ProdR's root split."""
     lp = len(parent)
-    if len(path) > lp and path[:lp] == parent and path[lp] >= hi:
-        return parent + (path[lp] - (hi - lo) + 1,) + path[lp + 1:]
-    return path
+    if isinstance(pr, int):
+        return pr + d if not parent and pr >= at else pr
+    if pr is None or pr[0][:lp] != parent:
+        return pr
+    P = pr[0]
+    if len(P) == lp:
+        return (P,) + tuple(v + d if v >= at else v for v in pr[1:])
+    if P[lp] >= at:
+        return (parent + (P[lp] + d,) + P[lp + 1:],) + pr[1:]
+    return pr
 
 
 # Width change, at the principal's level, from a one-premise left rule's
@@ -272,14 +280,6 @@ def _rule_span(rule: str, pr: tuple) -> tuple:
         side = 1 if rule == "OverL" else 0
         return x, y + 1 - side, x + side, y, x + side - y
     return x, x + 1, x, x, _GROWTH[rule]
-
-
-def _offset(pr: tuple, parent: tuple, d: int) -> tuple:
-    """The left-rule principal ``pr`` moved under ``parent``, with its
-    sibling positions offset by ``d``."""
-    if len(pr) == 3:
-        return parent, pr[1] + d, pr[2] + d
-    return parent, pr[1] + d
 
 
 def _mirror(side, width: int, lo: int, hi: int) -> tuple:
@@ -349,88 +349,44 @@ def _extract(p: Proof, parent: tuple, lo: int, hi: int,
         return UNIT, left, right
 
     rule = p.rule
-    lp = len(parent)
-
     if rule == "Ax":
         # The only nonempty span selects the single antecedent leaf.
         return ante[0].type, p, p
 
-    if rule == "UnderR" or rule == "OverR":
-        # UnderR's premise has the argument leaf in front of the root
-        k = 1 if rule == "UnderR" else 0
-        if parent:
-            sub = ((parent[0] + k,) + parent[1:], lo, hi)
-        else:
-            sub = ((), lo + k, hi + k)
-        e, l, r = _extract(p.premises[0], *sub, calc, guarded)
-        right = Proof(sequent(_plug_type(ante, parent, lo, hi, e), succ),
-                      rule, (r,))
-        return e, l, right
-
-    if rule == "ProdR":
+    if rule == "ProdR" and not parent and lo < p.principal < hi:
+        # The selection crosses the split: interpolate both halves
+        # and join them with a product.
         k = p.principal
-        q1, q2 = p.premises
-        if not parent and lo < k < hi:
-            # The selection crosses the split: interpolate both halves
-            # and join them with a product.
-            e1, l1, r1 = _extract(q1, (), lo, k, calc, guarded)
-            e2, l2, r2 = _extract(q2, (), 0, hi - k, calc, guarded)
-            e = prod(e1, e2)
-            left = Proof(sequent(sel, e), "ProdR", (l1, l2),
-                         principal=k - lo)
-            two = replace_span(ante, parent, lo, hi,
-                               (leaf(e1), leaf(e2)))
-            inner = Proof(sequent(two, succ), "ProdR", (r1, r2),
-                          principal=lo + 1)
-            right = Proof(sequent(_plug_type(ante, parent, lo, hi, e), succ),
-                          "ProdL", (inner,), principal=((), lo))
-            return e, left, right
-        if (parent and parent[0] < k) or (not parent and hi <= k):
-            e, l, r = _extract(q1, parent, lo, hi, calc, guarded)
-            kk = k if parent else k - (hi - lo) + 1
-            prems = (r, q2)
-        else:
-            if parent:
-                sub = ((parent[0] - k,) + parent[1:], lo, hi)
-            else:
-                sub = ((), lo - k, hi - k)
-            e, l, r = _extract(q2, *sub, calc, guarded)
-            kk = k
-            prems = (q1, r)
+        e1, l1, r1 = _extract(p.premises[0], (), lo, k, calc, guarded)
+        e2, l2, r2 = _extract(p.premises[1], (), 0, hi - k, calc, guarded)
+        e = prod(e1, e2)
+        left = Proof(sequent(sel, e), "ProdR", (l1, l2), principal=k - lo)
+        two = replace_span(ante, parent, lo, hi, (leaf(e1), leaf(e2)))
+        inner = Proof(sequent(two, succ), "ProdR", (r1, r2),
+                      principal=lo + 1)
         right = Proof(sequent(_plug_type(ante, parent, lo, hi, e), succ),
-                      "ProdR", prems, principal=kk)
-        return e, l, right
+                      "ProdL", (inner,), principal=((), lo))
+        return e, left, right
 
-    if rule == "DiaR":
-        q = p.premises[0]
-        if not parent:
-            # sel is the whole bracketed antecedent.
-            e0, l0, r0 = _extract(q, (), 0, len(ante[0].children),
-                                  calc, guarded)
-            e = dia(e0, succ.index)
-            left = Proof(sequent(ante, e), "DiaR", (l0,))
-            mid = Proof(sequent((bracket((leaf(e0),), succ.index),), succ),
-                        "DiaR", (r0,))
-            right = Proof(sequent((leaf(e),), succ), "DiaL", (mid,),
-                          principal=((), 0))
-            return e, left, right
-        e, l, r = _extract(q, parent[1:], lo, hi, calc, guarded)
-        right = Proof(sequent(_plug_type(ante, parent, lo, hi, e), succ),
-                      "DiaR", (r,))
-        return e, l, right
+    if rule == "DiaR" and not parent:
+        # sel is the whole bracketed antecedent.
+        e0, l0, r0 = _extract(p.premises[0], (), 0, len(ante[0].children),
+                              calc, guarded)
+        e = dia(e0, succ.index)
+        left = Proof(sequent(ante, e), "DiaR", (l0,))
+        mid = Proof(sequent((bracket((leaf(e0),), succ.index),), succ),
+                    "DiaR", (r0,))
+        right = Proof(sequent((leaf(e),), succ), "DiaL", (mid,),
+                      principal=((), 0))
+        return e, left, right
 
-    if rule == "BoxDownR":
-        e, l, r = _extract(p.premises[0], (0,) + parent, lo, hi,
-                           calc, guarded)
-        right = Proof(sequent(_plug_type(ante, parent, lo, hi, e), succ),
-                      "BoxDownR", (r,))
-        return e, l, right
+    if rule not in LEFT_RULES:
+        return _pass_through(p, parent, lo, hi, calc, guarded)
 
-    # Left rules.  The last premise holds the rewritten context; a
-    # slash rule's first premise proves its argument hedge.
+    # Left rules.  The last premise holds the rewritten context; a slash
+    # rule's first premise proves its argument hedge.
     pr = p.principal
-    P = pr[0]
-    lP = len(P)
+    P, lp = pr[0], len(parent)
     q = p.premises[-1]
     if rule == "UnitL" and P == parent and (lo, hi) == (pr[1], pr[1] + 1):
         # The selection is exactly the unit leaf this rule deletes.
@@ -453,95 +409,86 @@ def _extract(p: Proof, parent: tuple, lo: int, hi: int,
             sequent(_plug_type(ante, parent, lo, hi, e), succ),
             "BoxDownL", (r0,), principal=pr)
         return e, left, right
-    if lP > lp and P[:lp] == parent and lo <= P[lp] < hi:
-        # The whole rule block sits deeper inside one selected tree.
-        e, l, r = _extract(q, parent, lo, hi, calc, guarded)
-        inner = ((P[lp] - lo,) + P[lp + 1:],) + pr[1:]
-        left = Proof(sequent(sel, e), rule, p.premises[:-1] + (l,),
-                     principal=inner)
-        return e, left, r
-    # otherwise the selection is outside the rule block, in the last
-    # premise (or, deeper, in the argument), offset by d at its level
-    k, path, d = len(p.premises) - 1, parent, 0
+    b0, b1, a0, a1, delta = _rule_span(rule, pr)
     if P == parent:
-        b0, b1, a0, a1, delta = _rule_span(rule, pr)
-        if lo <= b0 and b1 <= hi:
-            # The whole rule block sits inside the selection.
-            e, l, r = _extract(q, parent, lo, hi + delta, calc, guarded)
-            left = Proof(sequent(sel, e), rule, p.premises[:-1] + (l,),
-                         principal=_offset(pr, (), -lo))
-            return e, left, r
-        if a0 <= lo and hi <= a1:
-            # Entirely inside a slash rule's argument hedge.
-            e, l, r = _extract(p.premises[0], (), lo - a0, hi - a0,
-                               calc, guarded)
+        inside = lo <= b0 and b1 <= hi
+    else:
+        inside = len(P) > lp and P[:lp] == parent and lo <= P[lp] < hi
+        delta = 0
+    if inside:
+        # The whole rule block sits inside the selection.
+        e, l, r = _extract(q, parent, lo, hi + delta, calc, guarded)
+        inner = _shift(pr, parent, lo, -lo)
+        left = Proof(sequent(sel, e), rule, p.premises[:-1] + (l,),
+                     principal=(inner[0][lp:],) + inner[1:])
+        return e, left, r
+    if P == parent and lo < b1 and b0 < hi and not a0 <= lo < hi <= a1:
+        # The selection crosses one end of a slash rule's block.  The
+        # two cases are written for UnderL, whose argument [g, j)
+        # precedes the connective leaf at j; OverL reads them through
+        # the mirror image of this one level (n trees wide, with m
+        # selected and na in the argument).
+        side = rule == "OverL"
+        n, m, na = len(children_at(ante, P)), hi - lo, a1 - a0
+        g, lo_, hi_ = (n - b1, n - hi, n - lo) if side else (b0, lo, hi)
+        j = g + na
+        if j < hi_:
+            # Keeps the connective leaf, loses the far end of its
+            # argument: interpolate as E \ F (or F / E).
+            e1, le, re = _extract(p.premises[0], (),
+                                  *_mirror(side, na, 0, lo_ - g),
+                                  calc, guarded)
+            f, lf, rf = _extract(q, P,
+                                 *_mirror(side, n - na, g, g + hi_ - j),
+                                 calc, guarded)
+            e = over(f, e1) if side else under(e1, f)
+            a = (leaf(e1),)
+            inner = Proof(sequent(sel + a if side else a + sel, f), rule,
+                          (re, lf), principal=_slash_principal(
+                              side, (), m + 1, 0, 1 + j - lo_))
+            left = Proof(sequent(sel, e), "OverR" if side else "UnderR",
+                         (inner,))
             right = Proof(
                 sequent(_plug_type(ante, parent, lo, hi, e), succ),
-                rule, (r, q), principal=(P, pr[1], pr[2] - (hi - lo) + 1))
-            return e, l, right
-        if lo < b1 and b0 < hi:
-            # The selection crosses one end of a slash rule's block.  The
-            # two cases are written for UnderL, whose argument [g, j)
-            # precedes the connective leaf at j; OverL reads them through
-            # the mirror image of this one level (n trees wide, with m
-            # selected and na in the argument).
-            side = rule == "OverL"
-            n, m, na = len(children_at(ante, P)), hi - lo, a1 - a0
-            g, lo_, hi_ = (n - b1, n - hi, n - lo) if side else (b0, lo, hi)
-            j = g + na
-            if j < hi_:
-                # Keeps the connective leaf, loses the far end of its
-                # argument: interpolate as E \ F (or F / E).
-                e1, le, re = _extract(p.premises[0], (),
-                                      *_mirror(side, na, 0, lo_ - g),
-                                      calc, guarded)
-                f, lf, rf = _extract(q, P,
-                                     *_mirror(side, n - na, g, g + hi_ - j),
-                                     calc, guarded)
-                e = over(f, e1) if side else under(e1, f)
-                a = (leaf(e1),)
-                inner = Proof(sequent(sel + a if side else a + sel, f), rule,
-                              (re, lf), principal=_slash_principal(
-                                  side, (), m + 1, 0, 1 + j - lo_))
-                left = Proof(sequent(sel, e), "OverR" if side else "UnderR",
-                             (inner,))
-                right = Proof(
-                    sequent(_plug_type(ante, parent, lo, hi, e), succ),
-                    rule, (le, rf), principal=_slash_principal(
-                        side, P, n - m + 1, g, lo_))
-                return e, left, right
-            # Loses the connective leaf, keeps the far end of its
-            # argument: interpolate as E • F (or F • E).
-            f, lf, rf = _extract(p.premises[0], (),
-                                 *_mirror(side, na, 0, hi_ - g), calc, guarded)
-            e1, le, re = _extract(q, P, *_mirror(side, n - na, lo_, g),
-                                  calc, guarded)
-            pair, halves, split = (e1, f), (le, lf), g - lo_
-            if side:
-                pair, halves, split = (f, e1), (lf, le), m - split
-            e = prod(*pair)
-            left = Proof(sequent(sel, e), "ProdR", halves, principal=split)
-            two = replace_span(ante, parent, lo, hi,
-                               (leaf(pair[0]), leaf(pair[1])))
-            inner = Proof(sequent(two, succ), rule, (rf, re),
-                          principal=_slash_principal(
-                              side, P, n - m + 2, lo_ + 1, j - m + 2))
-            right = Proof(sequent(_plug_type(ante, parent, lo, hi, e), succ),
-                          "ProdL", (inner,), principal=(P, lo))
+                rule, (le, rf), principal=_slash_principal(
+                    side, P, n - m + 1, g, lo_))
             return e, left, right
-        if lo >= b1:
-            d = delta
-    elif lp > lP and parent[:lP] == P:
-        # The selection sits deeper inside a tree at the rule's level.
-        k, path = _premise_route(p, parent)
-    e, l, r = _extract(p.premises[k], path, lo + d, hi + d, calc, guarded)
-    if P == parent and pr[1] >= hi:
-        newp = _offset(pr, P, 1 - (hi - lo))
-    else:
-        newp = (_shift_level(P, parent, lo, hi),) + pr[1:]
-    right = Proof(sequent(_plug_type(ante, parent, lo, hi, e), succ),
-                  rule, p.premises[:k] + (r,) + p.premises[k + 1:],
-                  principal=newp)
+        # Loses the connective leaf, keeps the far end of its
+        # argument: interpolate as E • F (or F • E).
+        f, lf, rf = _extract(p.premises[0], (),
+                             *_mirror(side, na, 0, hi_ - g), calc, guarded)
+        e1, le, re = _extract(q, P, *_mirror(side, n - na, lo_, g),
+                              calc, guarded)
+        pair, halves, split = (e1, f), (le, lf), g - lo_
+        if side:
+            pair, halves, split = (f, e1), (lf, le), m - split
+        e = prod(*pair)
+        left = Proof(sequent(sel, e), "ProdR", halves, principal=split)
+        two = replace_span(ante, parent, lo, hi,
+                           (leaf(pair[0]), leaf(pair[1])))
+        inner = Proof(sequent(two, succ), rule, (rf, re),
+                      principal=_slash_principal(
+                          side, P, n - m + 2, lo_ + 1, j - m + 2))
+        right = Proof(sequent(_plug_type(ante, parent, lo, hi, e), succ),
+                      "ProdL", (inner,), principal=(P, lo))
+        return e, left, right
+
+    return _pass_through(p, parent, lo, hi, calc, guarded)
+
+
+def _pass_through(p: Proof, parent: tuple, lo: int, hi: int,
+                  calc: Calculus, guarded: bool):
+    """``_extract`` for a span the last rule only carries: interpolate it
+    in the premise that holds it, then re-apply the rule to the
+    conclusion with the span collapsed to one leaf."""
+    s = p.conclusion
+    k, path = _premise_route(p, parent + (lo,))
+    e, l, r = _extract(p.premises[k], path[:-1], path[-1],
+                       path[-1] + hi - lo, calc, guarded)
+    right = Proof(sequent(_plug_type(s.antecedent, parent, lo, hi, e),
+                          s.succedent), p.rule,
+                  p.premises[:k] + (r,) + p.premises[k + 1:],
+                  principal=_shift(p.principal, parent, hi, 1 - (hi - lo)))
     return e, l, right
 
 
@@ -612,7 +559,13 @@ def _acts_inside(rule: str, pr, beta: tuple) -> bool:
 
 
 def _premise_route(node: Proof, beta: tuple):
-    """Which premise holds the bracket at ``beta``, and at what address."""
+    """Which premise holds the tree at ``beta``, and at what address.
+
+    ``beta`` must not address a tree the rule itself rewrites.
+    ``_descend`` follows a bracket up the proof with it, and
+    ``_pass_through`` carries a selected span through a rule by routing
+    the span's first tree.
+    """
     rule, pr = node.rule, node.principal
     if rule == "UnderR" or rule == "OverR":
         # UnderR's premise has the argument leaf in front of the root
@@ -637,7 +590,7 @@ def _premise_route(node: Proof, beta: tuple):
                 return (len(node.premises) - 1,
                         P + (t + delta,) + beta[lP + 1:])
         return len(node.premises) - 1, beta
-    raise AssertionError(f"a bracket cannot reach rule {rule}")
+    raise AssertionError(f"no premise holds a tree under rule {rule}")
 
 
 def _descend(node: Proof, beta: tuple, icalc: Calculus):

@@ -371,12 +371,7 @@ def check(p: Proof, calc) -> bool:
     and recorded on the node, so a checked proof is ready for the
     machinery that dispatches on principal positions.
     """
-    calc = calculus(calc)
-    try:
-        validate_sequent(p.conclusion, calc)
-    except ValueError:
-        return False
-    return _check_node(p, calc)
+    return _check_node(p, calculus(calc))
 
 
 def _check_node(p: Proof, calc: Calculus) -> bool:
@@ -409,13 +404,11 @@ def _check_node(p: Proof, calc: Calculus) -> bool:
 def print_proof(p: Proof) -> str:
     """One node per line, two-space indentation per premise depth."""
     lines = []
-
-    def walk(node, depth):
+    stack = [(p, 0)]
+    while stack:
+        node, depth = stack.pop()
         lines.append(f"{'  ' * depth}{node.rule}  {print_sequent(node.conclusion)}")
-        for q in node.premises:
-            walk(q, depth + 1)
-
-    walk(p, 0)
+        stack.extend((q, depth + 1) for q in reversed(node.premises))
     return "\n".join(lines)
 
 
@@ -440,21 +433,27 @@ def parse_proof(text: str) -> Proof:
     if not entries:
         raise ValueError("empty proof text")
 
-    def build(i, depth):
-        d, rule, s = entries[i]
-        if d != depth:
-            raise ValueError(f"node {i}: expected depth {depth}, got {d}")
-        i += 1
-        premises = []
-        while i < len(entries) and entries[i][0] > depth:
-            sub, i = build(i, depth + 1)
-            premises.append(sub)
-        return Proof(s, rule, tuple(premises)), i
+    # The open nodes, root first: the one at index k has depth k and
+    # collects its premises until a line at depth k or less closes it.
+    stack = []
 
-    root, end = build(0, 0)
-    if end != len(entries):
-        raise ValueError("trailing proof lines outside the root derivation")
-    return root
+    def close():
+        rule, s, premises = stack.pop()
+        stack[-1][2].append(Proof(s, rule, premises))
+
+    for i, (d, rule, s) in enumerate(entries):
+        if stack and d == 0:
+            raise ValueError("trailing proof lines outside the root "
+                             "derivation")
+        while len(stack) > d:
+            close()
+        if d != len(stack):
+            raise ValueError(f"node {i}: expected depth {len(stack)}, got {d}")
+        stack.append((rule, s, []))
+    while len(stack) > 1:
+        close()
+    rule, s, premises = stack[0]
+    return Proof(s, rule, premises)
 
 
 def deindex_proof(p: Proof, theta: Optional[dict] = None) -> Proof:

@@ -391,7 +391,7 @@ class TestCutDerives:
                 sequent(rand_hedge(rng.randint(0, 2)), rng.choice(pool))
                 for _ in range(rng.randint(2, 4))))
             closure = _forward_closure(base, size_cap=8)
-            goals = list(closure)[:8] + [
+            goals = sorted(closure, key=print_sequent)[:8] + [
                 sequent(rand_hedge(rng.randint(1, 3)), rng.choice(pool))
                 for _ in range(8)]
             for s in goals:
@@ -598,24 +598,40 @@ def _leaf_addresses(h):
 
 
 def _forward_closure(base, size_cap, rounds=6):
-    """Cut-closure by blind saturation, for cross-checking."""
-    closure = set(base)
+    """Cut-closure by blind saturation, for cross-checking.
+
+    Semi-naive: each round cuts only pairs with a member new in the
+    last round, since every pair of older members was cut before.  A
+    cut replaces one leaf of the right sequent by the left one's
+    antecedent, so the candidate's size is known before it is built.
+    """
+    closure, fresh = set(), set(base)
+    size, by_succedent = {}, {}
     for _ in range(rounds):
+        closure |= fresh
+        fresh_by_succedent = {}
+        for s in fresh:
+            size[s] = n = _hedge_size(s.antecedent)
+            by_succedent.setdefault(s.succedent, []).append((n, s))
+            fresh_by_succedent.setdefault(s.succedent, []).append((n, s))
+        for lefts in (*by_succedent.values(), *fresh_by_succedent.values()):
+            lefts.sort(key=lambda item: item[0])
         new = set()
-        items = list(closure)
-        for left in items:
-            for right in items:
-                for path, i, t in _leaf_addresses(right.antecedent):
-                    if t is left.succedent:
-                        ante = replace_span(right.antecedent, path, i, i + 1,
-                                            left.antecedent)
-                        if _hedge_size(ante) <= size_cap:
-                            cand = sequent(ante, right.succedent)
-                            if cand not in closure:
-                                new.add(cand)
+        for right in closure:
+            room = size_cap + 1 - size[right]
+            lefts = by_succedent if right in fresh else fresh_by_succedent
+            for path, i, t in _leaf_addresses(right.antecedent):
+                for n, left in lefts.get(t, ()):
+                    if n > room:
+                        break
+                    cand = sequent(replace_span(right.antecedent, path, i,
+                                                i + 1, left.antecedent),
+                                   right.succedent)
+                    if cand not in closure:
+                        new.add(cand)
         if not new:
             break
-        closure |= new
+        fresh = new
     return closure
 
 

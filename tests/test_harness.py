@@ -140,13 +140,15 @@ def test_grammar_member_matches_reference(name, calc_name, max_len):
     members = 0
     for n in range(0 if calc.starred else 1, max_len + 1):
         for toks in product(sorted(g.alphabet), repeat=n):
+            got = _RecordingProver(calc)
+            answer = _grammar_member(g, toks, calc, got, hedges)
+            # no witness and no goal lies at or past the budget boundary
             for extra in (0, 1):
-                got, want = _RecordingProver(calc), _RecordingProver(calc)
-                answer = _grammar_member(g, toks, calc, got, hedges, extra)
+                want = _RecordingProver(calc)
                 assert answer == _reference_member(g, toks, calc, want,
                                                    extra), (toks, extra)
                 assert got.goals == want.goals, (toks, extra)
-                members += answer
+            members += answer
     assert members > 0
 
 

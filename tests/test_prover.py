@@ -1,5 +1,8 @@
 """Proof search, proof checking, and the bracket-erasing translation."""
 
+import gc
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,10 +12,11 @@ from lambrack.prover import (
     is_guarded, parse_proof, premises_of, print_proof, prove, prove_flat,
     translate_flat,
 )
+from lambrack.prover import RULES
 from lambrack.syntax import (
-    L, L1STAR, L1STAR_DIA, LDIA, LDIA_M, LSTAR, LSTAR_DIA, UNIT, boxdown,
-    bracket, calculus, dia, leaf, over, parse_sequent, parse_type, prim,
-    print_sequent, prod, sequent, under,
+    L, L1STAR, L1STAR_DIA, LDIA, LDIA_M, LSTAR, LSTAR_DIA, UNIT, ParseError,
+    boxdown, bracket, calculus, dia, leaf, over, parse_sequent, parse_type,
+    prim, print_sequent, prod, sequent, under,
 )
 
 GOLDEN = "[ [ p ] dia p \\ p ] => boxd dia dia p"
@@ -395,6 +399,111 @@ class TestCheck:
         q = deindex_proof(p, theta)
         assert print_sequent(q.conclusion) == "[ [ a ] dia a \\ b ] => boxd dia dia b"
         assert check(q, LDIA)
+
+
+
+def _print_proof_recursive(p):
+    """The recursive ``print_proof`` the stack loop replaced."""
+    lines = []
+
+    def walk(node, depth):
+        lines.append(f"{'  ' * depth}{node.rule}  {print_sequent(node.conclusion)}")
+        for q in node.premises:
+            walk(q, depth + 1)
+
+    walk(p, 0)
+    return "\n".join(lines)
+
+
+def _parse_proof_recursive(text):
+    """The recursive ``parse_proof`` the stack loop replaced."""
+    entries = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if not raw.strip():
+            continue
+        stripped = raw.lstrip(" ")
+        indent = len(raw) - len(stripped)
+        if indent % 2:
+            raise ValueError(f"line {lineno}: odd indentation")
+        parts = stripped.split(None, 1)
+        if len(parts) != 2 or parts[0] not in RULES:
+            raise ValueError(f"line {lineno}: expected '<rule>  <sequent>'")
+        try:
+            s = parse_sequent(parts[1])
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+        entries.append((indent // 2, parts[0], s))
+    if not entries:
+        raise ValueError("empty proof text")
+
+    def build(i, depth):
+        d, rule, s = entries[i]
+        if d != depth:
+            raise ValueError(f"node {i}: expected depth {depth}, got {d}")
+        i += 1
+        premises = []
+        while i < len(entries) and entries[i][0] > depth:
+            sub, i = build(i, depth + 1)
+            premises.append(sub)
+        return Proof(s, rule, tuple(premises)), i
+
+    root, end = build(0, 0)
+    if end != len(entries):
+        raise ValueError("trailing proof lines outside the root derivation")
+    return root
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _random_proof_text(rng):
+    """Proof-shaped text, often malformed: depth jumps, stray roots,
+    odd indents, blank lines, unknown rules and bad sequents."""
+    lines, depth = [], 0
+    for i in range(rng.randint(0, 9)):
+        depth = rng.randint(0, depth + 2) if i else rng.choice((0, 0, 0, 1))
+        rule = rng.choice(("Ax", "UnderL", "DiaR", "ProdR"))
+        seq = rng.choice(("p => p", "[ p ] p \\ q => dia q", "=> 1"))
+        if rng.random() < 0.03:
+            rule, seq = rng.choice(((rule, "p =>"), ("Nope", seq)))
+        indent = "  " * depth + (" " if rng.random() < 0.03 else "")
+        lines.append(f"{indent}{rule}  {seq}")
+        if rng.random() < 0.1:
+            lines.append("   ")
+    return "\n".join(lines)
+
+
+class TestProofText:
+    def test_matches_the_recursive_versions(self):
+        rng = random.Random(11)
+        for _ in range(2000):
+            text = _random_proof_text(rng)
+            got = _parse_outcome(parse_proof, text)
+            assert got == _parse_outcome(_parse_proof_recursive, text), text
+            if isinstance(got, Proof):
+                assert print_proof(got) == _print_proof_recursive(got)
+        for text in (GOLDEN, "=> 1", "[ p p \\ q ] => dia q",
+                     "p / q q => p", "p * q => p * q"):
+            p = prove(parse_sequent(text), L1STAR_DIA)
+            assert print_proof(p) == _print_proof_recursive(p)
+
+    def test_deep_chain_roundtrips(self):
+        text = "\n".join(f"{'  ' * d}Ax  p => p" for d in range(5000))
+        assert print_proof(parse_proof(text)) == text
+
+    def test_parse_leaves_no_cycles(self):
+        gc.collect()
+        gc.disable()
+        try:
+            print_proof(parse_proof(GOLDEN_PROOF))
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        assert garbage == 0
 
 
 class TestEngine:
