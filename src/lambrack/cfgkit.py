@@ -337,13 +337,11 @@ class _Recognizer:
         chart = {}
 
         def close(cell):
-            added = True
-            while added:
-                added = False
-                for (a, b), chain in self.chains.items():
-                    if b in cell and a not in cell:
-                        cell[a] = ("chain", chain, b)
-                        added = True
+            # ``chains`` is transitively closed, so one pass adds every
+            # symbol that derives some symbol of the cell
+            for (a, b), chain in self.chains.items():
+                if b in cell and a not in cell:
+                    cell[a] = ("chain", chain, b)
 
         for i, tok in enumerate(tokens):
             # the token stands for itself, so binary rules can consume

@@ -7,6 +7,10 @@ Randomized suites take an explicit seed, exhaustive suites enumerate in
 a deterministic order, so two runs with the same arguments reach the
 same verdicts and counts (elapsed times naturally vary).
 
+Claims share no state: a claim that builds a population the free-group
+soundness check re-reads hands it over in its Report's
+``thin_sequents``, and ``run_all`` passes it on.
+
 Where a sweep needs the language of a grammar, the two sides are
 decided by disjoint code paths: the grammar side by brute-force hedge
 enumeration plus proof search, the compiled side by chart parsing.
@@ -105,6 +109,9 @@ class Report:
     artifacts: tuple = ()
     reproducer: Optional[str] = None
     notes: tuple = field(default=())
+    # thin-indexed conclusions of the provable sequents the claim built,
+    # for run_freegroup_soundness; not part of the persisted report
+    thin_sequents: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -122,7 +129,8 @@ class Report:
         }
 
 
-def _finish(claim, started, counts, failures, notes=(), artifacts=()):
+def _finish(claim, started, counts, failures, notes=(), artifacts=(),
+            thin_sequents=()):
     failures = list(failures)
     return Report(
         claim=claim,
@@ -132,6 +140,7 @@ def _finish(claim, started, counts, failures, notes=(), artifacts=()):
         artifacts=tuple(str(a) for a in artifacts),
         reproducer=failures[0] if failures else None,
         notes=tuple(notes),
+        thin_sequents=tuple(thin_sequents),
     )
 
 
@@ -369,9 +378,6 @@ def _types_by_connectives(prims, max_conn):
     return by_conn
 
 
-_POPULATIONS: dict = {}
-
-
 def _interp_population(timeout_ms=None):
     """All bracketed sequents provable in the plain bracket calculus with
     at most 3 antecedent leaves, 3 connectives in total, primitives
@@ -380,12 +386,9 @@ def _interp_population(timeout_ms=None):
     Each bracket pair of a provable sequent is consumed by a modality
     occurrence, so hedges never need more brackets than the sequent has
     modalities; of those bracket counts, only the ones at which some
-    succedent's count key balances the row are enumerated.  The
-    compiled population is cached for reuse by the free-group soundness
-    sweep.
+    succedent's count key balances the row are enumerated.  Returns the
+    ``(sequent, proof)`` pairs in enumeration order.
     """
-    if "interp" in _POPULATIONS:
-        return _POPULATIONS["interp"]
     by_conn = _types_by_connectives(("p", "q"), 3)
     words = {}
     succ_by_word = {}
@@ -429,7 +432,6 @@ def _interp_population(timeout_ms=None):
                     pf = prover.prove(s)
                     if pf is not None:
                         found.append((s, pf))
-    _POPULATIONS["interp"] = found
     return found
 
 
@@ -455,12 +457,14 @@ def run_interpolation_sweep(timeout_ms: Optional[float] = None) -> Report:
     plugging the interpolant back derives the original succedent, both
     emitted proofs replay, and the occurrence bounds hold.  After thin
     indexing, the interpolant extracted at every partition has length
-    equal to the reduced free-group word of the selected span.
+    equal to the reduced free-group word of the selected span.  The
+    thin-indexed conclusions are the Report's ``thin_sequents``.
     """
     started = time.monotonic()
     failures = []
     n_parts = n_thin = 0
     pairs = []
+    thin_forms = []
     try:
         pairs = _interp_population(timeout_ms)
         for s, pf in pairs:
@@ -483,6 +487,7 @@ def run_interpolation_sweep(timeout_ms: Optional[float] = None) -> Report:
                         f"[{lo}:{hi}] of {print_sequent(s)}")
         for s, pf in pairs:
             thin, _ = thin_index(pf, LDIA)
+            thin_forms.append(thin.conclusion)
             tante = thin.conclusion.antecedent
             for parent, lo, hi in partitions(tante):
                 part = partition_at(tante, parent, lo, hi)
@@ -497,7 +502,8 @@ def run_interpolation_sweep(timeout_ms: Optional[float] = None) -> Report:
 
     counts = {"sequents": len(pairs), "partitions": n_parts,
               "thin_partitions": n_thin}
-    return _finish("interpolation-sweep", started, counts, failures)
+    return _finish("interpolation-sweep", started, counts, failures,
+                   thin_sequents=thin_forms)
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +682,8 @@ def run_cut_completeness(timeout_ms: Optional[float] = None,
     only their sampled candidates are built, by ``_hedge_at``, so the
     same candidates are sampled as if every group were enumerated.
     The rule set of each mode is indexed once, as a ``CutBase``, for
-    all of its ``cut_derives`` calls.
+    all of its ``cut_derives`` calls.  The thin-indexed conclusions of
+    the provable candidates are the Report's ``thin_sequents``.
     """
     started = time.monotonic()
     failures = []
@@ -739,13 +746,13 @@ def run_cut_completeness(timeout_ms: Optional[float] = None,
     except ProofSearchTimeout as exc:
         failures.append(f"proof search timed out: {exc}")
 
-    _POPULATIONS["cut_thin"] = thin_forms
     counts = {"candidates": total, "balanced": balanced_n,
               "provable": provable, "cut_derivable": derivable,
               "unbalanced_checked": sampled}
     notes = ("word-unbalanced candidates are spot-checked at a fixed "
              "stride; the full biconditional runs on every balanced one",)
-    return _finish("cut-completeness", started, counts, failures, notes)
+    return _finish("cut-completeness", started, counts, failures, notes,
+                   thin_sequents=thin_forms)
 
 
 # ---------------------------------------------------------------------------
@@ -923,33 +930,19 @@ def run_identity_family(max_i: int = 4,
 # Free-group soundness over the sweep populations
 
 
-def run_freegroup_soundness(timeout_ms: Optional[float] = None) -> Report:
+def run_freegroup_soundness(thin_sequents) -> Report:
     """Thin-indexed provable sequents interpret to equal group words.
 
-    Re-walks the interpolation-sweep population and the balanced
-    provables of the Cut-completeness sweep (reusing populations cached
-    in this process where available), thin-indexes each proof, and
-    compares the free-group interpretations of antecedent and
-    succedent.
+    ``thin_sequents`` are the thin-indexed conclusions of provable
+    sequents, as the interpolation sweep and Cut completeness hand them
+    over in their Reports' ``thin_sequents``; the free-group
+    interpretations of each antecedent and succedent are compared.
     """
     started = time.monotonic()
-    failures = []
-    checked = 0
-    try:
-        thin_seqs = [thin_index(pf, LDIA)[0].conclusion
-                     for _, pf in _interp_population(timeout_ms)]
-        if "cut_thin" not in _POPULATIONS:
-            run_cut_completeness(timeout_ms=timeout_ms)
-        thin_seqs.extend(_POPULATIONS["cut_thin"])
-        for s in thin_seqs:
-            checked += 1
-            if word_of(s.antecedent) != word_of(s.succedent):
-                failures.append(
-                    f"unbalanced thin provable sequent: {print_sequent(s)}")
-    except ProofSearchTimeout as exc:
-        failures.append(f"proof search timed out: {exc}")
-
-    counts = {"sequents": checked}
+    failures = [f"unbalanced thin provable sequent: {print_sequent(s)}"
+                for s in thin_sequents
+                if word_of(s.antecedent) != word_of(s.succedent)]
+    counts = {"sequents": len(thin_sequents)}
     return _finish("free-group-soundness", started, counts, failures)
 
 
@@ -970,10 +963,11 @@ def run_all(seed: int = DEFAULT_SEED,
         out_dir.mkdir(parents=True, exist_ok=True)
     reports = [
         run_golden(timeout_ms=timeout_ms, out_dir=out_dir),
-        run_interpolation_sweep(timeout_ms=timeout_ms),
+        interp := run_interpolation_sweep(timeout_ms=timeout_ms),
         run_shrinking_trials(seed=seed),
         run_reduction_sweep(timeout_ms=timeout_ms, cache_dir=cache_dir),
-        run_cut_completeness(timeout_ms=timeout_ms, cache_dir=cache_dir),
+        cut := run_cut_completeness(timeout_ms=timeout_ms,
+                                    cache_dir=cache_dir),
     ]
     for name, calc_name in BUNDLED_GRAMMARS:
         reports.append(run_equivalence(name, calc_name,
@@ -981,7 +975,8 @@ def run_all(seed: int = DEFAULT_SEED,
                                        out_dir=out_dir,
                                        cache_dir=cache_dir))
     reports.append(run_identity_family(timeout_ms=timeout_ms))
-    reports.append(run_freegroup_soundness(timeout_ms=timeout_ms))
+    reports.append(run_freegroup_soundness(interp.thin_sequents
+                                           + cut.thin_sequents))
     if out_dir is not None:
         write_reports(reports, out_dir, seed=seed)
     return reports

@@ -309,8 +309,8 @@ class Prover:
                 raise ProofSearchTimeout(
                     f"no answer for {print_sequent(s)} within "
                     f"{self.timeout_ms} ms")
-        found, result = self._lookup(s)
-        if found:
+        result = self.memo.get(s, _MISSING)
+        if result is not _MISSING:
             return result
         if word_of(s.antecedent, allow_plain=True) != \
                 word_of(s.succedent, allow_plain=True):
@@ -329,13 +329,6 @@ class Prover:
                 break
         self.memo[s] = result
         return result
-
-    def _lookup(self, s):
-        sentinel = _MISSING
-        r = self.memo.get(s, sentinel)
-        if r is sentinel:
-            return False, None
-        return True, r
 
 
 _MISSING = object()

@@ -63,8 +63,18 @@ def test_criterion_2_thin_indexing():
     _passed(2, "thin indexing")
 
 
-def test_criterion_3_interpolation_sweep():
-    report = run_interpolation_sweep()
+@pytest.fixture(scope="module")
+def interp_report():
+    return run_interpolation_sweep()
+
+
+@pytest.fixture(scope="module")
+def cut_report():
+    return run_cut_completeness()
+
+
+def test_criterion_3_interpolation_sweep(interp_report):
+    report = interp_report
     assert report.counts == {"sequents": 1996, "partitions": 9342,
                              "thin_partitions": 9342}
     _accept(3, "interpolation sweep", report, cap=300.0)
@@ -85,8 +95,8 @@ def test_criterion_5_flat_reduction():
     _accept(5, "flat reduction", report, cap=300.0)
 
 
-def test_criterion_6_cut_completeness():
-    report = run_cut_completeness()
+def test_criterion_6_cut_completeness(cut_report):
+    report = cut_report
     assert report.counts == {"candidates": 551326, "balanced": 780,
                              "provable": 90, "cut_derivable": 90,
                              "unbalanced_checked": 12159}
@@ -174,7 +184,8 @@ def test_criterion_8_pairwise_separation_as_stated():
                          L1STAR) is None, f"A_{i} => A_{j} is provable"
 
 
-def test_criterion_9_freegroup_soundness():
-    report = run_freegroup_soundness()
+def test_criterion_9_freegroup_soundness(interp_report, cut_report):
+    report = run_freegroup_soundness(interp_report.thin_sequents
+                                     + cut_report.thin_sequents)
     assert report.counts == {"sequents": 2086}
     _accept(9, "free-group soundness", report, cap=120.0)

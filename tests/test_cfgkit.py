@@ -16,13 +16,21 @@ from lambrack.cfgkit import replay_derivation
 from lambrack.compiler import build_rulesets, compile_cfg
 from lambrack.harness import BUNDLED_GRAMMARS, bundled_grammar
 from lambrack.syntax import (
-    HOLE, LDIA, UNIT, Bracket, Leaf, bracket, bracket_addresses, children_at,
+    HOLE, LDIA, UNIT, Bracket, Leaf, Type, bracket, bracket_addresses,
+    children_at,
     dia, leaf, parse_sequent, parse_type, prim, print_sequent, replace_span,
     sequent, under,
 )
 
 P, Q, D = prim("p"), prim("q"), prim("d")
 DU = dia(UNIT)
+
+
+@pytest.fixture(scope="module")
+def bundled_cfgs():
+    """Each bundled grammar compiled once for the tests of this module."""
+    return {name: compile_cfg(bundled_grammar(name), calc)
+            for name, calc in BUNDLED_GRAMMARS}
 
 
 def _fragment():
@@ -128,8 +136,9 @@ class TestDerives:
         assert built == [g]
 
     @pytest.mark.parametrize("name,calc", BUNDLED_GRAMMARS)
-    def test_reused_recognizer_matches_fresh(self, name, calc):
-        g = compile_cfg(bundled_grammar(name), calc)
+    def test_reused_recognizer_matches_fresh(self, name, calc,
+                                             bundled_cfgs):
+        g = bundled_cfgs[name]
         members = [tuple(w.split()) for w in sorted(language_upto(g, 4))]
         near = {w + (t,) for w in members for t in sorted(g.terminals)}
         near |= {w[:-1] for w in members if w}
@@ -146,6 +155,77 @@ class TestDerives:
             assert derives(g, g.start, toks) == expected
             if len(toks) <= 4:
                 assert (expected is not None) == (toks in members)
+
+
+def _reference_chart(rec, tokens):
+    """``_Recognizer.parse`` with each cell's unary closure repeated
+    until a pass adds nothing."""
+    n = len(tokens)
+    chart = {}
+
+    def close(cell):
+        added = True
+        while added:
+            added = False
+            for (a, b), chain in rec.chains.items():
+                if b in cell and a not in cell:
+                    cell[a] = ("chain", chain, b)
+                    added = True
+
+    for i, tok in enumerate(tokens):
+        cell = {tok: ("self",)}
+        for key in rec.unary:
+            lhs, (sym,) = key
+            if not isinstance(sym, Type) and sym == tok:
+                cell.setdefault(lhs, ("tok", key))
+        close(cell)
+        chart[(i, i + 1)] = cell
+    for width in range(2, n + 1):
+        for i in range(n - width + 1):
+            j = i + width
+            cell = {}
+            for k in range(i + 1, j):
+                left, right = chart[(i, k)], chart[(k, j)]
+                for rule in rec.binary:
+                    head, x, y, key, part = rule
+                    if head in cell:
+                        continue
+                    if x in left and y in right:
+                        cell[head] = ("bin", rule, k)
+            close(cell)
+            chart[(i, j)] = cell
+    return chart
+
+
+# unary cycles, an epsilon rule inside long right-hand sides, and
+# terminals that only long rules consume
+_CHAIN_GRAMMAR = (
+    'start: "s1"\n'
+    '"s1" -> "a1"\n"a1" -> "b1"\n"b1" -> "s1"\n"b1" -> "e1"\n'
+    '"s1" -> x "s1" "e1" y "s1" z\n'
+    '"e1" -> eps\n"e1" -> w\n'
+    '"b1" -> x y z w\n"a1" -> x "e1" "e1" y\n'
+    '"s1" -> v\n')
+
+
+@pytest.mark.parametrize("name", [n for n, _ in BUNDLED_GRAMMARS]
+                         + ["chains"])
+def test_one_closure_pass_gives_the_whole_chart(name, bundled_cfgs):
+    g = bundled_cfgs.get(name) or parse_cfg(_CHAIN_GRAMMAR)
+    terms = sorted(g.terminals)
+    forms = [w for n in range(1, 4) for w in itertools.product(terms,
+                                                                repeat=n)]
+    # sentential forms that mix terminals and nonterminals
+    forms += [rhs for _, rhs in g.productions[::40] if rhs]
+    forms += [(g.start,) + w for w in forms[:20]]
+    rec = cfgkit._Recognizer(g)
+    for toks in forms:
+        want = _reference_chart(rec, toks)
+        got = rec.parse(toks)
+        assert list(got) == list(want)
+        for span, cell in got.items():
+            assert list(cell.items()) == list(want[span].items()), (toks,
+                                                                     span)
 
 
 def _bfs_language(g, n, cap=60000):
@@ -305,8 +385,8 @@ class TestTextFormat:
         assert g.start is P
 
     @pytest.mark.parametrize("name,calc", BUNDLED_GRAMMARS)
-    def test_round_trip_compiled(self, name, calc):
-        g = compile_cfg(bundled_grammar(name), calc)
+    def test_round_trip_compiled(self, name, calc, bundled_cfgs):
+        g = bundled_cfgs[name]
         assert parse_cfg(print_cfg(g)) == g
 
 
@@ -513,7 +593,6 @@ def _criterion_6_goals(monkeypatch):
     """Every (base, goal) that criterion 6 at stride 500 hands to
     ``cut_derives``."""
     goals = []
-    monkeypatch.setattr(harness, "_POPULATIONS", {})
     monkeypatch.setattr(harness, "cut_derives",
                         lambda base, s: goals.append((base, s)))
     harness.run_cut_completeness(sample_stride=500)

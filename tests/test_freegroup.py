@@ -11,9 +11,7 @@ from lambrack.freegroup import (
     IDENTITY, close_letter, inv, mul, open_letter, prim_letter, print_word,
     shrinking_pair, wlen, word, word_of,
 )
-from lambrack.harness import (
-    _cut_candidates, _hedges_exact, _interp_population, bundled_grammar,
-)
+from lambrack.harness import _cut_candidates, _hedges_exact, bundled_grammar
 from lambrack.syntax import (
     L1STAR_DIA, UNIT, BoxDown, Bracket, Dia, Leaf, Over, Prim, Prod, Under,
     length, mod_total, parse_hedge, parse_sequent, parse_type,
@@ -232,9 +230,8 @@ def _check_words(items):
     return len(seen)
 
 
-def _interp_items():
-    return [x for s, _ in _interp_population()
-            for x in (s.antecedent, s.succedent)]
+def _interp_items(pairs):
+    return [x for s, _ in pairs for x in (s.antecedent, s.succedent)]
 
 
 def _cut_items():
@@ -261,9 +258,9 @@ def _grammar_items():
 
 
 @pytest.mark.parametrize("population", ["interp", "cut", "grammar"])
-def test_cached_words_match_letters(population):
+def test_cached_words_match_letters(population, request):
     if population == "interp":
-        items = _interp_items()
+        items = _interp_items(request.getfixturevalue("interp_population"))
     elif population == "cut":
         items = _cut_items()
     else:

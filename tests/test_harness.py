@@ -15,13 +15,15 @@ from lambrack.freegroup import count_key, word_of
 from lambrack.harness import (
     BUNDLED_GRAMMARS, DEFAULT_SEED, Report, _bracket_count, _cut_candidates,
     _grammar_member, _hedge_at, _hedge_count, _hedges_exact, bundled_grammar,
-    format_reports, load_grammar, run_identity_family, run_equivalence,
-    run_golden, run_shrinking_trials, write_reports,
+    format_reports, load_grammar, run_freegroup_soundness,
+    run_identity_family, run_equivalence, run_golden, run_shrinking_trials,
+    write_reports,
 )
 from lambrack.prover import Prover, check, parse_proof
 from lambrack.syntax import (
     LDIA, L1STAR_DIA, L1STAR_DIA_M, UNIT, Bracket, Leaf, boxdown, calculus,
-    dia, leaf, length, mod_total, over, prim, prod, sequent, under,
+    dia, leaf, length, mod_total, over, parse_sequent, prim, prod, sequent,
+    under,
 )
 
 
@@ -35,6 +37,16 @@ class TestReportType:
         assert d["counts"] == {"n": 3}
         assert d["reproducer"] is None
         json.dumps(d)
+
+    def test_thin_sequents_stay_out_of_the_dict(self):
+        s = parse_sequent("p1 => p1")
+        r = Report(claim="demo", status="pass", counts={}, elapsed=0.0,
+                   thin_sequents=(s,))
+        assert list(r.to_dict()) == ["claim", "status", "counts", "elapsed",
+                                     "artifacts", "reproducer", "notes"]
+        assert r == Report(claim="demo", status="pass", counts={},
+                           elapsed=0.0)
+        assert "p1" not in repr(r) and "p1" not in format_reports([r])
 
     def test_failing_report(self):
         r = Report(claim="demo", status="fail", counts={}, elapsed=0.1,
@@ -162,7 +174,6 @@ def test_cut_completeness_hands_over_the_same_sequents(monkeypatch):
         def prove(self, s):
             calls.append(("prove", s))
 
-    monkeypatch.setattr(harness, "_POPULATIONS", {})
     monkeypatch.setattr(harness, "Prover", Recorder)
     monkeypatch.setattr(harness, "cut_derives",
                         lambda base, s: calls.append(("cut", s)))
@@ -191,6 +202,7 @@ def test_cut_completeness_hands_over_the_same_sequents(monkeypatch):
     assert (r.counts["candidates"], r.counts["balanced"]) == \
         (total, balanced)
     assert calls == expected
+    assert r.thin_sequents == ()
 
 
 _types = st.recursive(
@@ -344,3 +356,47 @@ class TestReportOutput:
         assert payload["ok"] is False
         assert [r["claim"] for r in payload["reports"]] == ["good", "bad"]
         assert "FAIL bad" in txt_path.read_text()
+
+
+class TestFreegroupSoundness:
+    def test_unbalanced_sequent_fails_with_reproducer(self):
+        r = run_freegroup_soundness((parse_sequent("p1 => p1"),
+                                     parse_sequent("p1 => p2")))
+        assert not r.ok
+        assert r.counts == {"sequents": 2}
+        assert r.reproducer == "unbalanced thin provable sequent: p1 => p2"
+
+    def test_empty_population_passes(self):
+        r = run_freegroup_soundness(())
+        assert r.ok
+        assert r.counts == {"sequents": 0}
+
+    def test_run_all_hands_over_the_sweeps_thin_sequents(self, monkeypatch):
+        interp = (parse_sequent("p1 => p1"), parse_sequent("p2 => p2"))
+        cut = (parse_sequent("p3 => p3"),)
+        handed = []
+
+        def stub(claim, thin=()):
+            def run(*args, **kwargs):
+                return Report(claim=claim, status="pass", counts={},
+                              elapsed=0.0, thin_sequents=thin)
+            return run
+
+        def soundness(thin_sequents):
+            handed.append(thin_sequents)
+            return stub("soundness")()
+
+        for name in ("run_golden", "run_shrinking_trials",
+                     "run_reduction_sweep", "run_equivalence",
+                     "run_identity_family"):
+            monkeypatch.setattr(harness, name, stub(name))
+        monkeypatch.setattr(harness, "run_interpolation_sweep",
+                            stub("interp", interp))
+        monkeypatch.setattr(harness, "run_cut_completeness", stub("cut", cut))
+        monkeypatch.setattr(harness, "run_freegroup_soundness", soundness)
+        reports = harness.run_all()
+        assert handed == [interp + cut]
+        assert [r.claim for r in reports] == [
+            "run_golden", "interp", "run_shrinking_trials",
+            "run_reduction_sweep", "cut"] + ["run_equivalence"] * 3 + [
+            "run_identity_family", "soundness"]

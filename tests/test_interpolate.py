@@ -15,7 +15,7 @@ from lambrack.interpolate import (
     indexed_counterpart, partition_at, thin_index,
     thin_interpolant_length_ok,
 )
-from lambrack.harness import _cut_candidates, _interp_population
+from lambrack.harness import _cut_candidates
 from lambrack.prover import (
     Proof, Prover, check, is_guarded, print_proof, prove,
 )
@@ -630,8 +630,8 @@ def _sweep(pf, calc, empty, modes, tally):
             yield _proof_record(pb)
 
 
-def _digest_records(tally):
-    for _, pf in _interp_population():
+def _digest_records(population, tally):
+    for _, pf in population:
         yield from _sweep(pf, LDIA, False, (None,), tally)
     tally["plain"] = dict(tally)
     prover = Prover(L1STAR_DIA)
@@ -653,10 +653,10 @@ def _digest_records(tally):
 
 
 class TestDifferentialDigest:
-    def test_digest(self):
+    def test_digest(self, interp_population):
         tally = Counter()
         h = hashlib.sha256()
-        for record in _digest_records(tally):
+        for record in _digest_records(interp_population, tally):
             h.update(record.encode() + b"\n")
         assert tally["plain"] == {"proofs": 1996, "extractions": 18684,
                                   "eliminations": 1058}
