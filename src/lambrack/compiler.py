@@ -9,6 +9,7 @@ the bounded types and whose productions mirror the building blocks
 generates exactly the strings the categorial grammar recognizes.
 """
 
+import itertools
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ from typing import Optional
 from . import __version__
 from .cfgkit import Cfg
 from .freegroup import IDENTITY, mul, word_of
-from .prover import Proof, prove
+from .prover import Proof, Prover
 from .syntax import (
     L1STAR_DIA, LDIA, UNIT, Grammar, Sequent, Type, boxdown, bracket,
     calculus, dia, leaf, length, over, parse_sequent, prim, print_sequent,
@@ -84,33 +85,28 @@ class RuleSets:
         return self.proofs[s]
 
 
-def _flat_candidates(types, calc):
+def _flat_candidates(types, prover):
     """Provable flat sequents with at most two antecedent types.
 
     Candidates are pruned through the free-group image first: the
     antecedent's word must equal the succedent's, a necessary
     condition for provability, so only matching buckets reach the
     prover.  The surviving order equals the plain nested-loop order.
+    Every candidate goes through the build's one ``Prover``, so goals
+    shared between candidates are searched once.
     """
     buckets = {}
     for t in types:
         buckets.setdefault(word_of(t, allow_plain=True), []).append(t)
     found = []
-    widths = (0, 1, 2) if calc.unit else (1, 2)
-    for n in widths:
-        if n == 0:
-            rows = [()]
-        elif n == 1:
-            rows = [(a,) for a in types]
-        else:
-            rows = [(a, b) for a in types for b in types]
-        for row in rows:
+    for n in (0, 1, 2) if prover.calc.unit else (1, 2):
+        for row in itertools.product(types, repeat=n):
             w = IDENTITY
             for t in row:
                 w = mul(w, word_of(t, allow_plain=True))
             for c in buckets.get(w, ()):
                 s = sequent(tuple(leaf(t) for t in row), c)
-                proof = prove(s, calc)
+                proof = prover.prove(s)
                 if proof is not None:
                     found.append((s, proof))
     return found
@@ -144,7 +140,13 @@ def _cache_trailer(rules) -> str:
     return f"# {len(rules)} rules sha256={digest}"
 
 
-def _load_cached_flat(path: Path, prims, m, calc):
+def _load_cached_flat(path: Path, prims, m, prover):
+    """The cached flat rules with their proofs, or None to rebuild.
+
+    Every cached rule is re-proved on load, through the build's one
+    ``Prover``; a rule that does not parse or prove rejects the file.
+    """
+    calc = prover.calc
     try:
         lines = path.read_text().splitlines()
     except OSError:
@@ -160,7 +162,7 @@ def _load_cached_flat(path: Path, prims, m, calc):
             s = parse_sequent(line)
         except ValueError:
             return None
-        proof = prove(s, calc)
+        proof = prover.prove(s)
         if proof is None:
             return None
         out.append((s, proof))
@@ -192,8 +194,13 @@ def build_rulesets(prims, m: int, calc, cache_dir=None) -> RuleSets:
     flat-sequent search can be cached on disk: the cache is keyed by
     primitive set, bound, calculus and tool version, written
     atomically, ends with the count and SHA-256 of its rule lines, and
-    is re-proved on load, so a stale, truncated or edited file only
-    costs time, never soundness or completeness.
+    every cached rule is re-proved on load, so a stale, truncated or
+    edited file only costs time, never soundness or completeness.
+
+    One ``Prover`` serves the whole build: the candidate search or the
+    cache re-proof, then the bridges.  Its memo holds facts about
+    sequents, so sharing it changes no proof, only how often a goal
+    common to many rules is searched.
     """
     calc = calculus(calc)
     if calc.name not in ("Ldia", "L1starDia"):
@@ -204,20 +211,25 @@ def build_rulesets(prims, m: int, calc, cache_dir=None) -> RuleSets:
     prims = frozenset(str(p) for p in prims)
     guarded = calc.unit
     types = enum_types(prims, m, guarded=guarded)
+    prover = Prover(calc)
     flat = None
     path = None
     if cache_dir is not None:
         path = _cache_file(cache_dir, prims, m, calc)
-        flat = _load_cached_flat(path, prims, m, calc)
+        flat = _load_cached_flat(path, prims, m, prover)
     if flat is None:
-        flat = _flat_candidates(types, calc)
+        flat = _flat_candidates(types, prover)
         if path is not None:
             _store_cached_flat(path, prims, m, calc, flat)
     proofs = dict(flat)
     bridges = []
     for s in _bridge_sequents(types, m, calc):
-        proof = prove(s, calc)
-        assert proof is not None, print_sequent(s)
+        proof = prover.prove(s)
+        if proof is None:
+            # every bridge is provable in both calculi; a refuted one
+            # means the prover is wrong, and no rule base is built on it
+            raise RuntimeError(
+                f"bridge not provable in {calc.name}: {print_sequent(s)}")
         bridges.append(s)
         proofs[s] = proof
     return RuleSets(

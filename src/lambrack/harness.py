@@ -36,7 +36,7 @@ from .freegroup import (
     wlen, word, word_of,
 )
 from .interpolate import (
-    extract_interpolant, partition_at, thin_index, thin_interpolant_length_ok,
+    extract_interpolant, extract_interpolants, partition_at, thin_index,
 )
 from .prover import (
     ProofSearchTimeout, Prover, check, parse_proof, print_proof, prove,
@@ -449,6 +449,15 @@ def _interpolant_bounds_ok(interpolant, part, succedent):
     return True
 
 
+def _every_partition(pf, calc):
+    """``((parent, lo, hi), partition, result)`` for every partition of
+    ``pf``'s antecedent; the proof is checked once for all of them."""
+    ante = pf.conclusion.antecedent
+    coords = list(partitions(ante))
+    parts = [partition_at(ante, *c) for c in coords]
+    return zip(coords, parts, extract_interpolants(pf, parts, calc))
+
+
 def run_interpolation_sweep(timeout_ms: Optional[float] = None) -> Report:
     """Interpolate every partition of every small provable sequent.
 
@@ -468,9 +477,7 @@ def run_interpolation_sweep(timeout_ms: Optional[float] = None) -> Report:
     try:
         pairs = _interp_population(timeout_ms)
         for s, pf in pairs:
-            for parent, lo, hi in partitions(s.antecedent):
-                part = partition_at(s.antecedent, parent, lo, hi)
-                res = extract_interpolant(pf, part, LDIA)
+            for (parent, lo, hi), part, res in _every_partition(pf, LDIA):
                 n_parts += 1
                 left = sequent(part.selected, res.interpolant)
                 right = sequent(plug(part.context, (leaf(res.interpolant),)),
@@ -488,11 +495,10 @@ def run_interpolation_sweep(timeout_ms: Optional[float] = None) -> Report:
         for s, pf in pairs:
             thin, _ = thin_index(pf, LDIA)
             thin_forms.append(thin.conclusion)
-            tante = thin.conclusion.antecedent
-            for parent, lo, hi in partitions(tante):
-                part = partition_at(tante, parent, lo, hi)
+            for (parent, lo, hi), part, res in _every_partition(thin,
+                                                                LDIA_M):
                 n_thin += 1
-                if not thin_interpolant_length_ok(thin, part, LDIA_M):
+                if length(res.interpolant) != wlen(word_of(part.selected)):
                     failures.append(
                         f"thin interpolant length mismatch at {parent} "
                         f"[{lo}:{hi}] of "

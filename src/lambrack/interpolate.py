@@ -45,7 +45,8 @@ from .syntax import (
 __all__ = [
     "Partition", "InterpolationResult", "partition_at",
     "indexed_counterpart", "thin_index",
-    "extract_interpolant", "thin_interpolant_length_ok",
+    "extract_interpolant", "extract_interpolants",
+    "thin_interpolant_length_ok",
     "eliminate_bracket", "cut_reduce_flat",
 ]
 
@@ -215,28 +216,43 @@ def extract_interpolant(p: Proof, part: Partition, calc,
     diamond); by default it is on exactly when the calculus has the
     unit and every type in the conclusion is guarded.
     """
+    (res,) = extract_interpolants(p, (part,), calc, guarded)
+    return res
+
+
+def extract_interpolants(p: Proof, parts, calc,
+                         guarded: Optional[bool] = None) -> list:
+    """``extract_interpolant`` at each of ``parts``, in order.
+
+    ``p`` is checked once for all of them, which is what a sweep over
+    every partition of one proof wants.
+    """
     calc = calculus(calc)
     if not check(p, calc):
         raise ValueError(f"proof does not check in {calc.name}")
     s = p.conclusion
-    if plug(part.context, part.selected) != s.antecedent:
-        raise ValueError("partition does not match the proof's antecedent")
-    parent, lo = hole_coords(part.context)
-    hi = lo + len(part.selected)
     if guarded is None:
         guarded = calc.unit and all(is_guarded(t) for t in sequent_types(s))
-    if guarded:
+    elif guarded:
         if not calc.unit:
             raise ValueError("guarded interpolation needs a unit calculus")
         if not all(is_guarded(t) for t in sequent_types(s)):
             raise ValueError("guarded interpolation needs guarded types")
-        if lo == hi:
+    out = []
+    for part in parts:
+        if plug(part.context, part.selected) != s.antecedent:
+            raise ValueError(
+                "partition does not match the proof's antecedent")
+        parent, lo = hole_coords(part.context)
+        hi = lo + len(part.selected)
+        if lo == hi and guarded:
             raise ValueError("guarded interpolation needs a nonempty "
                              "selection")
-    elif lo == hi and not calc.unit:
-        raise ValueError("an empty selection needs a unit calculus")
-    e, left, right = _extract(p, parent, lo, hi, calc, guarded)
-    return InterpolationResult(e, left, right)
+        if lo == hi and not calc.unit:
+            raise ValueError("an empty selection needs a unit calculus")
+        out.append(InterpolationResult(
+            *_extract(p, parent, lo, hi, calc, guarded)))
+    return out
 
 
 def _plug_type(ante: Hedge, parent: tuple, lo: int, hi: int, e: Type) -> Hedge:

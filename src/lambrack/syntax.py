@@ -82,7 +82,8 @@ def _check_index(index: Optional[int]) -> Optional[int]:
 class Type:
     """A formula.  Instances are interned; equality is identity."""
 
-    __slots__ = ("length", "prims", "mods", "units", "mode", "_str", "_word")
+    __slots__ = ("length", "prims", "mods", "units", "mode", "_str", "_word",
+                 "_leaf")
 
     length: int
     prims: Counter
@@ -91,6 +92,7 @@ class Type:
     mode: Optional[str]
     _str: str
     _word: Optional[tuple]
+    _leaf: Optional["Leaf"]
 
     def __repr__(self) -> str:
         return f"<type {self._str}>"
@@ -140,7 +142,9 @@ _EMPTY_COUNTER = Counter()
 # or ``*``, and ``(tag, index, body)`` for a modality with tag ``dia`` or
 # ``boxd``; children in keys are themselves interned types.  The unit is
 # the constant ``UNIT`` and has no entry.  The lexer resolves each
-# distinct primitive token through it once per parse call.
+# distinct primitive token through it once per parse call.  Each type
+# also holds its one leaf (see ``leaf``), so leaves live exactly as long
+# as the types in this table.
 _type_table: dict = {}
 
 
@@ -158,6 +162,7 @@ def _fill(t: Type, mode, length, prims, mods, units, text) -> Type:
     t.units = units
     t._str = text
     t._word = None
+    t._leaf = None
     return t
 
 
@@ -253,6 +258,10 @@ class Tree:
 
 
 class Leaf(Tree):
+    """A type occurrence.  A leaf is a value: two are equal when they
+    hold the same type, and its other slots are caches derived from the
+    type.  ``leaf`` interns them, one per type."""
+
     __slots__ = ("type",)
 
     def __eq__(self, other):
@@ -297,6 +306,15 @@ Hedge = tuple  # tuple[Tree, ...]
 
 
 def leaf(t: Type) -> Leaf:
+    """The leaf holding ``t``.
+
+    Leaves are interned like types: the one leaf of a type is kept on
+    it, so it lives as long as its type, and every hedge, sequent and
+    memo key that mentions ``t`` shares it.
+    """
+    tr = t._leaf
+    if tr is not None:
+        return tr
     tr = Leaf.__new__(Leaf)
     tr.type = t
     tr.mode = t.mode
@@ -310,6 +328,7 @@ def leaf(t: Type) -> Leaf:
     tr._mods = t.mods
     tr._str = None
     tr._word = None
+    t._leaf = tr
     return tr
 
 

@@ -27,9 +27,10 @@ DU = dia(UNIT)
 
 
 @pytest.fixture(scope="module")
-def bundled_cfgs():
+def bundled_cfgs(rule_cache):
     """Each bundled grammar compiled once for the tests of this module."""
-    return {name: compile_cfg(bundled_grammar(name), calc)
+    return {name: compile_cfg(bundled_grammar(name), calc,
+                              cache_dir=rule_cache)
             for name, calc in BUNDLED_GRAMMARS}
 
 

@@ -205,9 +205,10 @@ class TestCompileAndParse:
         assert payload["nonterminals"] == 5
         assert "->" in payload["cfg"]
 
-    def test_parse_unknown_terminal(self, capsys, tmp_path):
+    def test_parse_unknown_terminal(self, capsys, tmp_path, rule_cache):
         cfg_path = tmp_path / "anbn.cfg"
-        run(capsys, "compile", "anbn.lg", "--output", str(cfg_path))
+        run(capsys, "compile", "anbn.lg", "--output", str(cfg_path),
+            "--cache-dir", str(rule_cache))
         code, _, err = run(capsys, "parse", str(cfg_path), "z")
         assert code == 2
         assert err.startswith("error:")
@@ -293,14 +294,15 @@ class TestCompare:
         assert code == 0
         assert out.strip() == "EQUIVALENT up to 4"
 
-    def test_max_len_override(self, capsys):
-        code, out, _ = run(capsys, "compare", "anbn.lg", "--max-len", "2")
+    def test_max_len_override(self, capsys, rule_cache):
+        code, out, _ = run(capsys, "compare", "anbn.lg", "--max-len", "2",
+                           "--cache-dir", str(rule_cache))
         assert code == 0
         assert out.strip() == "EQUIVALENT up to 2"
 
-    def test_json(self, capsys):
+    def test_json(self, capsys, rule_cache):
         code, out, _ = run(capsys, "compare", "--json", "anbn.lg",
-                           "--max-len", "2")
+                           "--max-len", "2", "--cache-dir", str(rule_cache))
         assert code == 0
         assert json.loads(out)["status"] == "pass"
 

@@ -1,17 +1,20 @@
 """Tests for bounded type enumeration, rule-set construction, and
 grammar compilation."""
 
+import itertools
+import re
 from importlib import resources
 
 import pytest
 
 from lambrack.cfgkit import derives, language_upto
 from lambrack.compiler import build_rulesets, compile_cfg, enum_types
-from lambrack.prover import check, is_guarded, prove
+from lambrack.freegroup import IDENTITY, mul, word_of
+from lambrack.prover import Prover, check, is_guarded, print_proof, prove
 from lambrack.syntax import (
-    L1STAR_DIA, LDIA, LDIA_M, LSTAR_DIA, UNIT, Grammar, boxdown, dia,
-    leaf, length, parse_grammar, parse_sequent, prim, print_type,
-    sequent, under,
+    L1STAR_DIA, LDIA, LDIA_M, LSTAR_DIA, UNIT, Grammar, boxdown, bracket,
+    calculus, dia, leaf, length, parse_grammar, parse_sequent, prim,
+    print_type, sequent, under,
 )
 
 P = prim("p")
@@ -71,6 +74,51 @@ def _plain_search(types, calc):
                 if prove(s, calc) is not None:
                     found.append(s)
     return found
+
+
+def _reference_rulesets(prims, m, calc):
+    """The rule base as built with a fresh memo per sequent.
+
+    Every flat candidate, in the bucketed nested-loop order, and every
+    bridge goes through ``prove``, which starts from an empty memo, so
+    the build's shared ``Prover`` must reproduce these proofs exactly.
+    Returns ``(flat, bridges)`` as lists of ``(sequent, proof)``.
+    """
+    calc = calculus(calc)
+    types = enum_types(prims, m, guarded=calc.unit)
+    buckets = {}
+    for t in types:
+        buckets.setdefault(word_of(t, allow_plain=True), []).append(t)
+    flat = []
+    for n in (0, 1, 2) if calc.unit else (1, 2):
+        for row in itertools.product(types, repeat=n):
+            w = IDENTITY
+            for t in row:
+                w = mul(w, word_of(t, allow_plain=True))
+            for c in buckets.get(w, ()):
+                s = sequent(tuple(leaf(t) for t in row), c)
+                proof = prove(s, calc)
+                if proof is not None:
+                    flat.append((s, proof))
+    short = [a for a in types if length(a) <= m - 2]
+    bridges = [sequent((bracket(()),), dia(UNIT))] if calc.unit else []
+    bridges += [sequent((bracket((leaf(a),)),), dia(a)) for a in short]
+    bridges += [sequent((bracket((leaf(boxdown(a)),)),), a) for a in short]
+    return flat, [(s, prove(s, calc)) for s in bridges]
+
+
+@pytest.mark.parametrize("prims,m,calc", [
+    ({"b", "s"}, 3, LDIA), ({"p"}, 3, LDIA), ({"b"}, 3, L1STAR_DIA),
+])
+def test_shared_prover_matches_fresh_memos(prims, m, calc, tmp_path):
+    flat, bridges = _reference_rulesets(prims, m, calc)
+    cold = build_rulesets(prims, m, calc, cache_dir=tmp_path)
+    warm = build_rulesets(prims, m, calc, cache_dir=tmp_path)
+    for rs in (cold, warm):
+        assert rs.flat_rules == tuple(s for s, _ in flat)
+        assert rs.bridge_rules == tuple(s for s, _ in bridges)
+        for s, proof in flat + bridges:
+            assert print_proof(rs.proof_of(s)) == print_proof(proof)
 
 
 class TestBuildRulesets:
@@ -147,6 +195,19 @@ class TestBuildRulesets:
         assert path.read_text().splitlines() == lines
         assert list(tmp_path.iterdir()) == [path]
 
+    def test_refuted_bridge_raises(self, monkeypatch):
+        # under ``python -O`` an assert would let a bridge without a
+        # proof into the rule base; the build must refuse it outright
+        bridge = parse_sequent("[ p ] => dia p")
+
+        class Refuting(Prover):
+            def prove(self, s):
+                return None if s == bridge else super().prove(s)
+
+        monkeypatch.setattr("lambrack.compiler.Prover", Refuting)
+        with pytest.raises(RuntimeError, match=re.escape("[ p ] => dia p")):
+            build_rulesets({"p"}, 3, LDIA)
+
     def test_stale_version_recomputed(self, tmp_path):
         fresh = build_rulesets({"p"}, 2, LDIA, cache_dir=tmp_path)
         path = next(tmp_path.glob("rules-*.txt"))
@@ -212,12 +273,11 @@ class TestCompileCfg:
         with pytest.raises(ValueError):
             compile_cfg(_bundled("anbn.lg"), LDIA, max_types=100)
 
-    def test_flat_equivalence_smoke(self):
+    def test_flat_equivalence_smoke(self, rule_cache):
         # the lexicon is modality-free, so provable sequents are flat
         # rows and the categorial side reduces to the prover alone
-        import itertools
         g = _bundled("anbn.lg")
-        c = compile_cfg(g, LDIA)
+        c = compile_cfg(g, LDIA, cache_dir=rule_cache)
         assert derives(c, c.start, []) is None
         for n in range(1, 4):
             for word in itertools.product(g.alphabet, repeat=n):

@@ -319,8 +319,9 @@ class TestEquivalence:
         assert r.counts == {"strings": 5, "members": 5}
         assert (tmp_path / "starred-cfg.txt").exists()
 
-    def test_plain_with_max_len(self):
-        r = run_equivalence("anbn.lg", "Ldia", max_len=2)
+    def test_plain_with_max_len(self, rule_cache):
+        r = run_equivalence("anbn.lg", "Ldia", max_len=2,
+                            cache_dir=rule_cache)
         assert r.ok
         assert r.counts == {"strings": 6, "members": 1}
 

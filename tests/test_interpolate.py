@@ -10,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 from lambrack.cfgkit import cut_leaf, cut_node, replay_cuts
 from lambrack.compiler import enum_types
 from lambrack.freegroup import wlen, word_of
+from lambrack import interpolate
 from lambrack.interpolate import (
     cut_reduce_flat, eliminate_bracket, extract_interpolant,
-    indexed_counterpart, partition_at, thin_index,
+    extract_interpolants, indexed_counterpart, partition_at, thin_index,
     thin_interpolant_length_ok,
 )
 from lambrack.harness import _cut_candidates
@@ -255,6 +256,36 @@ class TestExtractGoldens:
         part = partition_at(other.antecedent, (), 0, 1)
         with pytest.raises(ValueError):
             extract_interpolant(pf, part, LDIA)
+
+
+class TestExtractInterpolants:
+    def test_one_check_for_all_partitions(self, monkeypatch):
+        for text, calc in [(GOLDEN, LDIA), (UNIT_ROWS[-1], L1STAR_DIA)]:
+            pf = prove(parse_sequent(text), calc)
+            parts = list(_partitions(pf.conclusion.antecedent, calc))
+            one = [extract_interpolant(pf, part, calc) for part in parts]
+            checked = []
+            monkeypatch.setattr(
+                interpolate, "check",
+                lambda p, c, real=check: checked.append(p) or real(p, c))
+            many = extract_interpolants(pf, parts, calc)
+            monkeypatch.undo()
+            assert checked == [pf]
+            assert [(r.interpolant, print_proof(r.left_proof),
+                     print_proof(r.right_proof)) for r in many] == \
+                [(r.interpolant, print_proof(r.left_proof),
+                  print_proof(r.right_proof)) for r in one]
+
+    def test_every_partition_is_validated(self):
+        s = parse_sequent("p p \\ p => p")
+        pf = prove(s, LDIA)
+        good = partition_at(s.antecedent, (), 0, 1)
+        other = partition_at(parse_sequent("q q \\ p => p").antecedent,
+                             (), 0, 1)
+        empty = partition_at(s.antecedent, (), 1, 1)
+        for bad in (other, empty):
+            with pytest.raises(ValueError):
+                extract_interpolants(pf, [good, bad], LDIA)
 
 
 def _unit_identity():

@@ -169,6 +169,18 @@ def test_length_decomposition(t):
     assert length(t) == sum(prim_counts(t).values()) + 2 * mod_total(t)
 
 
+def test_leaves_are_interned_per_type():
+    t = under(p, dia(q))
+    assert leaf(t) is leaf(t)
+    assert leaf(t) != leaf(p)
+    text = "[ p p \\ dia q ] dia q => p * dia q"
+    first, second = parse_sequent(text), parse_sequent(text)
+    for s in (first, second):
+        got = s.antecedent[0].children + s.antecedent[1:]
+        assert list(map(id, got)) == [id(leaf(x)) for x in (p, t, dia(q))]
+    assert first == second and first is not second
+
+
 # --- measures ---------------------------------------------------------------
 
 def test_length_examples():
