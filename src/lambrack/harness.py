@@ -36,7 +36,8 @@ from .freegroup import (
     wlen, word, word_of,
 )
 from .interpolate import (
-    extract_interpolant, extract_interpolants, partition_at, thin_index,
+    _thin_rebuild, extract_interpolant, extract_interpolants, partition_at,
+    thin_index,
 )
 from .prover import (
     ProofSearchTimeout, Prover, check, parse_proof, print_proof, prove,
@@ -493,7 +494,8 @@ def run_interpolation_sweep(timeout_ms: Optional[float] = None) -> Report:
                         f"interpolation contract fails at {parent} "
                         f"[{lo}:{hi}] of {print_sequent(s)}")
         for s, pf in pairs:
-            thin, _ = thin_index(pf, LDIA)
+            # ``_every_partition`` above has checked ``pf`` in Ldia
+            thin, _ = _thin_rebuild(pf)
             thin_forms.append(thin.conclusion)
             for (parent, lo, hi), part, res in _every_partition(thin,
                                                                 LDIA_M):

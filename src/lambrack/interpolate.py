@@ -114,6 +114,12 @@ def thin_index(p: Proof, calc):
     calc = calculus(calc)
     if not check(p, calc):
         raise ValueError(f"proof does not check in {calc.name}")
+    return _thin_rebuild(p)
+
+
+def _thin_rebuild(p: Proof):
+    """``thin_index`` of a proof that ``check`` has already passed,
+    which records the principals the rebuild reads."""
     counters = {"prim": 0, "index": 0}
     theta = {}
 

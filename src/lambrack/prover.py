@@ -10,6 +10,10 @@ deterministic function of the sequent: the canonical proof.  All
 downstream machinery (thin indexing, interpolant extraction) consumes
 canonical proofs, which keeps every derived artifact reproducible.
 
+``instances`` is the one place that says what a rule instance is: it
+yields each instance with its premises, in that canonical order, and
+both the search and the independent checker ``check`` read it.
+
 As a sound pruning step, a subgoal whose antecedent and succedent have
 different free-group images is refuted without search: every rule
 preserves equality of the two images from premises to conclusion, so
@@ -24,15 +28,14 @@ from typing import Iterator, Optional
 from .freegroup import word_of
 from .syntax import (
     UNIT, BoxDown, Bracket, Dia, Leaf, Over, Prim, Prod, Sequent, Type,
-    Under, Calculus, ParseError, calculus, children_at, leaf, bracket, deindex,
+    Under, Calculus, ParseError, calculus, leaf, bracket, deindex,
     over, parse_sequent, prim, prim_count, print_sequent,
     prod, replace_span, sequent, under, validate_sequent,
 )
 
 __all__ = [
     "Proof", "ProofSearchTimeout", "RULES", "LEFT_RULES",
-    "Prover", "prove", "prove_flat", "check",
-    "premises_of", "instances",
+    "Prover", "prove", "prove_flat", "check", "instances",
     "print_proof", "parse_proof", "deindex_proof",
     "translate_flat", "is_guarded",
 ]
@@ -44,7 +47,6 @@ RULES = ("Ax", "UnderL", "UnderR", "OverL", "OverR", "ProdL", "ProdR",
 # antecedent; all other rules but ProdR have principal None
 LEFT_RULES = frozenset(["UnderL", "OverL", "ProdL", "DiaL", "BoxDownL",
                         "UnitL"])
-_NO_PRINCIPAL = frozenset(RULES) - LEFT_RULES - {"ProdR"}
 
 
 class ProofSearchTimeout(RuntimeError):
@@ -57,7 +59,7 @@ class Proof:
     ``principal`` identifies the rule instance: ``None`` for rules
     determined by the sequent alone, the split position ``k`` for the
     product right rule, and a position tuple for left rules (see
-    ``premises_of``).  Proofs parsed from text carry ``None``
+    ``instances``).  Proofs parsed from text carry ``None``
     principals throughout; ``check`` infers them.
     """
 
@@ -90,120 +92,6 @@ class Proof:
 
 # ---------------------------------------------------------------------------
 # Rule instances
-#
-# Principal encodings:
-#   UnderL   (parent, g, j): leaf ``A \\ B`` at position j under the bracket
-#            node at ``parent`` (() is the root hedge), with the argument
-#            hedge being the siblings g..j-1.
-#   OverL    (parent, j, e): leaf ``B / A`` at j, argument siblings j+1..e-1.
-#            The two are mirror images: with side = 0 for UnderL and 1
-#            for OverL, a principal (parent, x, y) rewrites the siblings
-#            x..y-side, whose argument hedge is x+side..y-1.
-#   ProdL, DiaL, UnitL  (parent, j): the principal leaf position.
-#   BoxDownL (parent, j): position of the bracket holding the boxd leaf.
-#   ProdR    k: the antecedent split point.
-
-
-def premises_of(s: Sequent, rule: str, principal, calc: Calculus):
-    """Premises of the rule instance, or None if it is not legal.
-
-    This is the single constructor of premise sequents: the search and
-    the checker both go through it, so they cannot disagree on what a
-    rule instance means.
-    """
-    ante, succ = s.antecedent, s.succedent
-    if rule == "Ax":
-        ok = (len(ante) == 1 and isinstance(ante[0], Leaf)
-              and isinstance(succ, Prim) and ante[0].type is succ)
-        return () if ok else None
-    if rule == "UnitR":
-        return () if calc.unit and not ante and succ is UNIT else None
-    if rule == "UnderR" or rule == "OverR":
-        side = rule == "OverR"
-        if not isinstance(succ, Over if side else Under):
-            return None
-        # A \ B and B / A move A into the antecedent on their own side
-        arg, res = ((succ.right, succ.left) if side
-                    else (succ.left, succ.right))
-        a = (leaf(arg),)
-        return (sequent(ante + a if side else a + ante, res),)
-    if rule == "ProdR":
-        if not isinstance(succ, Prod) or not isinstance(principal, int):
-            return None
-        k = principal
-        lo, hi = (0, len(ante)) if calc.starred else (1, len(ante) - 1)
-        if not lo <= k <= hi:
-            return None
-        return (sequent(ante[:k], succ.left), sequent(ante[k:], succ.right))
-    if rule == "DiaR":
-        if (isinstance(succ, Dia) and len(ante) == 1
-                and isinstance(ante[0], Bracket) and ante[0].index == succ.index):
-            return (sequent(ante[0].children, succ.body),)
-        return None
-    if rule == "BoxDownR":
-        if not isinstance(succ, BoxDown):
-            return None
-        return (sequent((bracket(ante, succ.index),), succ.body),)
-
-    # left rules
-    try:
-        parent, rest = principal[0], principal[1:]
-        siblings = children_at(ante, parent)
-    except (TypeError, IndexError, AttributeError):
-        return None
-
-    def leaf_at(j):
-        if 0 <= j < len(siblings) and isinstance(siblings[j], Leaf):
-            return siblings[j].type
-        return None
-
-    if rule == "UnderL" or rule == "OverL":
-        if len(rest) != 2:
-            return None
-        x, y = rest
-        side = 1 if rule == "OverL" else 0
-        t = leaf_at(x if side else y)
-        if (not isinstance(t, Over if side else Under)
-                or not 0 <= x + side <= y <= len(siblings)):
-            return None
-        if x + side == y and not calc.starred:
-            return None
-        arg, res = (t.right, t.left) if side else (t.left, t.right)
-        return (sequent(siblings[x + side:y], arg),
-                sequent(replace_span(ante, parent, x, y + 1 - side,
-                                     (leaf(res),)), succ))
-    if len(rest) != 1:
-        return None
-    (j,) = rest
-    if rule == "ProdL":
-        t = leaf_at(j)
-        if not isinstance(t, Prod):
-            return None
-        return (sequent(replace_span(ante, parent, j, j + 1,
-                                     (leaf(t.left), leaf(t.right))), succ),)
-    if rule == "DiaL":
-        t = leaf_at(j)
-        if not isinstance(t, Dia):
-            return None
-        return (sequent(replace_span(ante, parent, j, j + 1,
-                                     (bracket((leaf(t.body),), t.index),)),
-                        succ),)
-    if rule == "UnitL":
-        if not calc.unit or leaf_at(j) is not UNIT:
-            return None
-        return (sequent(replace_span(ante, parent, j, j + 1, ()), succ),)
-    if rule == "BoxDownL":
-        if not (0 <= j < len(siblings) and isinstance(siblings[j], Bracket)):
-            return None
-        br = siblings[j]
-        if len(br.children) != 1 or not isinstance(br.children[0], Leaf):
-            return None
-        t = br.children[0].type
-        if not isinstance(t, BoxDown) or t.index != br.index:
-            return None
-        return (sequent(replace_span(ante, parent, j, j + 1,
-                                     (leaf(t.body),)), succ),)
-    return None
 
 
 def _positions(h) -> Iterator:
@@ -219,49 +107,85 @@ def _positions(h) -> Iterator:
 
 
 def instances(s: Sequent, calc: Calculus) -> Iterator:
-    """All (rule, principal) pairs applicable to ``s``, canonical order."""
+    """Every rule instance concluding ``s``, in canonical order.
+
+    Yields ``(rule, principal, premises)``.  This is the single
+    constructor of rule instances and their premise sequents: the
+    search and the checker both go through it, so they cannot disagree
+    on what a rule instance means.  Each instance's premises are built
+    when it is reached, so a search that stops early builds no more.
+
+    Principal encodings:
+      UnderL   (parent, g, j): leaf ``A \\ B`` at position j under the
+               bracket node at ``parent`` (() is the root hedge), with the
+               argument hedge being the siblings g..j-1.
+      OverL    (parent, j, e): leaf ``B / A`` at j, argument siblings
+               j+1..e-1.  The two are mirror images: with side = 0 for
+               UnderL and 1 for OverL, a principal (parent, x, y) rewrites
+               the siblings x..y-side, whose argument hedge is x+side..y-1.
+      ProdL, DiaL, UnitL  (parent, j): the principal leaf position.
+      BoxDownL (parent, j): position of the bracket holding the boxd leaf.
+      ProdR    k: the antecedent split point.
+      All other rules have principal None.
+    """
     ante, succ = s.antecedent, s.succedent
     if (len(ante) == 1 and isinstance(ante[0], Leaf)
             and isinstance(succ, Prim) and ante[0].type is succ):
-        yield "Ax", None
+        yield "Ax", None, ()
     if calc.unit and not ante and succ is UNIT:
-        yield "UnitR", None
-    if isinstance(succ, (Under, Over)):
-        yield ("OverR" if isinstance(succ, Over) else "UnderR"), None
+        yield "UnitR", None, ()
+    if isinstance(succ, Over):
+        yield "OverR", None, (sequent(ante + (leaf(succ.right),), succ.left),)
+    elif isinstance(succ, Under):
+        yield "UnderR", None, (sequent((leaf(succ.left),) + ante, succ.right),)
     elif isinstance(succ, Prod):
         lo, hi = (0, len(ante)) if calc.starred else (1, len(ante) - 1)
         for k in range(lo, hi + 1):
-            yield "ProdR", k
+            yield "ProdR", k, (sequent(ante[:k], succ.left),
+                               sequent(ante[k:], succ.right))
     elif isinstance(succ, Dia):
         if (len(ante) == 1 and isinstance(ante[0], Bracket)
                 and ante[0].index == succ.index):
-            yield "DiaR", None
+            yield "DiaR", None, (sequent(ante[0].children, succ.body),)
     elif isinstance(succ, BoxDown):
-        yield "BoxDownR", None
+        yield "BoxDownR", None, (sequent((bracket(ante, succ.index),),
+                                         succ.body),)
     for parent, j, tr, siblings in _positions(ante):
         if isinstance(tr, Bracket):
-            if (len(tr.children) == 1 and isinstance(tr.children[0], Leaf)
-                    and isinstance(tr.children[0].type, BoxDown)
-                    and tr.children[0].type.index == tr.index):
-                yield "BoxDownL", (parent, j)
-            continue
-        t = tr.type
-        if isinstance(t, (Under, Over)):
-            # the argument's far end: UnderL tries g = 0, 1, ... (longest
-            # argument first), OverL tries e = j+1, j+2, ... (shortest
-            # first); canonical proofs depend on both orders
-            side = isinstance(t, Over)
-            empty = 1 if calc.starred else 0
-            rule = "OverL" if side else "UnderL"
-            for f in (range(j + 2 - empty, len(siblings) + 1) if side
-                      else range(0, j + empty)):
-                yield rule, ((parent, j, f) if side else (parent, f, j))
-        elif isinstance(t, Prod):
-            yield "ProdL", (parent, j)
-        elif isinstance(t, Dia):
-            yield "DiaL", (parent, j)
-        elif t is UNIT and calc.unit:
-            yield "UnitL", (parent, j)
+            inner = tr.children
+            t = (inner[0].type if len(inner) == 1
+                 and isinstance(inner[0], Leaf) else None)
+            if not (isinstance(t, BoxDown) and t.index == tr.index):
+                continue
+            rule, repl = "BoxDownL", (leaf(t.body),)
+        else:
+            t = tr.type
+            if isinstance(t, (Under, Over)):
+                # the argument's far end: UnderL tries g = 0, 1, ...
+                # (longest argument first), OverL tries e = j+1, j+2, ...
+                # (shortest first); canonical proofs depend on both orders
+                side = 1 if isinstance(t, Over) else 0
+                empty = 1 if calc.starred else 0
+                rule = "OverL" if side else "UnderL"
+                arg, res = (t.right, t.left) if side else (t.left, t.right)
+                for f in (range(j + 2 - empty, len(siblings) + 1) if side
+                          else range(0, j + empty)):
+                    x, y = (j, f) if side else (f, j)
+                    yield rule, (parent, x, y), (
+                        sequent(siblings[x + side:y], arg),
+                        sequent(replace_span(ante, parent, x, y + 1 - side,
+                                             (leaf(res),)), succ))
+                continue
+            if isinstance(t, Prod):
+                rule, repl = "ProdL", (leaf(t.left), leaf(t.right))
+            elif isinstance(t, Dia):
+                rule, repl = "DiaL", (bracket((leaf(t.body),), t.index),)
+            elif t is UNIT and calc.unit:
+                rule, repl = "UnitL", ()
+            else:
+                continue
+        yield rule, (parent, j), (
+            sequent(replace_span(ante, parent, j, j + 1, repl), succ),)
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +240,7 @@ class Prover:
                 word_of(s.succedent, allow_plain=True):
             return None
         result = None
-        for rule, principal in instances(s, self.calc):
-            premises = premises_of(s, rule, principal, self.calc)
+        for rule, principal, premises in instances(s, self.calc):
             subproofs = []
             for premise in premises:
                 sub = self._search(premise)
@@ -359,35 +282,32 @@ def check(p: Proof, calc) -> bool:
     """True iff every node of ``p`` is a legal rule instance of ``calc``.
 
     Independent of the search: usable as an oracle on hand-built or
-    parsed proofs.  Nodes without principal data get it inferred (first
-    instance, in canonical order, whose premises match the stored ones)
-    and recorded on the node, so a checked proof is ready for the
-    machinery that dispatches on principal positions.
+    parsed proofs.  Each node must match an instance of ``instances``:
+    the first one, in canonical order, with the node's rule, the node's
+    premise conclusions and, when the node records a principal, that
+    principal (``None`` for the rules that take none).  The matching
+    principal is recorded on the node, so a checked proof is ready for
+    the machinery that dispatches on principal positions.  The walk
+    keeps its own stack, so proof depth is not bounded by recursion.
     """
-    return _check_node(p, calculus(calc))
-
-
-def _check_node(p: Proof, calc: Calculus) -> bool:
-    try:
-        validate_sequent(p.conclusion, calc)
-    except ValueError:
-        return False
-    stored = tuple(q.conclusion for q in p.premises)
-    if p.principal is None and p.rule not in _NO_PRINCIPAL:
-        for rule, principal in instances(p.conclusion, calc):
-            if rule != p.rule:
-                continue
-            premises = premises_of(p.conclusion, rule, principal, calc)
-            if premises == stored:
-                p.principal = principal
+    calc = calculus(calc)
+    stack = [p]
+    while stack:
+        node = stack.pop()
+        try:
+            validate_sequent(node.conclusion, calc)
+        except ValueError:
+            return False
+        stored = tuple(q.conclusion for q in node.premises)
+        for rule, principal, premises in instances(node.conclusion, calc):
+            if (rule == node.rule and premises == stored
+                    and node.principal in (None, principal)):
+                node.principal = principal
                 break
         else:
             return False
-    else:
-        premises = premises_of(p.conclusion, p.rule, p.principal, calc)
-        if premises is None or premises != stored:
-            return False
-    return all(_check_node(q, calc) for q in p.premises)
+        stack.extend(reversed(node.premises))
+    return True
 
 
 # ---------------------------------------------------------------------------

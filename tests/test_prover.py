@@ -2,21 +2,24 @@
 
 import gc
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lambrack.freegroup import word_of
+from lambrack.interpolate import thin_index
 from lambrack.prover import (
     Proof, ProofSearchTimeout, Prover, check, deindex_proof, instances,
-    is_guarded, parse_proof, premises_of, print_proof, prove, prove_flat,
+    is_guarded, parse_proof, print_proof, prove, prove_flat,
     translate_flat,
 )
 from lambrack.prover import RULES
 from lambrack.syntax import (
-    L, L1STAR, L1STAR_DIA, LDIA, LDIA_M, LSTAR, LSTAR_DIA, UNIT, ParseError,
-    boxdown, bracket, calculus, dia, leaf, over, parse_sequent, parse_type,
-    prim, print_sequent, prod, sequent, under,
+    L, L1STAR, L1STAR_DIA, L1STAR_DIA_M, LDIA, LDIA_M, LSTAR, LSTAR_DIA,
+    UNIT, BoxDown, Bracket, Dia, Leaf, Over, ParseError, Prim, Prod, Under,
+    boxdown, bracket, calculus, children_at, dia, leaf, over, parse_sequent,
+    parse_type, prim, print_sequent, prod, replace_span, sequent, under,
 )
 
 GOLDEN = "[ [ p ] dia p \\ p ] => boxd dia dia p"
@@ -281,6 +284,193 @@ def _alt_provable(s, calc):
     return any(all(_alt_provable(g, calc) for g in gs) for gs in goals)
 
 
+# The pair the one generator replaced: ``instances`` yielding
+# ``(rule, principal)`` and ``premises_of`` deciding each instance again
+# and building its premises.  Kept verbatim as the reference for
+# ``TestAgreement::test_instances_match_the_replaced_pair``.
+
+def _ref_positions(h):
+    def walk(trees, prefix):
+        for j, tr in enumerate(trees):
+            yield prefix, j, tr, trees
+            if isinstance(tr, Bracket):
+                yield from walk(tr.children, prefix + (j,))
+
+    yield from walk(h, ())
+
+
+def _ref_instances(s, calc):
+    ante, succ = s.antecedent, s.succedent
+    if (len(ante) == 1 and isinstance(ante[0], Leaf)
+            and isinstance(succ, Prim) and ante[0].type is succ):
+        yield "Ax", None
+    if calc.unit and not ante and succ is UNIT:
+        yield "UnitR", None
+    if isinstance(succ, (Under, Over)):
+        yield ("OverR" if isinstance(succ, Over) else "UnderR"), None
+    elif isinstance(succ, Prod):
+        lo, hi = (0, len(ante)) if calc.starred else (1, len(ante) - 1)
+        for k in range(lo, hi + 1):
+            yield "ProdR", k
+    elif isinstance(succ, Dia):
+        if (len(ante) == 1 and isinstance(ante[0], Bracket)
+                and ante[0].index == succ.index):
+            yield "DiaR", None
+    elif isinstance(succ, BoxDown):
+        yield "BoxDownR", None
+    for parent, j, tr, siblings in _ref_positions(ante):
+        if isinstance(tr, Bracket):
+            if (len(tr.children) == 1 and isinstance(tr.children[0], Leaf)
+                    and isinstance(tr.children[0].type, BoxDown)
+                    and tr.children[0].type.index == tr.index):
+                yield "BoxDownL", (parent, j)
+            continue
+        t = tr.type
+        if isinstance(t, (Under, Over)):
+            side = isinstance(t, Over)
+            empty = 1 if calc.starred else 0
+            rule = "OverL" if side else "UnderL"
+            for f in (range(j + 2 - empty, len(siblings) + 1) if side
+                      else range(0, j + empty)):
+                yield rule, ((parent, j, f) if side else (parent, f, j))
+        elif isinstance(t, Prod):
+            yield "ProdL", (parent, j)
+        elif isinstance(t, Dia):
+            yield "DiaL", (parent, j)
+        elif t is UNIT and calc.unit:
+            yield "UnitL", (parent, j)
+
+
+def _ref_premises_of(s, rule, principal, calc):
+    ante, succ = s.antecedent, s.succedent
+    if rule == "Ax":
+        ok = (len(ante) == 1 and isinstance(ante[0], Leaf)
+              and isinstance(succ, Prim) and ante[0].type is succ)
+        return () if ok else None
+    if rule == "UnitR":
+        return () if calc.unit and not ante and succ is UNIT else None
+    if rule == "UnderR" or rule == "OverR":
+        side = rule == "OverR"
+        if not isinstance(succ, Over if side else Under):
+            return None
+        arg, res = ((succ.right, succ.left) if side
+                    else (succ.left, succ.right))
+        a = (leaf(arg),)
+        return (sequent(ante + a if side else a + ante, res),)
+    if rule == "ProdR":
+        if not isinstance(succ, Prod) or not isinstance(principal, int):
+            return None
+        k = principal
+        lo, hi = (0, len(ante)) if calc.starred else (1, len(ante) - 1)
+        if not lo <= k <= hi:
+            return None
+        return (sequent(ante[:k], succ.left), sequent(ante[k:], succ.right))
+    if rule == "DiaR":
+        if (isinstance(succ, Dia) and len(ante) == 1
+                and isinstance(ante[0], Bracket) and ante[0].index == succ.index):
+            return (sequent(ante[0].children, succ.body),)
+        return None
+    if rule == "BoxDownR":
+        if not isinstance(succ, BoxDown):
+            return None
+        return (sequent((bracket(ante, succ.index),), succ.body),)
+
+    try:
+        parent, rest = principal[0], principal[1:]
+        siblings = children_at(ante, parent)
+    except (TypeError, IndexError, AttributeError):
+        return None
+
+    def leaf_at(j):
+        if 0 <= j < len(siblings) and isinstance(siblings[j], Leaf):
+            return siblings[j].type
+        return None
+
+    if rule == "UnderL" or rule == "OverL":
+        if len(rest) != 2:
+            return None
+        x, y = rest
+        side = 1 if rule == "OverL" else 0
+        t = leaf_at(x if side else y)
+        if (not isinstance(t, Over if side else Under)
+                or not 0 <= x + side <= y <= len(siblings)):
+            return None
+        if x + side == y and not calc.starred:
+            return None
+        arg, res = (t.right, t.left) if side else (t.left, t.right)
+        return (sequent(siblings[x + side:y], arg),
+                sequent(replace_span(ante, parent, x, y + 1 - side,
+                                     (leaf(res),)), succ))
+    if len(rest) != 1:
+        return None
+    (j,) = rest
+    if rule == "ProdL":
+        t = leaf_at(j)
+        if not isinstance(t, Prod):
+            return None
+        return (sequent(replace_span(ante, parent, j, j + 1,
+                                     (leaf(t.left), leaf(t.right))), succ),)
+    if rule == "DiaL":
+        t = leaf_at(j)
+        if not isinstance(t, Dia):
+            return None
+        return (sequent(replace_span(ante, parent, j, j + 1,
+                                     (bracket((leaf(t.body),), t.index),)),
+                        succ),)
+    if rule == "UnitL":
+        if not calc.unit or leaf_at(j) is not UNIT:
+            return None
+        return (sequent(replace_span(ante, parent, j, j + 1, ()), succ),)
+    if rule == "BoxDownL":
+        if not (0 <= j < len(siblings) and isinstance(siblings[j], Bracket)):
+            return None
+        br = siblings[j]
+        if len(br.children) != 1 or not isinstance(br.children[0], Leaf):
+            return None
+        t = br.children[0].type
+        if not isinstance(t, BoxDown) or t.index != br.index:
+            return None
+        return (sequent(replace_span(ante, parent, j, j + 1,
+                                     (leaf(t.body),)), succ),)
+    return None
+
+
+def _ref_triples(s, calc):
+    out = []
+    for rule, principal in _ref_instances(s, calc):
+        premises = _ref_premises_of(s, rule, principal, calc)
+        assert premises is not None, (print_sequent(s), rule, principal)
+        out.append((rule, principal, premises))
+    return out
+
+
+def _node_conclusions(proofs):
+    """The distinct conclusions of every node of ``proofs``."""
+    seen = set()
+    stack = list(proofs)
+    while stack:
+        node = stack.pop()
+        seen.add(node.conclusion)
+        stack.extend(node.premises)
+    return seen
+
+
+# L1starDiaM goals the thin-indexed population does not reach: units,
+# empty brackets, empty slash arguments, mismatched indices
+_INDEXED_GOALS = [
+    "[:2 [:1 p1 ]:1 dia:1 p1 \\ p2 ]:2 => boxd:3 dia:3 dia:2 p2",
+    "[:1 boxd:1 p ]:1 => p",
+    "[:1 boxd:2 p ]:1 => p",
+    "[:1 ]:1 => dia:1 1",
+    "[:1 ]:1 => dia:2 1",
+    "1 [:1 p 1 ]:1 => dia:1 p",
+    "=> boxd:1 (p / p)",
+    "dia:1 (p / 1) [:2 1 \\ q ]:2 => (dia:1 p) * q",
+    "p / (q / q) [:1 q \\ (q * 1) ]:1 => p * dia:1 (1 \\ q)",
+    "[:1 boxd:1 (p \\ p) ]:1 [:2 dia:2 1 ]:2 p => p * dia:2 1",
+]
+
+
 class TestAgreement:
     def test_exhaustive_small_universe(self):
         prover = Prover(LDIA)
@@ -320,10 +510,26 @@ class TestAgreement:
                 assert check(got, L1STAR_DIA)
         assert seen_provable >= 40
 
-    def test_instances_always_yield_legal_premises(self):
-        for s in _small_sequents(2)[::7]:
-            for rule, principal in instances(s, LDIA):
-                assert premises_of(s, rule, principal, LDIA) is not None
+    def test_instances_match_the_replaced_pair(self, interp_population):
+        def agree(goals, *calcs):
+            for s in goals:
+                for calc in calcs:
+                    assert list(instances(s, calc)) == \
+                        _ref_triples(s, calc), (print_sequent(s), calc.name)
+
+        agree(_small_sequents(2), LDIA, LSTAR_DIA, L1STAR_DIA)
+        ts = _types(1, prims=("p",), unit=True)
+        agree([sequent(shape(t), c) for shape in _SHAPES_1
+               for t in ts for c in ts]
+              + [sequent((), c) for c in ts]
+              + [sequent((leaf(t), leaf(u)), UNIT) for t in ts for u in ts],
+              L1STAR_DIA)
+        proofs = [pf for _, pf in interp_population]
+        agree(_node_conclusions(proofs), LDIA, L1STAR_DIA)
+        thin = [thin_index(pf, LDIA)[0] for pf in proofs[::10]]
+        agree(_node_conclusions(thin), L1STAR_DIA_M)
+        agree(map(parse_sequent, _INDEXED_GOALS), L1STAR_DIA_M)
+
 
 
 _type_strategy = st.recursive(
@@ -381,6 +587,64 @@ class TestCheck:
         under_node = q.premises[0].premises[0].premises[0]
         assert under_node.rule == "UnderL"
         assert under_node.principal == ((), 0, 1)
+
+    def test_rejects_illegal_instances_without_raising(self):
+        ax = {t: Proof(parse_sequent(f"{t} => {t}"), "Ax") for t in "pq"}
+        # UnderL with its principal on a non-slash leaf, or of the wrong
+        # arity or shape
+        s = parse_sequent("p p \\ q => q")
+        assert check(Proof(s, "UnderL", (ax["p"], ax["q"]), ((), 0, 1)), LDIA)
+        for bad in (((), 0, 0), ((), 1), ((), 0, 1, 2), ((7,), 0, 1), 7):
+            assert not check(Proof(s, "UnderL", (ax["p"], ax["q"]), bad),
+                             LDIA), bad
+        # a rule that takes no principal must not record one
+        assert not check(Proof(ax["p"].conclusion, "Ax", (), ((), 0)), LDIA)
+        # ProdR at k = 0 and OverL with an empty argument: starred only
+        empty_arg = Proof(parse_sequent("=> q / q"), "OverR", (ax["q"],))
+        split0 = Proof(parse_sequent("q => (q / q) * q"), "ProdR",
+                       (empty_arg, ax["q"]), 0)
+        over0 = Proof(parse_sequent("p / (q / q) => p"), "OverL",
+                      (empty_arg, ax["p"]), ((), 0, 1))
+        for node in (split0, over0):
+            assert check(node, LSTAR_DIA)
+            assert not check(node, LDIA)
+            node.principal = None
+            assert not check(node, LDIA)
+            assert check(node, LSTAR_DIA)
+        # BoxDownL needs the bracket's index to be the boxd's
+        for text, ok in (("[:2 boxd:2 p ]:2 => p", True),
+                         ("[:1 boxd:2 p ]:1 => p", False)):
+            for principal in (((), 0), None):
+                node = Proof(parse_sequent(text), "BoxDownL", (ax["p"],),
+                             principal)
+                assert check(node, LDIA_M) is ok, (text, principal)
+        # a recorded principal must be the one that matches
+        q = parse_proof(GOLDEN_PROOF)
+        under_node = q.premises[0].premises[0].premises[0]
+        under_node.principal = ((), 1, 1)
+        assert not check(q, LSTAR_DIA)
+        under_node.principal = None
+        assert check(q, LSTAR_DIA)
+        assert under_node.principal == ((), 0, 1)
+
+    def test_deeper_than_the_recursion_limit(self):
+        # p (p\p)^n => p by n UnderL nodes, each over an Ax leaf and the
+        # chain one shorter, built bottom up
+        n = 1500
+        assert n > sys.getrecursionlimit()
+        p, pp = leaf(prim("p")), leaf(under(prim("p"), prim("p")))
+        ax = Proof(sequent((p,), prim("p")), "Ax")
+
+        def chain(bottom):
+            node = bottom
+            for k in range(1, n + 1):
+                node = Proof(sequent((p,) + (pp,) * k, prim("p")), "UnderL",
+                             (ax, node))
+            return node
+
+        assert check(chain(ax), LDIA)
+        tampered = Proof(ax.conclusion, "Ax", (ax,))
+        assert not check(chain(tampered), LDIA)
 
     def test_parse_proof_errors(self):
         with pytest.raises(ValueError):
