@@ -1,8 +1,11 @@
 """Context-free grammars and Cut-only derivations over sequents.
 
 Two kinds of finite objects live here.  ``Cfg`` is a plain context-free
-grammar whose nonterminals are category types; membership testing works
-on an epsilon-eliminated, binarized image with back-mapping, and
+grammar whose nonterminals are category types.  Membership testing works
+on an epsilon-eliminated, binarized image with back-mapping of only the
+productions useful for the query: those the queried nonterminal reaches
+whose symbols all generate.  The grammar keeps one image per queried
+nonterminal and set of nonterminals in the form, built on first use.
 ``language_upto`` enumerates the generated strings up to a length bound.
 ``CutDerivation`` is a tree of Cut inferences over a finite base set of
 sequents: a leaf is a base sequent, and an inner node combines a
@@ -21,7 +24,7 @@ callers build one per rule set and pass it to every call.
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
@@ -32,7 +35,7 @@ from .syntax import (
 )
 
 __all__ = [
-    "Cfg", "Derivation", "derivation_yield", "derives", "language_upto",
+    "Cfg", "Derivation", "derives", "language_upto",
     "print_cfg", "parse_cfg",
     "CutBase", "CutDerivation", "cut_leaf", "cut_node", "replay_cuts",
     "cut_derives",
@@ -159,9 +162,14 @@ class Cfg:
                     raise ValueError(f"unknown terminal {sym!r}")
 
     @cached_property
-    def _recognizer(self) -> "_Recognizer":
-        # built on the first ``derives`` and kept as long as the grammar
-        return _Recognizer(self)
+    def _recognizers(self) -> dict:
+        # (nt, nonterminals of the form) -> the trimmed recognizer the
+        # first ``derives`` with that key built, kept as long as the grammar
+        return {}
+
+    @cached_property
+    def _production_set(self) -> frozenset:
+        return frozenset(self.productions)
 
     def __repr__(self):
         return (f"<cfg start {print_type(self.start)}: "
@@ -209,27 +217,31 @@ class Derivation:
         return tuple(s for c in self.children for s in c.fringe())
 
     def __repr__(self):
-        sym = (print_type(self.symbol) if isinstance(self.symbol, Type)
-               else self.symbol)
-        return f"<derivation of {sym!r}>"
+        return f"<derivation of {_show_symbol(self.symbol)!r}>"
 
 
-def derivation_yield(d: Derivation) -> tuple:
-    """The fringe of a derivation, as a tuple of symbols."""
-    return d.fringe()
+def _show_symbol(sym) -> str:
+    return print_type(sym) if isinstance(sym, Type) else sym
 
 
 def replay_derivation(d: Derivation, g: Cfg) -> bool:
     """Check that every step of ``d`` applies a production of ``g``."""
-    if d.production is None:
-        return isinstance(d.symbol, Type) or d.symbol in g.terminals
-    lhs, rhs = d.production
-    if d.production not in g.productions or lhs != d.symbol:
-        return False
-    if len(rhs) != len(d.children):
-        return False
-    return all(c.symbol == sym and replay_derivation(c, g)
-               for sym, c in zip(rhs, d.children))
+    stack = [d]
+    while stack:
+        d = stack.pop()
+        if d.production is None:
+            if not (isinstance(d.symbol, Type) or d.symbol in g.terminals):
+                return False
+            continue
+        lhs, rhs = d.production
+        if d.production not in g._production_set or lhs != d.symbol:
+            return False
+        if len(rhs) != len(d.children):
+            return False
+        if any(c.symbol != sym for sym, c in zip(rhs, d.children)):
+            return False
+        stack.extend(d.children)
+    return True
 
 
 def _null_derivations(g: Cfg) -> dict:
@@ -284,6 +296,57 @@ def _apply_efree(key, efree, null, children):
         else:
             full.append(null[sym])
     return Derivation(lhs, prod, tuple(full))
+
+
+def _useful(g: Cfg, nt: Type, given: frozenset) -> tuple:
+    """The productions of ``g`` a derivation from ``nt`` can use.
+
+    Useless-symbol removal (Hopcroft & Ullman), with the nonterminals
+    in ``given`` generating by themselves, as they do in a sentential
+    form: first the generating nonterminals, those that derive a string
+    over the terminals and ``given``, by a worklist over each
+    production's count of nonterminal occurrences not yet generating;
+    then the productions that ``nt`` reaches through productions whose
+    symbols all generate.  Kept in grammar order.
+    """
+    prods = g.productions
+    waiting = []
+    uses = {}     # nonterminal -> one production index per occurrence
+    todo = list(given)
+    for i, (lhs, rhs) in enumerate(prods):
+        count = 0
+        for sym in rhs:
+            if isinstance(sym, Type):
+                uses.setdefault(sym, []).append(i)
+                count += 1
+        waiting.append(count)
+        if not count:
+            todo.append(lhs)
+    generating = set()
+    while todo:
+        sym = todo.pop()
+        if sym in generating:
+            continue
+        generating.add(sym)
+        for i in uses.get(sym, ()):
+            waiting[i] -= 1
+            if not waiting[i]:
+                todo.append(prods[i][0])
+    by_head = {}
+    for i, (lhs, _) in enumerate(prods):
+        if not waiting[i]:
+            by_head.setdefault(lhs, []).append(i)
+    keep = []
+    reached = {nt}
+    todo = [nt]
+    while todo:
+        for i in by_head.get(todo.pop(), ()):
+            keep.append(i)
+            for sym in prods[i][1]:
+                if isinstance(sym, Type) and sym not in reached:
+                    reached.add(sym)
+                    todo.append(sym)
+    return tuple(prods[i] for i in sorted(keep))
 
 
 class _Recognizer:
@@ -407,9 +470,18 @@ def derives(g: Cfg, nt: Type, symbols) -> Optional[Derivation]:
     asks whether ``nt`` is nullable.  Returns ``None`` when no
     derivation exists, and raises on symbols outside the grammar.
 
-    The chart recognizer (the epsilon-free, binarized, unary-closed
-    image of ``g``) is built by the first call on ``g`` and kept on
-    ``g`` for as long as the grammar lives; later calls only parse.
+    The chart recognizer is the epsilon-free, binarized, unary-closed
+    image of only the productions ``_useful`` for ``nt``, given the
+    nonterminals of the form.  The first call with a pair of ``nt`` and
+    form nonterminals builds it, and ``g`` keeps it for as long as the
+    grammar lives; later calls with that pair only parse.
+
+    The derivation is the one a recognizer of all of ``g`` returns.  A
+    symbol in a chart cell derives the cell's span, so it generates, and
+    so do the symbols of the rules, chains and null derivations that
+    put it there.  For a symbol ``nt`` reaches, those are exactly the
+    kept ones, in the same relative order, so every chart entry that
+    the rebuild from ``nt`` reads is the same in both charts.
     """
     if nt not in g.nonterminals:
         raise ValueError(f"unknown nonterminal {print_type(nt)!r}")
@@ -420,14 +492,22 @@ def derives(g: Cfg, nt: Type, symbols) -> Optional[Derivation]:
                 raise ValueError(f"unknown nonterminal {print_type(sym)!r}")
         elif sym not in g.terminals:
             raise ValueError(f"unknown symbol {sym!r}")
-    rec = g._recognizer
+    given = frozenset(sym for sym in toks if isinstance(sym, Type))
+    key = (nt, given)
+    rec = g._recognizers.get(key)
+    if rec is None:
+        rec = g._recognizers[key] = _Recognizer(
+            replace(g, start=nt, productions=_useful(g, nt, given)))
     if not toks:
         return rec.null.get(nt)
     chart = rec.parse(toks)
     if nt not in chart[(0, len(toks))]:
         return None
     d = rec.rebuild(chart, 0, len(toks), nt, toks)
-    assert d.fringe() == toks
+    if d.fringe() != toks:
+        raise RuntimeError(
+            f"derivation from {print_type(nt)} does not yield the form "
+            f"{' '.join(_show_symbol(sym) for sym in toks)}")
     return d
 
 
@@ -743,5 +823,8 @@ def cut_derives(base, s: Sequent) -> Optional[CutDerivation]:
         return d
 
     d = build(top)
-    assert d.conclusion == s, print_sequent(d.conclusion)
+    if d.conclusion != s:
+        raise RuntimeError(
+            f"Cut derivation of {print_sequent(s)} concludes "
+            f"{print_sequent(d.conclusion)}")
     return d

@@ -19,7 +19,9 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .cfgkit import cut_derives, derives, parse_cfg, print_cfg
+from .cfgkit import (
+    cut_derives, derives, parse_cfg, print_cfg, replay_derivation,
+)
 from .compiler import compile_cfg
 from .harness import (
     DEFAULT_SEED, format_reports, load_grammar, run_all, run_equivalence,
@@ -184,6 +186,11 @@ def _cmd_parse(args) -> int:
     if d is None:
         _emit(args, {"derivable": False}, "NO")
         return 0
+    if (d.symbol != cfg.start or d.fringe() != tuple(tokens)
+            or not replay_derivation(d, cfg)):
+        print("error: derivation fails its replay against the grammar",
+              file=sys.stderr)
+        return 1
     lines = list(_derivation_lines(d))
     _emit(args, {"derivable": True, "derivation": lines}, "\n".join(lines))
     return 0

@@ -9,8 +9,7 @@ import pytest
 from lambrack import cfgkit, harness
 from lambrack.cfgkit import (
     Cfg, CutBase, CutDerivation, cfg, cut_derives, cut_leaf, cut_node,
-    derivation_yield, derives, language_upto, parse_cfg, print_cfg,
-    replay_cuts,
+    derives, language_upto, parse_cfg, print_cfg, replay_cuts,
 )
 from lambrack.cfgkit import replay_derivation
 from lambrack.compiler import build_rulesets, compile_cfg
@@ -18,8 +17,8 @@ from lambrack.harness import BUNDLED_GRAMMARS, bundled_grammar
 from lambrack.syntax import (
     HOLE, LDIA, UNIT, Bracket, Leaf, Type, bracket, bracket_addresses,
     children_at,
-    dia, leaf, parse_sequent, parse_type, prim, print_sequent, replace_span,
-    sequent, under,
+    dia, leaf, parse_sequent, parse_type, prim, print_sequent, print_type,
+    replace_span, sequent, under,
 )
 
 P, Q, D = prim("p"), prim("q"), prim("d")
@@ -65,7 +64,7 @@ class TestDerives:
         g = _fragment()
         d = derives(g, D, [D])
         assert d is not None and d.production is None
-        assert derivation_yield(d) == (D,)
+        assert d.fringe() == (D,)
         assert replay_derivation(d, g)
 
     def test_empty_string_through_unit(self):
@@ -73,12 +72,12 @@ class TestDerives:
         d = derives(g, DU, [])
         assert d is not None
         assert d.production == (DU, ())
-        assert derivation_yield(d) == ()
+        assert d.fringe() == ()
 
     def test_start_derives_empty(self):
         g = _fragment()
         d = derives(g, D, [])
-        assert d is not None and derivation_yield(d) == ()
+        assert d is not None and d.fringe() == ()
         assert replay_derivation(d, g)
 
     def test_terminal_strings(self):
@@ -87,7 +86,7 @@ class TestDerives:
             word = ["a"] * n
             d = derives(g, D, word)
             assert d is not None
-            assert derivation_yield(d) == tuple(word)
+            assert d.fringe() == tuple(word)
             assert replay_derivation(d, g)
 
     def test_sentential_forms(self):
@@ -126,15 +125,30 @@ class TestDerives:
 
         class Counting(cfgkit._Recognizer):
             def __init__(self, g):
-                built.append(g)
+                built.append((g.start, g.productions))
                 super().__init__(g)
 
         monkeypatch.setattr(cfgkit, "_Recognizer", Counting)
         g = _fragment()
-        for toks in (["a"], [], ["a", "a"], [P, D], [DU], ["a"]):
-            derives(g, D, toks)
-        derives(g, P, ["a"])
-        assert built == [g]
+        queries = [(D, ["a"]), (D, []), (D, ["a", "a"]), (D, [P, D]),
+                   (D, [DU]), (D, ["a"]), (P, ["a"]), (D, [D, P]),
+                   (D, [DU, "a"])]
+        for nt, toks in queries * 2:
+            derives(g, nt, toks)
+        # one build per (nonterminal, form nonterminals), none on repeats
+        assert [start for start, _ in built] == [D, D, D, P]
+        assert set(g._recognizers) == {
+            (D, frozenset()), (D, frozenset({P, D})), (D, frozenset({DU})),
+            (P, frozenset())}
+        assert built[-1][1] == ((P, ("a",)),)
+
+    def test_wrong_fringe_raises(self, monkeypatch):
+        g = _fragment()
+        wrong = derives(g, D, ["a"])
+        monkeypatch.setattr(cfgkit._Recognizer, "rebuild",
+                            lambda self, chart, i, j, sym, toks: wrong)
+        with pytest.raises(RuntimeError, match="does not yield the form"):
+            derives(g, D, ["a", "a"])
 
     @pytest.mark.parametrize("name,calc", BUNDLED_GRAMMARS)
     def test_reused_recognizer_matches_fresh(self, name, calc,
@@ -146,16 +160,85 @@ class TestDerives:
         near |= {w[1:] + w[:1] for w in members}
         assert len(near - set(members)) > 0
         for toks in members + sorted(near):
-            fresh = cfgkit._Recognizer(g)
-            if toks:
-                chart = fresh.parse(toks)
-                expected = (fresh.rebuild(chart, 0, len(toks), g.start, toks)
-                            if g.start in chart[(0, len(toks))] else None)
-            else:
-                expected = fresh.null.get(g.start)
+            expected = _untrimmed(cfgkit._Recognizer(g), g.start, toks)
             assert derives(g, g.start, toks) == expected
             if len(toks) <= 4:
                 assert (expected is not None) == (toks in members)
+
+    @pytest.mark.parametrize("name,useful", [
+        ("anbn.lg", 109), ("brackets.lg", 23), ("starred.lg", 4)])
+    def test_start_recognizer_indexes_useful_productions(self, name, useful,
+                                                         bundled_cfgs):
+        g = bundled_cfgs[name]
+        derives(g, g.start, [])
+        assert len(g._recognizers[(g.start, frozenset())].g.productions) \
+            == useful
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_trimmed_matches_untrimmed_on_random_cfgs(self, seed):
+        rng = random.Random(seed)
+        g, extras = _random_cfg(rng)
+        fresh = cfgkit._Recognizer(g)
+        found = 0
+        for extra in extras:
+            alphabet = sorted(g.terminals) + list(extra)
+            forms = [w for n in range(5)
+                     for w in itertools.product(alphabet, repeat=n)]
+            for nt in sorted(g.nonterminals, key=print_type):
+                for toks in forms:
+                    expected = _untrimmed(fresh, nt, toks)
+                    assert derives(g, nt, toks) == expected, (nt, toks)
+                    found += expected is not None
+        assert found > 0
+        assert any(len(rec.g.productions) < len(g.productions)
+                   for rec in g._recognizers.values())
+
+
+def _untrimmed(rec, nt, toks):
+    """What ``derives`` answers, read off a recognizer of the whole
+    grammar."""
+    if not toks:
+        return rec.null.get(nt)
+    chart = rec.parse(toks)
+    if nt not in chart[(0, len(toks))]:
+        return None
+    return rec.rebuild(chart, 0, len(toks), nt, toks)
+
+
+_RANDOM_NTS = tuple(prim(f"n{i}") for i in range(6))
+
+
+def _random_cfg(rng):
+    """A small grammar over {a, b} with six nonterminals, and the form
+    nonterminals to query it with.
+
+    ``n0`` to ``n3`` get three or four random productions each, with
+    right-hand sides of length 0 to 3 over the terminals, ``n0`` to
+    ``n3`` and ``n5``; with that many, some strings have two
+    derivations, and which one the recognizer returns depends on the
+    order of the productions.  ``n4`` occurs in no right-hand side, so
+    only a query from itself reaches it.  Every production of ``n5``
+    mentions ``n5``, so it generates only where a form holds it.  The
+    forms get one random nonterminal, then ``n5`` with another one.
+    """
+    nts = _RANDOM_NTS
+    body = ("a", "b") + nts[:4] + nts[5:]
+    prods = []
+    for lhs in nts[:4]:
+        for _ in range(rng.randint(3, 4)):
+            prods.append((lhs, tuple(rng.choice(body)
+                                     for _ in range(rng.randint(0, 3)))))
+    for _ in range(2):
+        prods.append((nts[4], tuple(rng.choice(body)
+                                    for _ in range(rng.randint(0, 2)))))
+        rhs = [rng.choice(body) for _ in range(rng.randint(0, 2))]
+        rhs.insert(rng.randint(0, len(rhs)), nts[5])
+        prods.append((nts[5], tuple(rhs)))
+    rng.shuffle(prods)
+    g = cfg(nts[0], prods + [(nts[0], ("a",))])
+    extras = [(rng.choice(nts),),
+              (nts[5], rng.choice(nts[:5]))]
+    return g, extras
 
 
 def _reference_chart(rec, tokens):

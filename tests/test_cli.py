@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from lambrack.cfgkit import Derivation
 from lambrack.cli import main
 from lambrack.compiler import build_rulesets
 from lambrack.harness import Report
@@ -212,6 +213,22 @@ class TestCompileAndParse:
         code, _, err = run(capsys, "parse", str(cfg_path), "z")
         assert code == 2
         assert err.startswith("error:")
+
+    def test_parse_replays_its_derivation(self, capsys, monkeypatch,
+                                          tmp_path, rule_cache):
+        cfg_path = tmp_path / "anbn.cfg"
+        run(capsys, "compile", "anbn.lg", "--output", str(cfg_path),
+            "--cache-dir", str(rule_cache))
+
+        def forged(g, nt, tokens):
+            # the right root and fringe, through a production anbn lacks
+            return Derivation(nt, (nt, tuple(tokens)),
+                              tuple(Derivation(t) for t in tokens))
+
+        monkeypatch.setattr("lambrack.cli.derives", forged)
+        code, out, err = run(capsys, "parse", str(cfg_path), "a b")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_missing_grammar_file(self, capsys):
         code, _, err = run(capsys, "compile", "nowhere.lg")
