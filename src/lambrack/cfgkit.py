@@ -30,7 +30,7 @@ from typing import Optional
 
 from .syntax import (
     HOLE, Bracket, Hedge, Leaf, Sequent, Type,
-    bracket_addresses, children_at, leaf, parse_type, plug, print_sequent,
+    bracket_addresses, leaf, parse_type, plug, print_sequent,
     print_type, replace_span, sequent,
 )
 

@@ -25,7 +25,6 @@ from .cfgkit import (
 from .compiler import compile_cfg
 from .harness import (
     DEFAULT_SEED, format_reports, load_grammar, run_all, run_equivalence,
-    write_reports,
 )
 from .interpolate import extract_interpolant, partition_at, thin_index
 from .prover import (

@@ -14,16 +14,15 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
 
 from . import __version__
 from .cfgkit import Cfg
 from .freegroup import IDENTITY, mul, word_of
-from .prover import Proof, Prover
+from .prover import Prover
 from .syntax import (
-    L1STAR_DIA, LDIA, UNIT, Grammar, Sequent, Type, boxdown, bracket,
-    calculus, dia, leaf, length, over, parse_sequent, prim, print_sequent,
-    print_type, prod, sequent, under, yield_of,
+    L1STAR_DIA, LDIA, UNIT, Grammar, boxdown, bracket, calculus, dia, leaf,
+    length, over, parse_sequent, prim, print_sequent, print_type, prod,
+    sequent, under, yield_of,
 )
 
 __all__ = ["RuleSets", "enum_types", "build_rulesets", "compile_cfg"]
@@ -80,9 +79,6 @@ class RuleSets:
     @property
     def rules(self) -> tuple:
         return self.flat_rules + self.bridge_rules
-
-    def proof_of(self, s: Sequent) -> Proof:
-        return self.proofs[s]
 
 
 def _flat_candidates(types, prover):

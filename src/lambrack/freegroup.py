@@ -21,8 +21,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .syntax import (
-    UNIT, BoxDown, Bracket, Dia, Hole, Leaf, Over, Prim, Prod, Tree, Type,
-    Under,
+    UNIT, BoxDown, Bracket, Dia, Leaf, Over, Prim, Prod, Tree, Type, Under,
 )
 
 __all__ = [

@@ -44,7 +44,7 @@ from .prover import (
     translate_flat,
 )
 from .syntax import (
-    L, L1STAR, L1STAR_DIA, L1STAR_DIA_M, LDIA, LDIA_M, LSTAR_DIA, UNIT,
+    L, L1STAR, L1STAR_DIA, L1STAR_DIA_M, LDIA, LDIA_M, UNIT,
     Grammar, boxdown, bracket, calculus, deindex, dia, is_thin, leaf, length,
     mod_counts, mod_total, over, parse_grammar, parse_sequent, parse_type,
     partitions, plug, prim, prim_counts, print_sequent, prod, sequent, under,
@@ -660,14 +660,6 @@ def _cut_groups(calc, types):
             for succ in types:
                 for b in range(mods + mod_total(succ) + 1):
                     yield row, succ, b
-
-
-def _cut_candidates(calc, types):
-    """The candidate sequents of ``_cut_groups``, one by one."""
-    hedges = {}
-    for row, succ, b in _cut_groups(calc, types):
-        for h in _hedges_exact(row, b, calc.starred, hedges):
-            yield sequent(h, succ)
 
 
 def run_cut_completeness(timeout_ms: Optional[float] = None,

@@ -26,29 +26,32 @@ two-premise pieces using only Cut.
 """
 
 from dataclasses import dataclass
+from itertools import count
 from typing import Optional
 
 from .cfgkit import CutDerivation, cut_leaf, cut_node
-from .freegroup import inv, shrinking_pair, wlen, word_of
+from .freegroup import inv, shrinking_pair, word_of
 from .prover import (
-    LEFT_RULES, Proof, check, deindex_proof, is_guarded, prove,
+    LEFT_RULES, Proof, apply_rule, check, deindex_proof, is_guarded, prove,
 )
 from .syntax import (
     HOLE, L1STAR_DIA_M, LDIA_M, UNIT,
     Bracket, Calculus, Dia, Hedge, Leaf, Sequent, Type,
-    boxdown, bracket, bracket_addresses, calculus, children_at, deindex,
-    dia, hole_coords, is_flat, is_thin, leaf, length, over, plug, prim,
-    prim_counts, print_sequent, print_type, prod, replace_span, sequent,
-    sequent_types, span_partition, subtree, under, validate_sequent,
+    bracket_addresses, calculus, children_at, deindex, hole_coords,
+    is_flat, leaf, length, plug, prim, prim_counts, print_sequent,
+    print_type, sequent, sequent_types, span_partition, subtree,
+    validate_sequent,
 )
 
 __all__ = [
     "Partition", "InterpolationResult", "partition_at",
     "indexed_counterpart", "thin_index",
     "extract_interpolant", "extract_interpolants",
-    "thin_interpolant_length_ok",
     "eliminate_bracket", "cut_reduce_flat",
 ]
+
+# The one UnitR leaf, ``=> 1``, that every rebuilt proof shares.
+_UNIT_R = Proof(sequent((), UNIT), "UnitR")
 
 
 # ---------------------------------------------------------------------------
@@ -120,92 +123,26 @@ def thin_index(p: Proof, calc):
 def _thin_rebuild(p: Proof):
     """``thin_index`` of a proof that ``check`` has already passed,
     which records the principals the rebuild reads."""
-    counters = {"prim": 0, "index": 0}
     theta = {}
-
-    def fresh_prim(original):
-        counters["prim"] += 1
-        name = f"p{counters['prim']}"
-        theta[name] = original.name
-        return prim(name)
-
-    def fresh_index() -> int:
-        counters["index"] += 1
-        return counters["index"]
+    indices = count(1)
 
     def rebuild(node: Proof) -> Proof:
         prems = tuple(rebuild(q) for q in node.premises)
-        rule, pr = node.rule, node.principal
+        rule = node.rule
         if rule == "Ax":
-            t = fresh_prim(node.conclusion.succedent)
+            t = prim(f"p{len(theta) + 1}")
+            theta[t.name] = node.conclusion.succedent.name
             return Proof(sequent((leaf(t),), t), "Ax")
         if rule == "UnitR":
-            return Proof(sequent((), UNIT), "UnitR")
-        if rule == "UnderR" or rule == "OverR":
-            # the argument is the premise's first (\) or last (/) leaf
-            side = rule == "OverR"
-            s1 = prems[0].conclusion
-            h, c = s1.antecedent, s1.succedent
-            a, rest = (h[-1], h[:-1]) if side else (h[0], h[1:])
-            t = over(c, a.type) if side else under(a.type, c)
-            return Proof(sequent(rest, t), rule, prems)
-        if rule == "ProdR":
-            s1, s2 = prems[0].conclusion, prems[1].conclusion
-            return Proof(sequent(s1.antecedent + s2.antecedent,
-                                 prod(s1.succedent, s2.succedent)),
-                         "ProdR", prems, principal=pr)
-        if rule == "DiaR":
-            n = fresh_index()
-            s1 = prems[0].conclusion
-            return Proof(sequent((bracket(s1.antecedent, n),),
-                                 dia(s1.succedent, n)), "DiaR", prems)
-        if rule == "BoxDownR":
-            s1 = prems[0].conclusion
-            br = s1.antecedent[0]
-            return Proof(sequent(br.children, boxdown(s1.succedent, br.index)),
-                         "BoxDownR", prems)
-        if rule == "UnderL" or rule == "OverL":
-            # the result leaf at the block's start becomes the argument
-            # hedge with the connective leaf on its right (\) or left (/)
-            side = rule == "OverL"
-            parent, x = pr[0], pr[1]
-            arg, ctx = prems[0].conclusion, prems[1].conclusion
-            b = children_at(ctx.antecedent, parent)[x].type
-            a = arg.succedent
-            c = (leaf(over(b, a) if side else under(a, b)),)
-            new_ante = replace_span(
-                ctx.antecedent, parent, x, x + 1,
-                c + arg.antecedent if side else arg.antecedent + c)
-            return Proof(sequent(new_ante, ctx.succedent), rule, prems,
-                         principal=pr)
-        ctx = prems[0].conclusion
-        parent, j = pr
-        if rule == "ProdL":
-            sibs = children_at(ctx.antecedent, parent)
-            t = prod(sibs[j].type, sibs[j + 1].type)
-            new_ante = replace_span(ctx.antecedent, parent, j, j + 2,
-                                    (leaf(t),))
-        elif rule == "DiaL":
-            br = children_at(ctx.antecedent, parent)[j]
-            t = dia(br.children[0].type, br.index)
-            new_ante = replace_span(ctx.antecedent, parent, j, j + 1,
-                                    (leaf(t),))
-        elif rule == "UnitL":
-            new_ante = replace_span(ctx.antecedent, parent, j, j,
-                                    (leaf(UNIT),))
-        elif rule == "BoxDownL":
-            n = fresh_index()
-            a = children_at(ctx.antecedent, parent)[j].type
-            new_ante = replace_span(
-                ctx.antecedent, parent, j, j + 1,
-                (bracket((leaf(boxdown(a, n)),), n),))
-        else:
-            raise AssertionError(f"unhandled rule {rule}")
-        return Proof(sequent(new_ante, ctx.succedent), rule, prems,
-                     principal=pr)
+            return _UNIT_R
+        index = next(indices) if rule in ("DiaR", "BoxDownL") else None
+        return apply_rule(rule, node.principal, prems, index)
 
     out = rebuild(p)
-    assert deindex(out.conclusion, theta) == deindex(p.conclusion)
+    if deindex(out.conclusion, theta) != deindex(p.conclusion):
+        raise RuntimeError("thin indexing changed the conclusion of "
+                           f"{print_sequent(p.conclusion)} to "
+                           f"{print_sequent(out.conclusion)}")
     return out, theta
 
 
@@ -261,9 +198,15 @@ def extract_interpolants(p: Proof, parts, calc,
     return out
 
 
-def _plug_type(ante: Hedge, parent: tuple, lo: int, hi: int, e: Type) -> Hedge:
-    """Replace the span by a single leaf of the interpolant."""
-    return replace_span(ante, parent, lo, hi, (leaf(e),))
+def _index_of(node: Proof) -> Optional[int]:
+    """The bracket index ``node``'s rule introduces, for re-applying
+    that rule through ``apply_rule``: DiaR's and BoxDownL's, else None."""
+    if node.rule == "DiaR":
+        return node.conclusion.succedent.index
+    if node.rule == "BoxDownL":
+        P, j = node.principal
+        return children_at(node.conclusion.antecedent, P)[j].index
+    return None
 
 
 def _shift(pr, parent: tuple, at: int, d: int):
@@ -336,39 +279,27 @@ def _extract(p: Proof, parent: tuple, lo: int, hi: int,
     if guarded and len(sel) == 1:
         tr = sel[0]
         if isinstance(tr, Bracket) and not tr.children:
-            e = dia(UNIT, tr.index)
-            left = Proof(sequent(sel, e), "DiaR",
-                         (Proof(sequent((), UNIT), "UnitR"),))
-            inner = Proof(
-                sequent(replace_span(ante, parent + (lo,), 0, 0,
-                                     (leaf(UNIT),)), succ),
-                "UnitL", (p,), principal=(parent + (lo,), 0))
-            right = Proof(sequent(_plug_type(ante, parent, lo, hi, e), succ),
-                          "DiaL", (inner,), principal=(parent, lo))
-            return e, left, right
+            left = apply_rule("DiaR", None, (_UNIT_R,), tr.index)
+            inner = apply_rule("UnitL", (parent + (lo,), 0), (p,))
+            right = apply_rule("DiaL", (parent, lo), (inner,))
+            return left.conclusion.succedent, left, right
         if (isinstance(tr, Leaf) and isinstance(tr.type, Dia)
                 and tr.type.body is UNIT):
-            e = tr.type
-            unit_ax = Proof(sequent((), UNIT), "UnitR")
-            unit_id = Proof(sequent((leaf(UNIT),), UNIT), "UnitL",
-                            (unit_ax,), principal=((), 0))
-            opened = Proof(sequent((bracket((leaf(UNIT),), e.index),), e),
-                           "DiaR", (unit_id,))
-            left = Proof(sequent(sel, e), "DiaL", (opened,),
-                         principal=((), 0))
-            return e, left, p
+            unit_id = apply_rule("UnitL", ((), 0), (_UNIT_R,))
+            opened = apply_rule("DiaR", None, (unit_id,), tr.type.index)
+            return tr.type, apply_rule("DiaL", ((), 0), (opened,)), p
 
     # Unit-calculus interception: an empty selection interpolates to 1.
     if lo == hi:
-        assert not guarded, "guarded recursion reached an empty selection"
+        if guarded:
+            raise RuntimeError(
+                "guarded recursion reached an empty selection "
+                f"(at {parent!r}:{lo} in {print_sequent(s)})")
         if not calc.unit:
             raise ValueError(
                 "an empty sub-selection has no interpolant without the unit "
                 f"(at {parent!r}:{lo} in {print_sequent(s)})")
-        left = Proof(sequent((), UNIT), "UnitR")
-        right = Proof(sequent(_plug_type(ante, parent, lo, hi, UNIT), succ),
-                      "UnitL", (p,), principal=(parent, lo))
-        return UNIT, left, right
+        return UNIT, _UNIT_R, apply_rule("UnitL", (parent, lo), (p,))
 
     rule = p.rule
     if rule == "Ax":
@@ -379,28 +310,21 @@ def _extract(p: Proof, parent: tuple, lo: int, hi: int,
         # The selection crosses the split: interpolate both halves
         # and join them with a product.
         k = p.principal
-        e1, l1, r1 = _extract(p.premises[0], (), lo, k, calc, guarded)
-        e2, l2, r2 = _extract(p.premises[1], (), 0, hi - k, calc, guarded)
-        e = prod(e1, e2)
-        left = Proof(sequent(sel, e), "ProdR", (l1, l2), principal=k - lo)
-        two = replace_span(ante, parent, lo, hi, (leaf(e1), leaf(e2)))
-        inner = Proof(sequent(two, succ), "ProdR", (r1, r2),
-                      principal=lo + 1)
-        right = Proof(sequent(_plug_type(ante, parent, lo, hi, e), succ),
-                      "ProdL", (inner,), principal=((), lo))
-        return e, left, right
+        _, l1, r1 = _extract(p.premises[0], (), lo, k, calc, guarded)
+        _, l2, r2 = _extract(p.premises[1], (), 0, hi - k, calc, guarded)
+        left = apply_rule("ProdR", k - lo, (l1, l2))
+        inner = apply_rule("ProdR", lo + 1, (r1, r2))
+        right = apply_rule("ProdL", ((), lo), (inner,))
+        return left.conclusion.succedent, left, right
 
     if rule == "DiaR" and not parent:
         # sel is the whole bracketed antecedent.
-        e0, l0, r0 = _extract(p.premises[0], (), 0, len(ante[0].children),
-                              calc, guarded)
-        e = dia(e0, succ.index)
-        left = Proof(sequent(ante, e), "DiaR", (l0,))
-        mid = Proof(sequent((bracket((leaf(e0),), succ.index),), succ),
-                    "DiaR", (r0,))
-        right = Proof(sequent((leaf(e),), succ), "DiaL", (mid,),
-                      principal=((), 0))
-        return e, left, right
+        _, l0, r0 = _extract(p.premises[0], (), 0, len(ante[0].children),
+                             calc, guarded)
+        left = apply_rule("DiaR", None, (l0,), succ.index)
+        mid = apply_rule("DiaR", None, (r0,), succ.index)
+        right = apply_rule("DiaL", ((), 0), (mid,))
+        return left.conclusion.succedent, left, right
 
     if rule not in LEFT_RULES:
         return _pass_through(p, parent, lo, hi, calc, guarded)
@@ -412,25 +336,16 @@ def _extract(p: Proof, parent: tuple, lo: int, hi: int,
     q = p.premises[-1]
     if rule == "UnitL" and P == parent and (lo, hi) == (pr[1], pr[1] + 1):
         # The selection is exactly the unit leaf this rule deletes.
-        left = Proof(sequent(sel, UNIT), "UnitL",
-                     (Proof(sequent((), UNIT), "UnitR"),),
-                     principal=((), 0))
-        return UNIT, left, p
+        return UNIT, apply_rule("UnitL", ((), 0), (_UNIT_R,)), p
     if rule == "BoxDownL" and parent == P + (pr[1],):
         # The selection is exactly the boxed leaf inside the principal
         # bracket: interpolate the replacing type and box the result.
-        j = pr[1]
-        e0, l0, r0 = _extract(q, P, j, j + 1, calc, guarded)
-        br = children_at(ante, P)[j]
-        e = boxdown(e0, br.index)
-        t = br.children[0].type
-        inner = Proof(sequent((bracket((leaf(t),), br.index),), e0),
-                      "BoxDownL", (l0,), principal=((), 0))
-        left = Proof(sequent((leaf(t),), e), "BoxDownR", (inner,))
-        right = Proof(
-            sequent(_plug_type(ante, parent, lo, hi, e), succ),
-            "BoxDownL", (r0,), principal=pr)
-        return e, left, right
+        j, index = pr[1], _index_of(p)
+        _, l0, r0 = _extract(q, P, j, j + 1, calc, guarded)
+        inner = apply_rule("BoxDownL", ((), 0), (l0,), index)
+        left = apply_rule("BoxDownR", None, (inner,))
+        right = apply_rule("BoxDownL", pr, (r0,), index)
+        return left.conclusion.succedent, left, right
     b0, b1, a0, a1, delta = _rule_span(rule, pr)
     if P == parent:
         inside = lo <= b0 and b1 <= hi
@@ -441,8 +356,8 @@ def _extract(p: Proof, parent: tuple, lo: int, hi: int,
         # The whole rule block sits inside the selection.
         e, l, r = _extract(q, parent, lo, hi + delta, calc, guarded)
         inner = _shift(pr, parent, lo, -lo)
-        left = Proof(sequent(sel, e), rule, p.premises[:-1] + (l,),
-                     principal=(inner[0][lp:],) + inner[1:])
+        left = apply_rule(rule, (inner[0][lp:],) + inner[1:],
+                          p.premises[:-1] + (l,), _index_of(p))
         return e, left, r
     if P == parent and lo < b1 and b0 < hi and not a0 <= lo < hi <= a1:
         # The selection crosses one end of a slash rule's block.  The
@@ -457,43 +372,32 @@ def _extract(p: Proof, parent: tuple, lo: int, hi: int,
         if j < hi_:
             # Keeps the connective leaf, loses the far end of its
             # argument: interpolate as E \ F (or F / E).
-            e1, le, re = _extract(p.premises[0], (),
-                                  *_mirror(side, na, 0, lo_ - g),
-                                  calc, guarded)
-            f, lf, rf = _extract(q, P,
+            _, le, re = _extract(p.premises[0], (),
+                                 *_mirror(side, na, 0, lo_ - g),
+                                 calc, guarded)
+            _, lf, rf = _extract(q, P,
                                  *_mirror(side, n - na, g, g + hi_ - j),
                                  calc, guarded)
-            e = over(f, e1) if side else under(e1, f)
-            a = (leaf(e1),)
-            inner = Proof(sequent(sel + a if side else a + sel, f), rule,
-                          (re, lf), principal=_slash_principal(
-                              side, (), m + 1, 0, 1 + j - lo_))
-            left = Proof(sequent(sel, e), "OverR" if side else "UnderR",
-                         (inner,))
-            right = Proof(
-                sequent(_plug_type(ante, parent, lo, hi, e), succ),
-                rule, (le, rf), principal=_slash_principal(
-                    side, P, n - m + 1, g, lo_))
-            return e, left, right
+            inner = apply_rule(rule, _slash_principal(
+                side, (), m + 1, 0, 1 + j - lo_), (re, lf))
+            left = apply_rule("OverR" if side else "UnderR", None, (inner,))
+            right = apply_rule(rule, _slash_principal(
+                side, P, n - m + 1, g, lo_), (le, rf))
+            return left.conclusion.succedent, left, right
         # Loses the connective leaf, keeps the far end of its
         # argument: interpolate as E • F (or F • E).
-        f, lf, rf = _extract(p.premises[0], (),
+        _, lf, rf = _extract(p.premises[0], (),
                              *_mirror(side, na, 0, hi_ - g), calc, guarded)
-        e1, le, re = _extract(q, P, *_mirror(side, n - na, lo_, g),
-                              calc, guarded)
-        pair, halves, split = (e1, f), (le, lf), g - lo_
+        _, le, re = _extract(q, P, *_mirror(side, n - na, lo_, g),
+                             calc, guarded)
+        halves, split = (le, lf), g - lo_
         if side:
-            pair, halves, split = (f, e1), (lf, le), m - split
-        e = prod(*pair)
-        left = Proof(sequent(sel, e), "ProdR", halves, principal=split)
-        two = replace_span(ante, parent, lo, hi,
-                           (leaf(pair[0]), leaf(pair[1])))
-        inner = Proof(sequent(two, succ), rule, (rf, re),
-                      principal=_slash_principal(
-                          side, P, n - m + 2, lo_ + 1, j - m + 2))
-        right = Proof(sequent(_plug_type(ante, parent, lo, hi, e), succ),
-                      "ProdL", (inner,), principal=(P, lo))
-        return e, left, right
+            halves, split = (lf, le), m - split
+        left = apply_rule("ProdR", split, halves)
+        inner = apply_rule(rule, _slash_principal(
+            side, P, n - m + 2, lo_ + 1, j - m + 2), (rf, re))
+        right = apply_rule("ProdL", (P, lo), (inner,))
+        return left.conclusion.succedent, left, right
 
     return _pass_through(p, parent, lo, hi, calc, guarded)
 
@@ -503,28 +407,13 @@ def _pass_through(p: Proof, parent: tuple, lo: int, hi: int,
     """``_extract`` for a span the last rule only carries: interpolate it
     in the premise that holds it, then re-apply the rule to the
     conclusion with the span collapsed to one leaf."""
-    s = p.conclusion
     k, path = _premise_route(p, parent + (lo,))
     e, l, r = _extract(p.premises[k], path[:-1], path[-1],
                        path[-1] + hi - lo, calc, guarded)
-    right = Proof(sequent(_plug_type(s.antecedent, parent, lo, hi, e),
-                          s.succedent), p.rule,
-                  p.premises[:k] + (r,) + p.premises[k + 1:],
-                  principal=_shift(p.principal, parent, hi, 1 - (hi - lo)))
+    right = apply_rule(p.rule, _shift(p.principal, parent, hi, 1 - (hi - lo)),
+                       p.premises[:k] + (r,) + p.premises[k + 1:],
+                       _index_of(p))
     return e, l, right
-
-
-# ---------------------------------------------------------------------------
-# Thin-sequent length identity
-
-
-def thin_interpolant_length_ok(p: Proof, part: Partition,
-                               calc=LDIA_M) -> bool:
-    """``||E|| == |word(selected)|`` for a thin-conclusion proof."""
-    if not is_thin(p.conclusion):
-        raise ValueError("the conclusion is not thin")
-    res = extract_interpolant(p, part, calc)
-    return length(res.interpolant) == wlen(word_of(part.selected))
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +450,7 @@ def eliminate_bracket(p: Proof, calc, bracket_addr=None):
         raise ValueError("cannot eliminate an empty bracket; use the "
                          "empty-bracket base sequent instead")
     icalc = indexed_counterpart(calc)
-    q, theta = thin_index(p, calc)
+    q, theta = _thin_rebuild(p)
     b, variant, pa, pb = _descend(q, beta, icalc)
     return (deindex(b, theta), variant,
             (deindex_proof(pa, theta), deindex_proof(pb, theta)))
@@ -618,7 +507,6 @@ def _premise_route(node: Proof, beta: tuple):
 def _descend(node: Proof, beta: tuple, icalc: Calculus):
     """Walk the bracket at ``beta`` up to its introduction and bridge it."""
     rule, pr = node.rule, node.principal
-    s = node.conclusion
     if rule == "DiaR" and beta == (0,):
         inner = node.premises[0]
         res = extract_interpolant(
@@ -626,49 +514,31 @@ def _descend(node: Proof, beta: tuple, icalc: Calculus):
             partition_at(inner.conclusion.antecedent, (), 0,
                          len(inner.conclusion.antecedent)),
             icalc)
-        b = res.interpolant
-        i = s.succedent.index
-        mid = Proof(sequent((bracket((leaf(b),), i),), s.succedent),
-                    "DiaR", (res.right_proof,))
-        pb = Proof(sequent((leaf(dia(b, i)),), s.succedent), "DiaL",
-                   (mid,), principal=((), 0))
-        return b, "dia", res.left_proof, pb
+        mid = apply_rule("DiaR", None, (res.right_proof,), _index_of(node))
+        pb = apply_rule("DiaL", ((), 0), (mid,))
+        return res.interpolant, "dia", res.left_proof, pb
     if rule == "BoxDownL" and beta == pr[0] + (pr[1],):
         P, j = pr
         inner = node.premises[0]
         res = extract_interpolant(
             inner, partition_at(inner.conclusion.antecedent, P, j, j + 1),
             icalc)
-        b = res.interpolant
-        br = children_at(s.antecedent, P)[j]
-        t = br.children[0].type
-        opened = Proof(sequent((bracket((leaf(t),), br.index),), b),
-                       "BoxDownL", (res.left_proof,), principal=((), 0))
-        pa = Proof(sequent((leaf(t),), boxdown(b, br.index)),
-                   "BoxDownR", (opened,))
-        return b, "boxd", pa, res.right_proof
+        opened = apply_rule("BoxDownL", ((), 0), (res.left_proof,),
+                            _index_of(node))
+        pa = apply_rule("BoxDownR", None, (opened,))
+        return res.interpolant, "boxd", pa, res.right_proof
     target, beta2 = _premise_route(node, beta)
     b, variant, pa, pb = _descend(node.premises[target], beta2, icalc)
     if _acts_inside(rule, pr, beta):
         # The rule only transforms the bracket's contents: the proof of
         # the replaced conclusion passes through unchanged, and the rule
         # is re-applied on the contents side, re-rooted to the bracket.
-        contents = subtree(s.antecedent, beta).children
-        prems = list(node.premises)
-        prems[target] = pa
-        inner = (pr[0][len(beta):],) + pr[1:]
-        new_pa = Proof(sequent(contents, pa.conclusion.succedent), rule,
-                       tuple(prems), principal=inner)
-        return b, variant, new_pa, pb
-    br = subtree(s.antecedent, beta)
-    bridge = leaf(dia(b, br.index)) if variant == "dia" else leaf(b)
-    new_ante = replace_span(s.antecedent, beta[:-1], beta[-1],
-                            beta[-1] + 1, (bridge,))
-    prems = list(node.premises)
-    prems[target] = pb
-    rebuilt = Proof(sequent(new_ante, s.succedent), rule, tuple(prems),
-                    principal=pr)
-    return b, variant, pa, rebuilt
+        prems = node.premises[:target] + (pa,) + node.premises[target + 1:]
+        pa = apply_rule(rule, (pr[0][len(beta):],) + pr[1:], prems,
+                        _index_of(node))
+        return b, variant, pa, pb
+    prems = node.premises[:target] + (pb,) + node.premises[target + 1:]
+    return b, variant, pa, apply_rule(rule, pr, prems, _index_of(node))
 
 
 # ---------------------------------------------------------------------------
@@ -721,27 +591,41 @@ def cut_reduce_flat(s: Sequent, prims, m: int, calc) -> CutDerivation:
         if k <= n - 1:
             res = extract_interpolant(
                 thin, partition_at(tante, (), k - 1, k + 1), icalc)
-            e = deindex(res.interpolant, theta)
-            assert length(e) <= m
+            e = _bounded(deindex(res.interpolant, theta), m, seq)
             piece = sequent(seq.antecedent[k - 1:k + 1], e)
             rest = sequent(seq.antecedent[:k - 1] + (leaf(e),)
                            + seq.antecedent[k + 1:], seq.succedent)
-            rest_proof = deindex_proof(res.right_proof, theta)
-            assert rest_proof.conclusion == rest
+            rest_proof = _concluding(
+                deindex_proof(res.right_proof, theta), rest)
             position = (seq.antecedent[:k - 1] + (HOLE,)
                         + seq.antecedent[k + 1:])
             return cut_node(cut_leaf(piece), reduce_step(rest, rest_proof),
                             position)
         res = extract_interpolant(
             thin, partition_at(tante, (), 0, n - 1), icalc)
-        e = deindex(res.interpolant, theta)
-        assert length(e) <= m
+        e = _bounded(deindex(res.interpolant, theta), m, seq)
         head = sequent(seq.antecedent[:n - 1], e)
-        head_proof = deindex_proof(res.left_proof, theta)
-        assert head_proof.conclusion == head
+        head_proof = _concluding(deindex_proof(res.left_proof, theta), head)
         piece = sequent((leaf(e), seq.antecedent[n - 1]), seq.succedent)
         position = (HOLE, seq.antecedent[n - 1])
         return cut_node(reduce_step(head, head_proof), cut_leaf(piece),
                         position)
 
     return reduce_step(s, proof)
+
+
+def _bounded(e: Type, m: int, s: Sequent) -> Type:
+    """``e``, an interpolant cut out of ``s``, if it is within the bound."""
+    if length(e) > m:
+        raise RuntimeError(f"interpolant {print_type(e)} of "
+                           f"{print_sequent(s)} exceeds the length bound {m}")
+    return e
+
+
+def _concluding(p: Proof, s: Sequent) -> Proof:
+    """``p``, if it concludes ``s``."""
+    if p.conclusion != s:
+        raise RuntimeError(f"a reduction piece proves "
+                           f"{print_sequent(p.conclusion)}, not "
+                           f"{print_sequent(s)}")
+    return p

@@ -12,7 +12,10 @@ canonical proofs, which keeps every derived artifact reproducible.
 
 ``instances`` is the one place that says what a rule instance is: it
 yields each instance with its premises, in that canonical order, and
-both the search and the independent checker ``check`` read it.
+both the search and the independent checker ``check`` read it.  It is
+the backward reading of the rules; ``apply_rule`` is the forward one,
+over the same principal encodings, and every proof node with premises
+that the interpolator rebuilds goes through it.
 
 As a sound pruning step, a subgoal whose antecedent and succedent have
 different free-group images is refuted without search: every rule
@@ -28,14 +31,15 @@ from typing import Iterator, Optional
 from .freegroup import word_of
 from .syntax import (
     UNIT, BoxDown, Bracket, Dia, Leaf, Over, Prim, Prod, Sequent, Type,
-    Under, Calculus, ParseError, calculus, leaf, bracket, deindex,
-    over, parse_sequent, prim, prim_count, print_sequent,
-    prod, replace_span, sequent, under, validate_sequent,
+    Under, Calculus, ParseError, boxdown, bracket, calculus, children_at,
+    deindex, dia, leaf, over, parse_sequent, prim, prim_count,
+    print_sequent, prod, replace_children, replace_span, sequent, under,
+    validate_sequent,
 )
 
 __all__ = [
     "Proof", "ProofSearchTimeout", "RULES", "LEFT_RULES",
-    "Prover", "prove", "prove_flat", "check", "instances",
+    "Prover", "prove", "check", "instances", "apply_rule",
     "print_proof", "parse_proof", "deindex_proof",
     "translate_flat", "is_guarded",
 ]
@@ -85,9 +89,6 @@ class Proof:
 
     def __hash__(self):
         return hash((self.conclusion, self.rule, self.premises))
-
-    def size(self) -> int:
-        return 1 + sum(q.size() for q in self.premises)
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +189,61 @@ def instances(s: Sequent, calc: Calculus) -> Iterator:
             sequent(replace_span(ante, parent, j, j + 1, repl), succ),)
 
 
+def apply_rule(rule: str, principal, premises,
+               index: Optional[int] = None) -> Proof:
+    """The proof that ``rule`` at ``principal`` builds from ``premises``.
+
+    The forward reading of ``instances``, with the same principal
+    encodings: the conclusion is computed from the premises'
+    conclusions, which must fit the rule as ``check`` would confirm.
+    ``index`` is the bracket index that DiaR and BoxDownL introduce,
+    since no premise records it.  Ax and UnitR have no premises and are
+    built as ``Proof`` literals.
+    """
+    if not premises:
+        raise ValueError(f"{rule} has no premises to apply it to")
+    s = premises[-1].conclusion
+    ante, succ = s.antecedent, s.succedent
+    if rule in LEFT_RULES:
+        parent, x = principal[0], principal[1]
+        sibs = children_at(ante, parent)
+        y = x + 1
+        if rule == "UnderL" or rule == "OverL":
+            # the result leaf at x becomes the argument hedge with the
+            # connective leaf on its right (\) or left (/)
+            arg = premises[0].conclusion
+            if rule == "OverL":
+                repl = ((leaf(over(sibs[x].type, arg.succedent)),)
+                        + arg.antecedent)
+            else:
+                repl = arg.antecedent + (
+                    leaf(under(arg.succedent, sibs[x].type)),)
+        elif rule == "ProdL":
+            repl, y = (leaf(prod(sibs[x].type, sibs[x + 1].type)),), x + 2
+        elif rule == "DiaL":
+            br = sibs[x]
+            repl = (leaf(dia(br.children[0].type, br.index)),)
+        elif rule == "UnitL":
+            repl, y = (leaf(UNIT),), x
+        else:
+            repl = (bracket((leaf(boxdown(sibs[x].type, index)),), index),)
+        ante = replace_children(ante, parent, sibs[:x] + repl + sibs[y:])
+    elif rule == "UnderR":
+        ante, succ = ante[1:], under(ante[0].type, succ)
+    elif rule == "OverR":
+        ante, succ = ante[:-1], over(succ, ante[-1].type)
+    elif rule == "ProdR":
+        first = premises[0].conclusion
+        ante, succ = first.antecedent + ante, prod(first.succedent, succ)
+    elif rule == "DiaR":
+        ante, succ = (bracket(ante, index),), dia(succ, index)
+    elif rule == "BoxDownR":
+        ante, succ = ante[0].children, boxdown(succ, ante[0].index)
+    else:
+        raise ValueError(f"{rule} takes no premises")
+    return Proof(sequent(ante, succ), rule, premises, principal)
+
+
 # ---------------------------------------------------------------------------
 # Search
 
@@ -264,14 +320,6 @@ def prove(s: Sequent, calc, timeout_ms: Optional[float] = None) -> Optional[Proo
     running many related queries.
     """
     return Prover(calc, timeout_ms).prove(s)
-
-
-def prove_flat(s: Sequent, calc, timeout_ms: Optional[float] = None) -> Optional[Proof]:
-    """``prove`` restricted to the bracket-free calculi (L, L*, L*1)."""
-    c = calculus(calc)
-    if c.brackets:
-        raise ValueError(f"prove_flat expects a bracket-free calculus, got {c.name}")
-    return prove(s, c, timeout_ms)
 
 
 # ---------------------------------------------------------------------------

@@ -34,9 +34,9 @@ __all__ = [
     "Tree", "Leaf", "Bracket", "Hole", "HOLE", "leaf", "bracket",
     "Hedge", "Sequent", "sequent",
     "print_type", "print_tree", "print_hedge", "print_sequent",
-    "parse_type", "parse_tree", "parse_hedge", "parse_context",
+    "parse_type", "parse_hedge", "parse_context",
     "parse_sequent", "parse_grammar",
-    "length", "prim_count", "mod_count", "prim_counts", "mod_counts",
+    "length", "prim_count", "prim_counts", "mod_counts",
     "mod_total", "unit_count", "is_thin", "deindex",
     "plug", "yield_of", "subtree", "children_at", "replace_children",
     "replace_span", "span_partition", "hole_coords", "bracket_addresses",
@@ -250,8 +250,8 @@ def boxdown(body: Type, index: Optional[int] = None) -> BoxDown:
 class Tree:
     """A node of the bracketed antecedent structure."""
 
-    __slots__ = ("mode", "n_leaves", "holes", "brackets", "empty_brackets",
-                 "units", "_hash", "_prims", "_mods", "_str", "_word")
+    __slots__ = ("mode", "holes", "empty_brackets", "units", "_hash",
+                 "_prims", "_mods", "_str", "_word")
 
     def __hash__(self) -> int:
         return self._hash
@@ -318,9 +318,7 @@ def leaf(t: Type) -> Leaf:
     tr = Leaf.__new__(Leaf)
     tr.type = t
     tr.mode = t.mode
-    tr.n_leaves = 1
     tr.holes = 0
-    tr.brackets = 0
     tr.empty_brackets = 0
     tr.units = t.units
     tr._hash = hash(("leaf", t))
@@ -337,15 +335,11 @@ def bracket(children, index: Optional[int] = None) -> Bracket:
     _check_index(index)
     mode = "plain" if index is None else "indexed"
     holes = 0
-    n_leaves = 0
-    brackets = 1
     empties = 0 if children else 1
     units = 0
     for ch in children:
         mode = _join_mode(mode, ch.mode)
         holes += ch.holes
-        n_leaves += ch.n_leaves
-        brackets += ch.brackets
         empties += ch.empty_brackets
         units += ch.units
     if holes > 1:
@@ -354,9 +348,7 @@ def bracket(children, index: Optional[int] = None) -> Bracket:
     tr.index = index
     tr.children = children
     tr.mode = mode
-    tr.n_leaves = n_leaves
     tr.holes = holes
-    tr.brackets = brackets
     tr.empty_brackets = empties
     tr.units = units
     tr._hash = hash(("bracket", index, children))
@@ -370,9 +362,7 @@ def bracket(children, index: Optional[int] = None) -> Bracket:
 def _make_hole() -> Hole:
     tr = Hole.__new__(Hole)
     tr.mode = None
-    tr.n_leaves = 0
     tr.holes = 1
-    tr.brackets = 0
     tr.empty_brackets = 0
     tr.units = 0
     tr._hash = hash(("hole",))
@@ -653,13 +643,6 @@ def parse_type(text: str) -> Type:
     return t
 
 
-def parse_tree(text: str) -> Tree:
-    p = _Parser(text)
-    tr = p.tree()
-    p.expect_end()
-    return tr
-
-
 def _parse_hedge(text: str) -> Hedge:
     p = _Parser(text)
     h = p.hedge()
@@ -742,11 +725,6 @@ def _mods_of(x: _Countable) -> Counter:
 def prim_count(name: str, x: _Countable) -> int:
     """Occurrences of the primitive ``name`` in ``x``."""
     return _prims_of(x)[name]
-
-
-def mod_count(index: Optional[int], x: _Countable) -> int:
-    """Total occurrences of brackets and modalities carrying ``index``."""
-    return _mods_of(x)[index]
 
 
 def prim_counts(x: _Countable) -> Counter:

@@ -118,7 +118,7 @@ def test_shared_prover_matches_fresh_memos(prims, m, calc, tmp_path):
         assert rs.flat_rules == tuple(s for s, _ in flat)
         assert rs.bridge_rules == tuple(s for s, _ in bridges)
         for s, proof in flat + bridges:
-            assert print_proof(rs.proof_of(s)) == print_proof(proof)
+            assert print_proof(rs.proofs[s]) == print_proof(proof)
 
 
 class TestBuildRulesets:
@@ -129,7 +129,7 @@ class TestBuildRulesets:
         assert rs.bridge_rules == ()
         assert parse_sequent("p p \\ p => p") in rs.flat_rules
         for s in rs.rules:
-            proof = rs.proof_of(s)
+            proof = rs.proofs[s]
             assert proof.conclusion == s
             assert check(proof, LDIA)
 
@@ -139,7 +139,7 @@ class TestBuildRulesets:
         assert parse_sequent("[ boxd p ] => p") in rs.bridge_rules
         assert len(rs.bridge_rules) == 2
         for s in rs.bridge_rules:
-            assert check(rs.proof_of(s), LDIA)
+            assert check(rs.proofs[s], LDIA)
 
     def test_guarded_empty_bracket_axiom(self):
         rs = build_rulesets({"p"}, 1, L1STAR_DIA)
@@ -174,7 +174,7 @@ class TestBuildRulesets:
         assert again.flat_rules == fresh.flat_rules
         assert again.bridge_rules == fresh.bridge_rules
         for s in again.rules:
-            assert check(again.proof_of(s), LDIA)
+            assert check(again.proofs[s], LDIA)
 
     def test_corrupt_cache_recomputed(self, tmp_path):
         fresh = build_rulesets({"p"}, 2, LDIA, cache_dir=tmp_path)

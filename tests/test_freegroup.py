@@ -11,11 +11,13 @@ from lambrack.freegroup import (
     IDENTITY, close_letter, inv, mul, open_letter, prim_letter, print_word,
     shrinking_pair, wlen, word, word_of,
 )
-from lambrack.harness import _cut_candidates, _hedges_exact, bundled_grammar
+from lambrack.harness import _hedges_exact, bundled_grammar
 from lambrack.syntax import (
     L1STAR_DIA, UNIT, BoxDown, Bracket, Dia, Leaf, Over, Prim, Prod, Under,
     length, mod_total, parse_hedge, parse_sequent, parse_type,
 )
+
+from helpers import cut_candidates
 
 a = (prim_letter("a"),)
 b = (prim_letter("b"),)
@@ -236,7 +238,7 @@ def _interp_items(pairs):
 
 def _cut_items():
     types = enum_types({"p"}, 2, guarded=True)
-    sampled = [s for i, s in enumerate(_cut_candidates(L1STAR_DIA, types))
+    sampled = [s for i, s in enumerate(cut_candidates(L1STAR_DIA, types))
                if i % 97 == 0]
     return [x for s in sampled for x in (s.antecedent, s.succedent)]
 

@@ -13,8 +13,8 @@ from lambrack import harness
 from lambrack.compiler import enum_types
 from lambrack.freegroup import count_key, word_of
 from lambrack.harness import (
-    BUNDLED_GRAMMARS, DEFAULT_SEED, Report, _bracket_count, _cut_candidates,
-    _grammar_member, _hedge_at, _hedge_count, _hedges_exact, bundled_grammar,
+    BUNDLED_GRAMMARS, DEFAULT_SEED, Report, _bracket_count, _grammar_member,
+    _hedge_at, _hedge_count, _hedges_exact, bundled_grammar,
     format_reports, load_grammar, run_freegroup_soundness,
     run_identity_family, run_equivalence, run_golden, run_shrinking_trials,
     write_reports,
@@ -25,6 +25,8 @@ from lambrack.syntax import (
     dia, leaf, length, mod_total, over, parse_sequent, prim, prod, sequent,
     under,
 )
+
+from helpers import cut_candidates
 
 
 class TestReportType:
@@ -185,7 +187,7 @@ def test_cut_completeness_hands_over_the_same_sequents(monkeypatch):
     total = balanced = 0
     for calc, guarded in ((LDIA, False), (L1STAR_DIA, True)):
         types = enum_types({"p"}, 2, guarded=guarded)
-        candidates = list(_cut_candidates(calc, types))
+        candidates = list(cut_candidates(calc, types))
         total += len(candidates)
         stride = 1 if len(candidates) <= 10000 else 50
         unbalanced_i = 0

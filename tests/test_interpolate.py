@@ -2,6 +2,7 @@
 elimination, and the flat Cut reduction."""
 
 import hashlib
+import re
 from collections import Counter
 
 import pytest
@@ -14,11 +15,9 @@ from lambrack import interpolate
 from lambrack.interpolate import (
     cut_reduce_flat, eliminate_bracket, extract_interpolant,
     extract_interpolants, indexed_counterpart, partition_at, thin_index,
-    thin_interpolant_length_ok,
 )
-from lambrack.harness import _cut_candidates
 from lambrack.prover import (
-    Proof, Prover, check, is_guarded, print_proof, prove,
+    RULES, Proof, Prover, apply_rule, check, is_guarded, print_proof, prove,
 )
 from lambrack.syntax import (
     HOLE, L1STAR, L1STAR_DIA, L1STAR_DIA_M, LDIA, LDIA_M, LSTAR_DIA, UNIT,
@@ -27,6 +26,7 @@ from lambrack.syntax import (
     parse_type, partitions, plug, prim, prim_counts, print_sequent,
     print_type, prod, replace_span, sequent, sequent_types, subtree, under,
 )
+from helpers import cut_candidates
 from test_prover import GOLDEN, _small_sequents
 
 P, Q = prim("p"), prim("q")
@@ -185,6 +185,15 @@ class TestThinIndex:
             assert check(q, L1STAR_DIA_M), text
             assert deindex(q.conclusion, theta) == deindex(s), text
 
+    def test_changed_conclusion_is_a_runtime_error(self, monkeypatch):
+        # a rebuild whose conclusion does not deindex back to the input
+        # stops with an error naming the sequent, also under python -O
+        monkeypatch.setattr(interpolate, "prim", lambda name: P)
+        pf = prove(parse_sequent("p p \\ q => q"), LDIA)
+        with pytest.raises(RuntimeError,
+                           match=re.escape("of p p \\ q => q to p p \\ p => p")):
+            thin_index(pf, LDIA)
+
 
 def _occurrence_bounds_ok(res, part, succedent):
     """Interpolant occurrence counts within the min of the two sides."""
@@ -205,6 +214,151 @@ def _extraction_ok(res, part, s, calc):
             and check(res.left_proof, calc)
             and check(res.right_proof, calc)
             and _occurrence_bounds_ok(res, part, s.succedent))
+
+
+def _reference_thin_rebuild(p):
+    """The rule-by-rule thin rebuild that ``apply_rule`` replaced, kept
+    verbatim as the reference for its differential test."""
+    counters = {"prim": 0, "index": 0}
+    theta = {}
+
+    def fresh_prim(original):
+        counters["prim"] += 1
+        name = f"p{counters['prim']}"
+        theta[name] = original.name
+        return prim(name)
+
+    def fresh_index() -> int:
+        counters["index"] += 1
+        return counters["index"]
+
+    def rebuild(node: Proof) -> Proof:
+        prems = tuple(rebuild(q) for q in node.premises)
+        rule, pr = node.rule, node.principal
+        if rule == "Ax":
+            t = fresh_prim(node.conclusion.succedent)
+            return Proof(sequent((leaf(t),), t), "Ax")
+        if rule == "UnitR":
+            return Proof(sequent((), UNIT), "UnitR")
+        if rule == "UnderR" or rule == "OverR":
+            # the argument is the premise's first (\) or last (/) leaf
+            side = rule == "OverR"
+            s1 = prems[0].conclusion
+            h, c = s1.antecedent, s1.succedent
+            a, rest = (h[-1], h[:-1]) if side else (h[0], h[1:])
+            t = over(c, a.type) if side else under(a.type, c)
+            return Proof(sequent(rest, t), rule, prems)
+        if rule == "ProdR":
+            s1, s2 = prems[0].conclusion, prems[1].conclusion
+            return Proof(sequent(s1.antecedent + s2.antecedent,
+                                 prod(s1.succedent, s2.succedent)),
+                         "ProdR", prems, principal=pr)
+        if rule == "DiaR":
+            n = fresh_index()
+            s1 = prems[0].conclusion
+            return Proof(sequent((bracket(s1.antecedent, n),),
+                                 dia(s1.succedent, n)), "DiaR", prems)
+        if rule == "BoxDownR":
+            s1 = prems[0].conclusion
+            br = s1.antecedent[0]
+            return Proof(sequent(br.children, boxdown(s1.succedent, br.index)),
+                         "BoxDownR", prems)
+        if rule == "UnderL" or rule == "OverL":
+            # the result leaf at the block's start becomes the argument
+            # hedge with the connective leaf on its right (\) or left (/)
+            side = rule == "OverL"
+            parent, x = pr[0], pr[1]
+            arg, ctx = prems[0].conclusion, prems[1].conclusion
+            b = children_at(ctx.antecedent, parent)[x].type
+            a = arg.succedent
+            c = (leaf(over(b, a) if side else under(a, b)),)
+            new_ante = replace_span(
+                ctx.antecedent, parent, x, x + 1,
+                c + arg.antecedent if side else arg.antecedent + c)
+            return Proof(sequent(new_ante, ctx.succedent), rule, prems,
+                         principal=pr)
+        ctx = prems[0].conclusion
+        parent, j = pr
+        if rule == "ProdL":
+            sibs = children_at(ctx.antecedent, parent)
+            t = prod(sibs[j].type, sibs[j + 1].type)
+            new_ante = replace_span(ctx.antecedent, parent, j, j + 2,
+                                    (leaf(t),))
+        elif rule == "DiaL":
+            br = children_at(ctx.antecedent, parent)[j]
+            t = dia(br.children[0].type, br.index)
+            new_ante = replace_span(ctx.antecedent, parent, j, j + 1,
+                                    (leaf(t),))
+        elif rule == "UnitL":
+            new_ante = replace_span(ctx.antecedent, parent, j, j,
+                                    (leaf(UNIT),))
+        elif rule == "BoxDownL":
+            n = fresh_index()
+            a = children_at(ctx.antecedent, parent)[j].type
+            new_ante = replace_span(
+                ctx.antecedent, parent, j, j + 1,
+                (bracket((leaf(boxdown(a, n)),), n),))
+        else:
+            raise AssertionError(f"unhandled rule {rule}")
+        return Proof(sequent(new_ante, ctx.succedent), rule, prems,
+                     principal=pr)
+
+    out = rebuild(p)
+    assert deindex(out.conclusion, theta) == deindex(p.conclusion)
+    return out, theta
+
+
+def _apply_rule_proofs(population):
+    """Every population proof, the digest's unit, starred and guarded
+    rows, and the thin rebuild of each."""
+    proofs = [pf for _, pf in population]
+    for rows, calc in ((UNIT_ROWS, L1STAR_DIA), (STARRED_ROWS, LSTAR_DIA),
+                       (GUARDED_ROWS, L1STAR_DIA)):
+        proofs += [prove(parse_sequent(t), calc) for t in rows]
+    return proofs + [interpolate._thin_rebuild(pf)[0] for pf in proofs]
+
+
+class TestApplyRule:
+    def test_reproduces_every_node(self, interp_population):
+        seen = set()
+        for pf in _apply_rule_proofs(interp_population):
+            stack = [pf]
+            while stack:
+                node = stack.pop()
+                stack.extend(node.premises)
+                if not node.premises:
+                    continue
+                s = node.conclusion
+                index = None
+                if node.rule == "DiaR":
+                    index = s.succedent.index
+                elif node.rule == "BoxDownL":
+                    parent, j = node.principal
+                    index = children_at(s.antecedent, parent)[j].index
+                out = apply_rule(node.rule, node.principal, node.premises,
+                                 index)
+                assert out.conclusion == s, print_proof(node)
+                assert out.principal == node.principal
+                seen.add((node.rule, index is not None))
+        rules = set(RULES) - {"Ax", "UnitR"}
+        assert {rule for rule, _ in seen} == rules
+        assert {("DiaR", False), ("DiaR", True), ("BoxDownL", False),
+                ("BoxDownL", True)} <= seen
+
+    def test_thin_rebuild_matches_the_rule_by_rule_reference(
+            self, interp_population):
+        for pf in _apply_rule_proofs(interp_population):
+            got, theta = interpolate._thin_rebuild(pf)
+            want, want_theta = _reference_thin_rebuild(pf)
+            # the proof text and every node's principal
+            assert _proof_record(got) == _proof_record(want)
+            assert theta == want_theta
+
+    def test_rules_without_premises(self):
+        with pytest.raises(ValueError):
+            apply_rule("Ax", None, ())
+        with pytest.raises(ValueError):
+            apply_rule("UnitR", None, ())
 
 
 class TestExtractGoldens:
@@ -394,6 +548,14 @@ class TestExtractSweeps:
         assert seen > 10
 
 
+def thin_interpolant_length_ok(p, part, calc=LDIA_M):
+    """``||E|| == |word(selected)|`` for a thin-conclusion proof."""
+    if not is_thin(p.conclusion):
+        raise ValueError("the conclusion is not thin")
+    res = extract_interpolant(p, part, calc)
+    return length(res.interpolant) == wlen(word_of(part.selected))
+
+
 class TestThinInterpolantLength:
     def test_small_sweep(self):
         for s, pf in _provable_small():
@@ -510,6 +672,18 @@ class TestEliminateBracket:
         with pytest.raises(ValueError):
             eliminate_bracket(pf, "L")
 
+    def test_checks_the_proof_once(self, monkeypatch):
+        pf = prove(parse_sequent("[ p p \\ boxd p ] => p"), LDIA)
+        checked = []
+
+        def counting_check(p, calc):
+            checked.append(p is pf)
+            return check(p, calc)
+
+        monkeypatch.setattr(interpolate, "check", counting_check)
+        eliminate_bracket(pf, LDIA)
+        assert checked.count(True) == 1
+
 
 class TestCutReduceFlat:
     def test_width_two_is_a_leaf(self):
@@ -571,6 +745,17 @@ class TestCutReduceFlat:
         s = parse_sequent("[ p ] => dia p")
         with pytest.raises(ValueError):
             cut_reduce_flat(s, {"p"}, 2, LDIA)
+
+    def test_wrong_piece_is_a_runtime_error(self, monkeypatch):
+        # a piece proof that concludes the wrong sequent stops the
+        # reduction with an error naming both, also under python -O
+        wrong = prove(parse_sequent("p => p"), LDIA)
+        monkeypatch.setattr(interpolate, "deindex_proof",
+                            lambda p, theta: wrong)
+        with pytest.raises(RuntimeError, match=re.escape(
+                "a reduction piece proves p => p, not p p \\ p => p")):
+            cut_reduce_flat(parse_sequent("p p \\ p p \\ p => p"),
+                            {"p"}, 2, LDIA)
 
     def test_rejects_foreign_primitive(self):
         s = parse_sequent("q => q")
@@ -666,7 +851,7 @@ def _digest_records(population, tally):
         yield from _sweep(pf, LDIA, False, (None,), tally)
     tally["plain"] = dict(tally)
     prover = Prover(L1STAR_DIA)
-    for s in _cut_candidates(L1STAR_DIA, enum_types({"p"}, 2, guarded=True)):
+    for s in cut_candidates(L1STAR_DIA, enum_types({"p"}, 2, guarded=True)):
         pf = prover.prove(s)
         if pf is not None:
             tally["unit provables"] += 1

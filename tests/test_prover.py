@@ -11,8 +11,7 @@ from lambrack.freegroup import word_of
 from lambrack.interpolate import thin_index
 from lambrack.prover import (
     Proof, ProofSearchTimeout, Prover, check, deindex_proof, instances,
-    is_guarded, parse_proof, print_proof, prove, prove_flat,
-    translate_flat,
+    is_guarded, parse_proof, print_proof, prove, translate_flat,
 )
 from lambrack.prover import RULES
 from lambrack.syntax import (
@@ -771,13 +770,6 @@ class TestProofText:
 
 
 class TestEngine:
-    def test_flat_helper(self):
-        assert prove_flat(parse_sequent("p p \\ q => q"), L) is not None
-        with pytest.raises(ValueError):
-            prove_flat(parse_sequent("p => p"), LDIA)
-        with pytest.raises(ValueError):
-            prove_flat(parse_sequent("[ p ] => dia p"), L)
-
     def test_timeout(self):
         s = parse_sequent(" ".join(["q"] + ["p \\ p"] * 12 + ["=> q"]))
         with pytest.raises(ProofSearchTimeout):
@@ -830,7 +822,7 @@ class TestTranslation:
         c = translate_flat(parse_type("dia boxd (p * q)"))
         assert prove(parse_sequent("dia boxd p dia boxd q => dia boxd (p * q)"),
                      LDIA) is None
-        assert prove_flat(sequent((leaf(a), leaf(b)), c), L) is not None
+        assert prove(sequent((leaf(a), leaf(b)), c), L) is not None
 
     def test_translation_preserves_provability(self):
         s = parse_sequent("dia p => dia p")
@@ -838,7 +830,7 @@ class TestTranslation:
                             for tr in s.antecedent),
                       translate_flat(s.succedent))
         assert prove(s, LDIA) is not None
-        assert prove_flat(img, L) is not None
+        assert prove(img, L) is not None
 
 
 class TestGuardedness:

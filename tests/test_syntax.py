@@ -12,9 +12,9 @@ from lambrack.syntax import (
     HOLE, L1STAR_DIA_M, LDIA, LDIA_M, L, L1STAR, LSTAR_DIA,
     Bracket, BoxDown, Dia, Leaf, Over, Prim, Prod, UNIT, Under,
     ParseError, boxdown, bracket, bracket_addresses, calculus, children_at,
-    deindex, dia, hole_coords, is_flat, is_thin, leaf, length, mod_count,
+    deindex, dia, hole_coords, is_flat, is_thin, leaf, length,
     mod_counts, mod_total, over, parse_context, parse_grammar, parse_hedge,
-    parse_sequent, parse_tree, parse_type, partitions, plug, prim,
+    parse_sequent, parse_type, partitions, plug, prim,
     prim_count, prim_counts, print_hedge, print_sequent, print_tree,
     print_type, prod, replace_span, sequent, span_partition, subtree,
     under, unit_count, validate_sequent, yield_of,
@@ -201,10 +201,11 @@ INDEXED_GOLDEN = "[:2 [:1 p1 ]:1 dia:1 p1 \\ p2 ]:2 => boxd:3 dia:3 dia:2 p2"
 
 def test_mod_count_examples():
     s = parse_sequent(INDEXED_GOLDEN)
-    assert mod_count(2, s) == 2
-    assert mod_count(1, s) == 2
-    assert mod_count(3, s) == 2
-    assert mod_count(5, s) == 0
+    counts = mod_counts(s)
+    assert counts[2] == 2
+    assert counts[1] == 2
+    assert counts[3] == 2
+    assert counts[5] == 0
 
 
 def test_counts_tables():
