@@ -26,12 +26,13 @@ import itertools
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
+from operator import attrgetter
 from typing import Optional
 
 from .syntax import (
     HOLE, Bracket, Hedge, Leaf, Sequent, Type,
-    bracket_addresses, leaf, parse_type, plug, print_sequent,
-    print_type, replace_span, sequent,
+    bracket_addresses, leaf, nodes, parse_type, plug, preorder,
+    print_sequent, print_type, replace_span, sequent,
 )
 
 __all__ = [
@@ -67,22 +68,26 @@ class CutDerivation:
     def is_leaf(self) -> bool:
         return self.left is None
 
+    @property
+    def premises(self) -> tuple:
+        """The two sub-derivations of a Cut; none for a leaf."""
+        return () if self.left is None else (self.left, self.right)
+
     def leaves(self):
         """Base sequents used, left to right."""
-        if self.is_leaf:
-            yield self.conclusion
-        else:
-            yield from self.left.leaves()
-            yield from self.right.leaves()
+        return (d.conclusion for d, _ in preorder(self, _premises)
+                if d.is_leaf)
 
     def cut_count(self) -> int:
-        if self.is_leaf:
-            return 0
-        return 1 + self.left.cut_count() + self.right.cut_count()
+        return sum(not d.is_leaf for d, _ in preorder(self, _premises))
 
     def __repr__(self):
         kind = "leaf" if self.is_leaf else f"{self.cut_count()} cuts"
         return f"<cut derivation {print_sequent(self.conclusion)} ({kind})>"
+
+
+# ``children`` for ``syntax.preorder`` over Cut and grammar derivations
+_premises, _children = attrgetter("premises"), attrgetter("children")
 
 
 def cut_leaf(s: Sequent) -> CutDerivation:
@@ -108,23 +113,26 @@ def cut_node(left: CutDerivation, right: CutDerivation,
 
 
 def replay_cuts(d: CutDerivation, base=None) -> bool:
-    """Re-check a derivation bottom-up.
+    """Re-check every node of a derivation.
 
     Every inner node must be a correct Cut instance, and when ``base``
     is given (any container supporting ``in``), every leaf conclusion
     must belong to it.
     """
-    if d.is_leaf:
-        return base is None or d.conclusion in base
-    if d.left is None or d.right is None or d.position is None:
-        return False
-    try:
-        rebuilt = cut_node(d.left, d.right, d.position)
-    except ValueError:
-        return False
-    if rebuilt.conclusion != d.conclusion:
-        return False
-    return replay_cuts(d.left, base) and replay_cuts(d.right, base)
+    for node, _ in preorder(d, _premises):
+        if node.is_leaf:
+            if base is not None and node.conclusion not in base:
+                return False
+            continue
+        if node.right is None or node.position is None:
+            return False
+        try:
+            rebuilt = cut_node(node.left, node.right, node.position)
+        except ValueError:
+            return False
+        if rebuilt.conclusion != node.conclusion:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +220,8 @@ class Derivation:
     children: tuple = ()
 
     def fringe(self) -> tuple:
-        if self.production is None:
-            return (self.symbol,)
-        return tuple(s for c in self.children for s in c.fringe())
+        return tuple(d.symbol for d, _ in preorder(self, _children)
+                     if d.production is None)
 
     def __repr__(self):
         return f"<derivation of {_show_symbol(self.symbol)!r}>"
@@ -226,9 +233,7 @@ def _show_symbol(sym) -> str:
 
 def replay_derivation(d: Derivation, g: Cfg) -> bool:
     """Check that every step of ``d`` applies a production of ``g``."""
-    stack = [d]
-    while stack:
-        d = stack.pop()
+    for d, _ in preorder(d, _children):
         if d.production is None:
             if not (isinstance(d.symbol, Type) or d.symbol in g.terminals):
                 return False
@@ -240,7 +245,6 @@ def replay_derivation(d: Derivation, g: Cfg) -> bool:
             return False
         if any(c.symbol != sym for sym, c in zip(rhs, d.children)):
             return False
-        stack.extend(d.children)
     return True
 
 
@@ -662,7 +666,9 @@ class CutBase:
         self.inner_indices = set()
         for r in self.rules:
             ante = r.antecedent
-            _add_inner_indices(ante, self.inner_indices)
+            self.inner_indices.update(
+                tr.index for _, _, tr, _ in nodes(ante)
+                if isinstance(tr, Bracket) and tr.children)
             self.by_succedent.setdefault(r.succedent, []).append(r)
             if not ante:
                 self.empty.append(r)
@@ -677,14 +683,6 @@ class CutBase:
 
     def __repr__(self):
         return f"<cut base of {len(self.rules)} sequents>"
-
-
-def _add_inner_indices(trees, out: set):
-    """Add the indices of the non-empty brackets in ``trees`` to ``out``."""
-    for tr in trees:
-        if isinstance(tr, Bracket) and tr.children:
-            out.add(tr.index)
-            _add_inner_indices(tr.children, out)
 
 
 def _first_key(tr) -> object:

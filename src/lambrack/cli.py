@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -32,8 +33,9 @@ from .prover import (
     translate_flat,
 )
 from .syntax import (
-    ParseError, Type, calculus, children_at, hole_coords, parse_context,
-    parse_hedge, parse_sequent, parse_type, print_sequent, print_type,
+    ParseError, Type, calculus, children_at, fold, hole_coords,
+    parse_context, parse_hedge, parse_sequent, parse_type, preorder,
+    print_sequent, print_type,
 )
 from .freegroup import print_word, word_of
 
@@ -132,7 +134,7 @@ def _cmd_interpret(args) -> int:
         item = parse_type(args.text)
     except ParseError:
         item = parse_hedge(args.text)
-    w = word_of(item, allow_plain=True)
+    w = word_of(item)
     _emit(args, {"word": print_word(w)}, print_word(w))
     return 0
 
@@ -164,18 +166,16 @@ def _cmd_compile(args) -> int:
     return 0
 
 
-def _derivation_lines(d, depth=0):
+def _derivation_lines(d):
     def show(sym):
         return print_type(sym) if isinstance(sym, Type) else str(sym)
 
-    if d.production is None:
-        yield "  " * depth + show(d.symbol)
-        return
-    _, rhs = d.production
-    shown = " ".join(show(x) for x in rhs) if rhs else "eps"
-    yield "  " * depth + f"{show(d.symbol)} -> {shown}"
-    for child in d.children:
-        yield from _derivation_lines(child, depth + 1)
+    for node, depth in preorder(d, attrgetter("children")):
+        line = show(node.symbol)
+        if node.production is not None:
+            rhs = node.production[1]
+            line += " -> " + (" ".join(map(show, rhs)) if rhs else "eps")
+        yield "  " * depth + line
 
 
 def _cmd_parse(args) -> int:
@@ -196,18 +196,19 @@ def _cmd_parse(args) -> int:
 
 
 def _cut_tree(d) -> dict:
-    node = {"conclusion": print_sequent(d.conclusion)}
-    if d.left is not None:
-        node["premises"] = [_cut_tree(d.left), _cut_tree(d.right)]
-    return node
+    def node(cut, premises):
+        out = {"conclusion": print_sequent(cut.conclusion)}
+        if premises:
+            out["premises"] = list(premises)
+        return out
+
+    return fold(d, attrgetter("premises"), node)
 
 
-def _cut_lines(d, depth=0):
-    tag = "" if d.left is not None else "  [base]"
-    yield "  " * depth + print_sequent(d.conclusion) + tag
-    if d.left is not None:
-        yield from _cut_lines(d.left, depth + 1)
-        yield from _cut_lines(d.right, depth + 1)
+def _cut_lines(d):
+    for node, depth in preorder(d, attrgetter("premises")):
+        tag = "  [base]" if node.is_leaf else ""
+        yield "  " * depth + print_sequent(node.conclusion) + tag
 
 
 def _cmd_cut_derive(args) -> int:
@@ -362,9 +363,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: proof search timed out: {exc}", file=sys.stderr)
         return 1
     except RecursionError:
-        # the parser, the prover and the proof walks recurse once per
-        # nesting level, so an input deep enough to pass Python's
-        # recursion limit is refused rather than answered
+        # only the sequent parser and the proof search still recurse,
+        # once per nesting level and once per goal, so an input deep
+        # enough to pass Python's recursion limit is refused rather
+        # than answered
         print("error: input nests too deeply for the recursion limit",
               file=sys.stderr)
         return 2

@@ -68,10 +68,6 @@ class RuleSets:
     the empty-bracket axiom).  Each member's proof is kept alongside.
     """
 
-    mode: str          # "plain" or "guarded"
-    prims: frozenset
-    m: int
-    calc_name: str
     flat_rules: tuple
     bridge_rules: tuple
     proofs: dict = field(compare=False, repr=False)
@@ -93,13 +89,13 @@ def _flat_candidates(types, prover):
     """
     buckets = {}
     for t in types:
-        buckets.setdefault(word_of(t, allow_plain=True), []).append(t)
+        buckets.setdefault(word_of(t), []).append(t)
     found = []
     for n in (0, 1, 2) if prover.calc.unit else (1, 2):
         for row in itertools.product(types, repeat=n):
             w = IDENTITY
             for t in row:
-                w = mul(w, word_of(t, allow_plain=True))
+                w = mul(w, word_of(t))
             for c in buckets.get(w, ()):
                 s = sequent(tuple(leaf(t) for t in row), c)
                 proof = prover.prove(s)
@@ -205,8 +201,7 @@ def build_rulesets(prims, m: int, calc, cache_dir=None) -> RuleSets:
     if m < 1:
         raise ValueError("the length bound must be at least 1")
     prims = frozenset(str(p) for p in prims)
-    guarded = calc.unit
-    types = enum_types(prims, m, guarded=guarded)
+    types = enum_types(prims, m, guarded=calc.unit)
     prover = Prover(calc)
     flat = None
     path = None
@@ -228,15 +223,7 @@ def build_rulesets(prims, m: int, calc, cache_dir=None) -> RuleSets:
                 f"bridge not provable in {calc.name}: {print_sequent(s)}")
         bridges.append(s)
         proofs[s] = proof
-    return RuleSets(
-        mode="guarded" if guarded else "plain",
-        prims=prims,
-        m=m,
-        calc_name=calc.name,
-        flat_rules=tuple(s for s, _ in flat),
-        bridge_rules=tuple(bridges),
-        proofs=proofs,
-    )
+    return RuleSets(tuple(s for s, _ in flat), tuple(bridges), proofs)
 
 
 def compile_cfg(g: Grammar, calc, max_types: int = 4000,

@@ -1,4 +1,4 @@
-"""Free-group interpretation of indexed types and hedges.
+"""Free-group interpretation of types and hedges.
 
 Types and hedges map into the free group generated by the primitive
 names together with one opening and one closing generator per bracket
@@ -8,7 +8,7 @@ length of a word is just ``len``.
 A word is a tuple of letters; a letter is ``(kind, value, sign)`` with
 ``kind`` one of ``"p"`` (primitive), ``"<"`` (opening bracket) or
 ``">"`` (closing bracket), ``value`` the primitive name or bracket
-index, and ``sign`` +1 or -1.
+index (None for a plain one), and ``sign`` +1 or -1.
 
 The provability-invariant carried by this interpretation: in every
 derivable sequent the word of the antecedent equals the word of the
@@ -127,14 +127,13 @@ def _word_of_tree(tr: Tree) -> Word:
     return w
 
 
-def word_of(x, allow_plain: bool = False) -> Word:
-    """Interpret an indexed type, tree or hedge as a reduced group word.
+def word_of(x) -> Word:
+    """Interpret a type, tree or hedge as a reduced group word.
 
-    Non-indexed modalities are rejected unless ``allow_plain`` is set,
-    in which case all of them are read as carrying one fixed index.
-    That collapsed reading is what the prover's pruning filter uses; it
-    is sound because the provability invariant holds index by index and
-    in the collapsed form alike.
+    Non-indexed modalities and brackets are all read as carrying one
+    fixed index.  That collapsed reading is what the prover's pruning
+    filter uses; it is sound because the provability invariant holds
+    index by index and in the collapsed form alike.
 
     The word of each type and tree node is computed once and kept in
     the node's ``_word`` slot, so it lives exactly as long as the node:
@@ -142,19 +141,11 @@ def word_of(x, allow_plain: bool = False) -> Word:
     trees.  A hedge is a plain tuple and has no slot; its word is the
     product of its trees' cached words, formed anew on each call.
     """
-    mode = getattr(x, "mode", None)
     if isinstance(x, tuple):
         w = IDENTITY
-        has_plain = False
         for tr in x:
-            if tr.mode == "plain":
-                has_plain = True
             w = mul(w, _word_of_tree(tr))
-        if has_plain and not allow_plain:
-            raise ValueError("word_of needs indexed input")
         return w
-    if mode == "plain" and not allow_plain:
-        raise ValueError("word_of needs indexed input")
     if isinstance(x, Type):
         return _word_of_type(x)
     if isinstance(x, Tree):

@@ -26,6 +26,7 @@ import time
 from dataclasses import dataclass, field
 from importlib import resources
 from itertools import chain, product
+from operator import attrgetter
 from pathlib import Path
 from typing import Mapping, Optional
 
@@ -47,7 +48,8 @@ from .syntax import (
     L, L1STAR, L1STAR_DIA, L1STAR_DIA_M, LDIA, LDIA_M, UNIT,
     Grammar, boxdown, bracket, calculus, deindex, dia, is_thin, leaf, length,
     mod_counts, mod_total, over, parse_grammar, parse_sequent, parse_type,
-    partitions, plug, prim, prim_counts, print_sequent, prod, sequent, under,
+    partitions, plug, preorder, prim, prim_counts, print_sequent, prod,
+    sequent, under,
 )
 
 __all__ = [
@@ -396,7 +398,7 @@ def _interp_population(timeout_ms=None):
     succ_keys = {}
     for c in range(4):
         for t in by_conn[c]:
-            w = words[t] = word_of(t, allow_plain=True)
+            w = words[t] = word_of(t)
             succ_by_word.setdefault(w, []).append((c, t))
             key = count_key(w)
             succ_keys.setdefault(key[0], set()).add((c, key))
@@ -425,7 +427,7 @@ def _interp_population(timeout_ms=None):
                 feasible.add(b)
         for b in sorted(feasible):
             for h in _hedges_exact(row, b, False, hedges):
-                hw = word_of(h, allow_plain=True)
+                hw = word_of(h)
                 for c_succ, succ in succ_by_word.get(hw, ()):
                     if conn + c_succ > 3:
                         continue
@@ -589,7 +591,7 @@ def run_reduction_sweep(timeout_ms: Optional[float] = None,
     started = time.monotonic()
     failures = []
     types = enum_types({"p", "q"}, 2)
-    words = {t: word_of(t, allow_plain=True) for t in types}
+    words = {t: word_of(t) for t in types}
     by_word = {}
     for t in types:
         by_word.setdefault(words[t], []).append(t)
@@ -620,11 +622,9 @@ def run_reduction_sweep(timeout_ms: Optional[float] = None,
             if d.conclusion != s or not replay_cuts(d, base):
                 failures.append(f"reduction fails for {print_sequent(s)}")
                 continue
-            stack = [d]
-            while stack:
-                node = stack.pop()
+            for node, _ in preorder(d, attrgetter("premises")):
                 nodes += 1
-                if node.left is None:
+                if node.is_leaf:
                     if node.conclusion not in base:
                         failures.append(
                             f"leaf outside the rule set: "
@@ -633,8 +633,6 @@ def run_reduction_sweep(timeout_ms: Optional[float] = None,
                     failures.append(
                         f"unprovable intermediate: "
                         f"{print_sequent(node.conclusion)}")
-                if node.left is not None:
-                    stack.extend((node.left, node.right))
     except ProofSearchTimeout as exc:
         failures.append(f"proof search timed out: {exc}")
 
@@ -701,7 +699,7 @@ def run_cut_completeness(timeout_ms: Optional[float] = None,
             rules = build_rulesets({"p"}, 2, calc, cache_dir=cache_dir)
             base = CutBase(rules.rules)
             prover = Prover(calc, timeout_ms=timeout_ms)
-            words = {t: word_of(t, allow_plain=True) for t in types}
+            words = {t: word_of(t) for t in types}
             counts = {}
             n_candidates = sum(
                 _hedge_count(len(row), b, calc.starred, counts)
@@ -722,7 +720,7 @@ def run_cut_completeness(timeout_ms: Optional[float] = None,
                     unbalanced_i += size
                     continue
                 for h in _hedges_exact(row, b, calc.starred, hedges):
-                    if word_of(h, allow_plain=True) != words[succ]:
+                    if word_of(h) != words[succ]:
                         if unbalanced_i % stride == 0:
                             sampled += 1
                             spot_check(base, sequent(h, succ))
@@ -785,10 +783,10 @@ def _grammar_member(g, word_toks, calc, prover, hedges):
     plus the distinguished type's length.
     """
     target = g.distinguished
-    target_word = word_of(target, allow_plain=True)
+    target_word = word_of(target)
     target_key = count_key(target_word)
     assigns = [g.types_of(tok) for tok in word_toks]
-    words = {t: word_of(t, allow_plain=True) for ts in assigns for t in ts}
+    words = {t: word_of(t) for ts in assigns for t in ts}
     for row in product(*assigns):
         b = _bracket_count(_row_key(row, words), target_key)
         if b is None:
@@ -796,7 +794,7 @@ def _grammar_member(g, word_toks, calc, prover, hedges):
         for h in _hedges_exact(row, b, calc.starred, hedges):
             if not h and not calc.starred:
                 continue
-            if word_of(h, allow_plain=True) != target_word:
+            if word_of(h) != target_word:
                 continue
             if prover.prove(sequent(h, target)) is not None:
                 return True

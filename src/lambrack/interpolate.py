@@ -27,6 +27,7 @@ two-premise pieces using only Cut.
 
 from dataclasses import dataclass
 from itertools import count
+from operator import attrgetter
 from typing import Optional
 
 from .cfgkit import CutDerivation, cut_leaf, cut_node
@@ -37,7 +38,7 @@ from .prover import (
 from .syntax import (
     HOLE, L1STAR_DIA_M, LDIA_M, UNIT,
     Bracket, Calculus, Dia, Hedge, Leaf, Sequent, Type,
-    bracket_addresses, calculus, children_at, deindex, hole_coords,
+    bracket_addresses, calculus, children_at, deindex, fold, hole_coords,
     is_flat, leaf, length, plug, prim, prim_counts, print_sequent,
     print_type, sequent, sequent_types, span_partition, subtree,
     validate_sequent,
@@ -126,8 +127,7 @@ def _thin_rebuild(p: Proof):
     theta = {}
     indices = count(1)
 
-    def rebuild(node: Proof) -> Proof:
-        prems = tuple(rebuild(q) for q in node.premises)
+    def rebuild(node: Proof, prems: tuple) -> Proof:
         rule = node.rule
         if rule == "Ax":
             t = prim(f"p{len(theta) + 1}")
@@ -138,7 +138,7 @@ def _thin_rebuild(p: Proof):
         index = next(indices) if rule in ("DiaR", "BoxDownL") else None
         return apply_rule(rule, node.principal, prems, index)
 
-    out = rebuild(p)
+    out = fold(p, attrgetter("premises"), rebuild)
     if deindex(out.conclusion, theta) != deindex(p.conclusion):
         raise RuntimeError("thin indexing changed the conclusion of "
                            f"{print_sequent(p.conclusion)} to "

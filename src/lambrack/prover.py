@@ -26,15 +26,16 @@ no such sequent is derivable.
 from __future__ import annotations
 
 import time
+from operator import attrgetter
 from typing import Iterator, Optional
 
 from .freegroup import word_of
 from .syntax import (
-    UNIT, BoxDown, Bracket, Dia, Leaf, Over, Prim, Prod, Sequent, Type,
-    Under, Calculus, ParseError, boxdown, bracket, calculus, children_at,
-    deindex, dia, leaf, over, parse_sequent, prim, prim_count,
-    print_sequent, prod, replace_children, replace_span, sequent, under,
-    validate_sequent,
+    BINARY, UNIT, BoxDown, Bracket, Dia, Leaf, Over, Prim, Prod, Sequent,
+    Type, Under, Calculus, ParseError, boxdown, bracket, calculus,
+    children_at, deindex, dia, fold, leaf, nodes, over, parse_sequent,
+    preorder, prim, prim_count, print_sequent, prod, replace_children,
+    replace_span, sequent, under, validate_sequent,
 )
 
 __all__ = [
@@ -82,29 +83,26 @@ class Proof:
         return f"<proof {self.rule} {print_sequent(self.conclusion)}>"
 
     def __eq__(self, other):
-        return (isinstance(other, Proof)
-                and self.conclusion == other.conclusion
-                and self.rule == other.rule
-                and self.premises == other.premises)
+        # two trees are equal when their preorders agree node by node on
+        # rule, conclusion and number of premises
+        if not isinstance(other, Proof):
+            return False
+        for (a, _), (b, _) in zip(preorder(self, _premises),
+                                  preorder(other, _premises)):
+            if (a.rule != b.rule or len(a.premises) != len(b.premises)
+                    or a.conclusion != b.conclusion):
+                return False
+        return True
 
     def __hash__(self):
-        return hash((self.conclusion, self.rule, self.premises))
+        return hash((self.conclusion, self.rule))
+
+
+_premises = attrgetter("premises")
 
 
 # ---------------------------------------------------------------------------
 # Rule instances
-
-
-def _positions(h) -> Iterator:
-    """(parent, index, tree, siblings) for every node, preorder."""
-
-    def walk(trees, prefix):
-        for j, tr in enumerate(trees):
-            yield prefix, j, tr, trees
-            if isinstance(tr, Bracket):
-                yield from walk(tr.children, prefix + (j,))
-
-    yield from walk(h, ())
 
 
 def instances(s: Sequent, calc: Calculus) -> Iterator:
@@ -151,7 +149,7 @@ def instances(s: Sequent, calc: Calculus) -> Iterator:
     elif isinstance(succ, BoxDown):
         yield "BoxDownR", None, (sequent((bracket(ante, succ.index),),
                                          succ.body),)
-    for parent, j, tr, siblings in _positions(ante):
+    for parent, j, tr, siblings in nodes(ante):
         if isinstance(tr, Bracket):
             inner = tr.children
             t = (inner[0].type if len(inner) == 1
@@ -292,8 +290,7 @@ class Prover:
         result = self.memo.get(s, _MISSING)
         if result is not _MISSING:
             return result
-        if word_of(s.antecedent, allow_plain=True) != \
-                word_of(s.succedent, allow_plain=True):
+        if word_of(s.antecedent) != word_of(s.succedent):
             return None
         result = None
         for rule, principal, premises in instances(s, self.calc):
@@ -335,13 +332,11 @@ def check(p: Proof, calc) -> bool:
     premise conclusions and, when the node records a principal, that
     principal (``None`` for the rules that take none).  The matching
     principal is recorded on the node, so a checked proof is ready for
-    the machinery that dispatches on principal positions.  The walk
-    keeps its own stack, so proof depth is not bounded by recursion.
+    the machinery that dispatches on principal positions.  The walk is
+    ``syntax.preorder``, so proof depth is not bounded by recursion.
     """
     calc = calculus(calc)
-    stack = [p]
-    while stack:
-        node = stack.pop()
+    for node, _ in preorder(p, _premises):
         try:
             validate_sequent(node.conclusion, calc)
         except ValueError:
@@ -354,7 +349,6 @@ def check(p: Proof, calc) -> bool:
                 break
         else:
             return False
-        stack.extend(reversed(node.premises))
     return True
 
 
@@ -364,13 +358,9 @@ def check(p: Proof, calc) -> bool:
 
 def print_proof(p: Proof) -> str:
     """One node per line, two-space indentation per premise depth."""
-    lines = []
-    stack = [(p, 0)]
-    while stack:
-        node, depth = stack.pop()
-        lines.append(f"{'  ' * depth}{node.rule}  {print_sequent(node.conclusion)}")
-        stack.extend((q, depth + 1) for q in reversed(node.premises))
-    return "\n".join(lines)
+    return "\n".join(
+        f"{'  ' * depth}{node.rule}  {print_sequent(node.conclusion)}"
+        for node, depth in preorder(p, _premises))
 
 
 def parse_proof(text: str) -> Proof:
@@ -419,9 +409,8 @@ def parse_proof(text: str) -> Proof:
 
 def deindex_proof(p: Proof, theta: Optional[dict] = None) -> Proof:
     """Deindex every sequent in the proof; rule structure is unchanged."""
-    return Proof(deindex(p.conclusion, theta), p.rule,
-                 tuple(deindex_proof(q, theta) for q in p.premises),
-                 p.principal)
+    return fold(p, _premises, lambda node, premises: Proof(
+        deindex(node.conclusion, theta), node.rule, premises, node.principal))
 
 
 # ---------------------------------------------------------------------------
@@ -447,12 +436,9 @@ def translate_flat(t: Type) -> Type:
     def go(x: Type) -> Type:
         if isinstance(x, Prim) or x is UNIT:
             return x
-        if isinstance(x, Under):
-            return under(go(x.left), go(x.right))
-        if isinstance(x, Over):
-            return over(go(x.left), go(x.right))
-        if isinstance(x, Prod):
-            return prod(go(x.left), go(x.right))
+        make = BINARY.get(type(x))
+        if make is not None:
+            return make(go(x.left), go(x.right))
         if isinstance(x, Dia):
             return prod(m, prod(go(x.body), n))
         return over(under(m, go(x.body)), n)

@@ -25,7 +25,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 __all__ = [
     "ParseError",
@@ -38,6 +38,7 @@ __all__ = [
     "parse_sequent", "parse_grammar",
     "length", "prim_count", "prim_counts", "mod_counts",
     "mod_total", "unit_count", "is_thin", "deindex",
+    "BINARY", "nodes", "preorder", "fold",
     "plug", "yield_of", "subtree", "children_at", "replace_children",
     "replace_span", "span_partition", "hole_coords", "bracket_addresses",
     "partitions", "is_flat", "sequent_types",
@@ -133,7 +134,6 @@ class BoxDown(Type):
     __slots__ = ("index", "body")
 
 
-_BINARY = (Under, Over, Prod)
 _EMPTY_COUNTER = Counter()
 
 # The interning table.  It lives as long as the process and only grows:
@@ -149,7 +149,7 @@ _type_table: dict = {}
 
 
 def _operand_str(t: Type) -> str:
-    if isinstance(t, _BINARY):
+    if type(t) in BINARY:
         return f"({t._str})"
     return t._str
 
@@ -216,6 +216,11 @@ def over(left: Type, right: Type) -> Over:
 
 def prod(left: Type, right: Type) -> Prod:
     return _binary(Prod, "*", "*", left, right)
+
+
+# The constructor of each binary type class: a map that rebuilds a type
+# node by node reads it instead of spelling out the three connectives.
+BINARY = {Under: under, Over: over, Prod: prod}
 
 
 def _modality(cls, tag: str, word: str, body: Type, index: Optional[int]) -> Type:
@@ -494,7 +499,7 @@ _TOKEN_RE = re.compile(
 _PLAIN_TOKENS = {
     "=>": ("arrow", None), "[": ("lbrk", None), "]": ("rbrk", None),
     "(": ("lpar", None), ")": ("rpar", None), "_": ("hole", None),
-    "\\": ("op", "\\"), "/": ("op", "/"), "*": ("op", "*"),
+    "\\": ("op", under), "/": ("op", over), "*": ("op", prod),
     "1": ("atom", UNIT),
 }
 _END = ("end", None)
@@ -601,11 +606,7 @@ class _Parser:
         if self.tokens[self.i][0] == "op":
             raise self.error("nested binary operators need parentheses",
                              self.i)
-        if op == "\\":
-            return under(left, right)
-        if op == "/":
-            return over(left, right)
-        return prod(left, right)
+        return op(left, right)
 
     # trees and hedges
 
@@ -758,6 +759,68 @@ def is_thin(s: Sequent) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Walks
+#
+# The one place that decides traversal order.  ``nodes`` walks a hedge
+# by address; ``preorder`` and ``fold`` walk any tree given a function
+# from a node to its children (a proof's premises, a Cut derivation's
+# two sub-derivations, a grammar derivation's children).  Each keeps its
+# own stack, so no depth of nesting is bounded by recursion.
+
+
+def nodes(h: Hedge) -> Iterator[tuple]:
+    """``(parent, j, tree, siblings)`` for every tree of ``h``, preorder:
+    ``tree`` is ``siblings[j]``, and ``siblings`` are the children of
+    the bracket at address ``parent`` (the root hedge at ``()``)."""
+    stack = [((), h, enumerate(h))]
+    while stack:
+        parent, trees, rest = stack[-1]
+        for j, tr in rest:
+            yield parent, j, tr, trees
+            if isinstance(tr, Bracket):
+                stack.append((parent + (j,), tr.children,
+                              enumerate(tr.children)))
+                break
+        else:
+            stack.pop()
+
+
+def preorder(root, children: Callable) -> Iterator[tuple]:
+    """``(node, depth)`` for every node under ``root``, preorder, left to
+    right; ``children(node)`` is a node's sequence of children."""
+    stack = [(root, 0)]
+    push = stack.append
+    while stack:
+        item = stack.pop()
+        yield item
+        kids = children(item[0])
+        if kids:
+            depth = item[1] + 1
+            for k in reversed(kids):
+                push((k, depth))
+
+
+def fold(root, children: Callable, combine: Callable):
+    """``combine(node, values)`` at every node under ``root``, in
+    left-to-right post-order, where ``values`` is the tuple of what the
+    node's children combined to; returns the root's value."""
+    values = []
+    stack = [(root, None)]
+    while stack:
+        node, kids = stack.pop()
+        if kids is None:
+            kids = children(node)
+            stack.append((node, kids))
+            stack.extend([(k, None) for k in kids[::-1]])
+        else:
+            k = len(values) - len(kids)
+            args = tuple(values[k:])
+            del values[k:]
+            values.append(combine(node, args))
+    return values[0]
+
+
+# ---------------------------------------------------------------------------
 # Structure: plugging, yields, addresses, spans
 
 
@@ -781,17 +844,7 @@ def plug(context: Hedge, filling: Hedge) -> Hedge:
 
 def yield_of(h: Hedge) -> list:
     """Left-to-right leaf types of ``h`` (holes are not leaves)."""
-    out = []
-
-    def walk(trees):
-        for tr in trees:
-            if isinstance(tr, Leaf):
-                out.append(tr.type)
-            elif isinstance(tr, Bracket):
-                walk(tr.children)
-
-    walk(h)
-    return out
+    return [tr.type for _, _, tr, _ in nodes(h) if isinstance(tr, Leaf)]
 
 
 def subtree(h: Hedge, addr: tuple) -> Tree:
@@ -838,31 +891,16 @@ def span_partition(h: Hedge, parent: tuple, start: int, end: int):
 
 def hole_coords(context: Hedge) -> tuple:
     """(parent address, position) of the hole in ``context``."""
-
-    def walk(trees, prefix):
-        for i, tr in enumerate(trees):
-            if tr is HOLE:
-                return prefix, i
-            if isinstance(tr, Bracket) and tr.holes:
-                return walk(tr.children, prefix + (i,))
-        raise ValueError("context has no hole")
-
-    return walk(context, ())
+    for parent, j, tr, _ in nodes(context):
+        if tr is HOLE:
+            return parent, j
+    raise ValueError("context has no hole")
 
 
 def bracket_addresses(h: Hedge) -> list:
     """Addresses of all bracket nodes, preorder, left to right."""
-    out = []
-
-    def walk(trees, prefix):
-        for i, tr in enumerate(trees):
-            if isinstance(tr, Bracket):
-                addr = prefix + (i,)
-                out.append(addr)
-                walk(tr.children, addr)
-
-    walk(h, ())
-    return out
+    return [parent + (j,) for parent, j, tr, _ in nodes(h)
+            if isinstance(tr, Bracket)]
 
 
 def partitions(h: Hedge, include_empty: bool = False) -> Iterator[tuple]:
@@ -905,12 +943,9 @@ def deindex(x, theta: Optional[dict] = None):
             return prim(theta.get(t.name, t.name))
         if t is UNIT:
             return t
-        if isinstance(t, Under):
-            return under(ty(t.left), ty(t.right))
-        if isinstance(t, Over):
-            return over(ty(t.left), ty(t.right))
-        if isinstance(t, Prod):
-            return prod(ty(t.left), ty(t.right))
+        make = BINARY.get(type(t))
+        if make is not None:
+            return make(ty(t.left), ty(t.right))
         if isinstance(t, Dia):
             return dia(ty(t.body))
         return boxdown(ty(t.body))

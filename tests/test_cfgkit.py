@@ -3,13 +3,14 @@ the text format, and derivability from a base set by Cut alone."""
 
 import itertools
 import random
+import sys
 
 import pytest
 
 from lambrack import cfgkit, harness
 from lambrack.cfgkit import (
-    Cfg, CutBase, CutDerivation, cfg, cut_derives, cut_leaf, cut_node,
-    derives, language_upto, parse_cfg, print_cfg, replay_cuts,
+    Cfg, CutBase, CutDerivation, Derivation, cfg, cut_derives, cut_leaf,
+    cut_node, derives, language_upto, parse_cfg, print_cfg, replay_cuts,
 )
 from lambrack.cfgkit import replay_derivation
 from lambrack.compiler import build_rulesets, compile_cfg
@@ -817,3 +818,33 @@ class TestCutNodes:
         assert replay_cuts(d)
         assert replay_cuts(d, {parse_sequent("p => p")})
         assert not replay_cuts(d, {parse_sequent("q => q")})
+
+
+class TestDeepDerivations:
+    N = 1500
+
+    def test_cut_chain(self):
+        # q => p0, then p_k => p_k+1 cut in below, 1500 times
+        assert self.N > sys.getrecursionlimit()
+        ps = [prim(f"p{k}") for k in range(self.N + 1)]
+        base = [sequent((leaf(Q),), ps[0])] + [
+            sequent((leaf(ps[k]),), ps[k + 1]) for k in range(self.N)]
+        d = cut_leaf(base[0])
+        for b in base[1:]:
+            d = cut_node(d, cut_leaf(b), (HOLE,))
+        assert d.conclusion == sequent((leaf(Q),), ps[-1])
+        assert list(d.leaves()) == base
+        assert d.cut_count() == self.N
+        assert replay_cuts(d, CutBase(base))
+        assert not replay_cuts(d, CutBase(base[1:]))
+
+    def test_grammar_derivation_chain(self):
+        # S -> a S, 1500 times, then S -> b
+        g = cfg(P, [(P, ("a", P)), (P, ("b",))])
+        d = Derivation(P, (P, ("b",)), (Derivation("b"),))
+        for _ in range(self.N):
+            d = Derivation(P, (P, ("a", P)), (Derivation("a"), d))
+        assert d.fringe() == ("a",) * self.N + ("b",)
+        assert replay_derivation(d, g)
+        bad = cfg(P, [(P, ("a", P)), (P, ("c",))])
+        assert not replay_derivation(d, bad)

@@ -10,7 +10,7 @@ from lambrack.cli import main
 from lambrack.compiler import build_rulesets
 from lambrack.harness import Report
 from lambrack.prover import ProofSearchTimeout, check, parse_proof
-from lambrack.syntax import L1STAR_DIA_M, LDIA_M, parse_sequent
+from lambrack.syntax import L1STAR_DIA_M, LDIA, LDIA_M, parse_sequent
 
 THIN_GOAL = "[ [ p ] dia p \\ p ] => boxd dia dia p"
 THIN_CONCLUSION = ("[:2 [:1 p1 ]:1 dia:1 p1 \\ p2 ]:2 "
@@ -71,6 +71,13 @@ class TestProve:
         code, _, err = run(capsys, "prove", "p => p")
         assert code == 1
         assert "timed out" in err
+
+    def test_deep_chain_is_answered(self, capsys):
+        # 900 leaves: the search fits the recursion limit, and the round
+        # trip and the check walk the proof without recursing
+        code, out, err = run(capsys, "prove", "p " + "p\\p " * 900 + "=> p")
+        assert code == 0 and err == ""
+        assert check(parse_proof(out), LDIA)
 
     def test_deep_input_is_usage_error(self, capsys):
         goal = "p " + "p\\p " * 4999 + "=> p"

@@ -88,13 +88,13 @@ def _reference_rulesets(prims, m, calc):
     types = enum_types(prims, m, guarded=calc.unit)
     buckets = {}
     for t in types:
-        buckets.setdefault(word_of(t, allow_plain=True), []).append(t)
+        buckets.setdefault(word_of(t), []).append(t)
     flat = []
     for n in (0, 1, 2) if calc.unit else (1, 2):
         for row in itertools.product(types, repeat=n):
             w = IDENTITY
             for t in row:
-                w = mul(w, word_of(t, allow_plain=True))
+                w = mul(w, word_of(t))
             for c in buckets.get(w, ()):
                 s = sequent(tuple(leaf(t) for t in row), c)
                 proof = prove(s, calc)
@@ -124,7 +124,6 @@ def test_shared_prover_matches_fresh_memos(prims, m, calc, tmp_path):
 class TestBuildRulesets:
     def test_plain_m2(self):
         rs = build_rulesets({"p"}, 2, LDIA)
-        assert rs.mode == "plain"
         assert len(rs.flat_rules) == 11
         assert rs.bridge_rules == ()
         assert parse_sequent("p p \\ p => p") in rs.flat_rules
@@ -143,7 +142,6 @@ class TestBuildRulesets:
 
     def test_guarded_empty_bracket_axiom(self):
         rs = build_rulesets({"p"}, 1, L1STAR_DIA)
-        assert rs.mode == "guarded"
         assert rs.bridge_rules == (parse_sequent("[ ] => dia 1"),)
         rs2 = build_rulesets({"p"}, 2, L1STAR_DIA)
         assert parse_sequent("[ ] => dia 1") in rs2.bridge_rules

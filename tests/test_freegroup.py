@@ -62,13 +62,9 @@ def test_interpret_under_over_unit():
 
 
 def test_interpret_rejects_plain():
-    with pytest.raises(ValueError):
-        word_of(parse_type("dia p"))
-    with pytest.raises(ValueError):
-        word_of(parse_hedge("[ p ]"))
-    assert word_of(parse_type("dia p"), allow_plain=True) == \
+    # plain modalities are read with one collapsed index, None
+    assert word_of(parse_type("dia p")) == \
         (open_letter(None), prim_letter("p"), close_letter(None))
-    # modality-free input is fine without the flag
     assert word_of(parse_type("p \\ q")) == \
         (prim_letter("p", -1), prim_letter("q"))
 
@@ -220,15 +216,15 @@ def _check_words(items):
     for item in items:
         trees = item if isinstance(item, tuple) else (item,)
         letters = [x for tr in trees for x in _flat_letters(tr)]
-        assert word_of(item, allow_plain=True) == word(letters)
+        assert word_of(item) == word(letters)
         for tr in trees:
             for node in _nodes(tr):
                 if id(node) in seen:
                     continue
                 seen.add(id(node))
                 expected = word(_flat_letters(node))
-                assert word_of(node, allow_plain=True) == expected
-                assert word_of(node, allow_plain=True) == expected
+                assert word_of(node) == expected
+                assert word_of(node) == expected
     return len(seen)
 
 

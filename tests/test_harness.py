@@ -127,7 +127,7 @@ class _RecordingProver:
 
 def _reference_member(g, toks, calc, prover, extra_brackets):
     target = g.distinguished
-    target_word = word_of(target, allow_plain=True)
+    target_word = word_of(target)
     memo = {}
     for row in product(*(g.types_of(tok) for tok in toks)):
         budget = (sum(mod_total(t) for t in row) + length(target)
@@ -136,7 +136,7 @@ def _reference_member(g, toks, calc, prover, extra_brackets):
             for h in _hedges_exact(row, b, calc.starred, memo):
                 if not h and not calc.starred:
                     continue
-                if word_of(h, allow_plain=True) != target_word:
+                if word_of(h) != target_word:
                     continue
                 if prover.prove(sequent(h, target)) is not None:
                     return True
@@ -192,8 +192,7 @@ def test_cut_completeness_hands_over_the_same_sequents(monkeypatch):
         stride = 1 if len(candidates) <= 10000 else 50
         unbalanced_i = 0
         for s in candidates:
-            if word_of(s.antecedent, allow_plain=True) == \
-                    word_of(s.succedent, allow_plain=True):
+            if word_of(s.antecedent) == word_of(s.succedent):
                 balanced += 1
                 expected += [("prove", s), ("cut", s)]
             else:
@@ -232,13 +231,13 @@ def _type_of_hedge(h):
 def test_count_key_fixes_the_bracket_count(row, b, allow_empty, succ):
     row = tuple(row)
     row_key = count_key(
-        word_of(tuple(leaf(t) for t in row), allow_plain=True))
+        word_of(tuple(leaf(t) for t in row)))
     rest, opens, closes = row_key
     for h in _hedges_exact(row, b, allow_empty, {}):
-        hw = word_of(h, allow_plain=True)
+        hw = word_of(h)
         assert count_key(hw) == (rest, opens + b, closes + b)
         for s in (succ, _type_of_hedge(h)):
-            sw = word_of(s, allow_plain=True)
+            sw = word_of(s)
             if hw == sw:
                 assert _bracket_count(row_key, count_key(sw)) == b
 

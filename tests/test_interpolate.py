@@ -649,7 +649,7 @@ class TestEliminateBracket:
         pf = prove(s, LDIA)
         b, _, _ = eliminate_bracket(pf, LDIA, (0,))
         contents = children_at(s.antecedent, (0,))
-        image = wlen(word_of(contents, allow_plain=True))
+        image = wlen(word_of(contents))
         assert length(b) <= max(1, image)
 
     def test_no_bracket(self):

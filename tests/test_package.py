@@ -25,6 +25,14 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_recursion_limit_changes():
+    # a raised limit only trades RecursionError for a C stack overflow;
+    # deep inputs are answered by walks that keep their own stack
+    found = [path.name for path in sorted(SOURCE.glob("*.py"))
+             if "setrecursionlimit" in path.read_text()]
+    assert found == []
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_exports_resolve(name):
     module = importlib.import_module(name)

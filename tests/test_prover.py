@@ -1,5 +1,6 @@
 """Proof search, proof checking, and the bracket-erasing translation."""
 
+import functools
 import gc
 import random
 import sys
@@ -17,8 +18,9 @@ from lambrack.prover import RULES
 from lambrack.syntax import (
     L, L1STAR, L1STAR_DIA, L1STAR_DIA_M, LDIA, LDIA_M, LSTAR, LSTAR_DIA,
     UNIT, BoxDown, Bracket, Dia, Leaf, Over, ParseError, Prim, Prod, Under,
-    boxdown, bracket, calculus, children_at, dia, leaf, over, parse_sequent,
-    parse_type, prim, print_sequent, prod, replace_span, sequent, under,
+    boxdown, bracket, calculus, children_at, dia, is_thin, leaf, nodes,
+    over, parse_sequent, parse_type, prim, print_sequent, prod,
+    replace_span, sequent, under,
 )
 
 GOLDEN = "[ [ p ] dia p \\ p ] => boxd dia dia p"
@@ -57,8 +59,7 @@ class TestGoldens:
         assert prove(s, LDIA) is None
         # both sides have the same free-group image, so the refutation
         # comes from the search itself, not from the word filter
-        assert word_of(s.antecedent, allow_plain=True) == \
-            word_of(s.succedent, allow_plain=True)
+        assert word_of(s.antecedent) == word_of(s.succedent)
 
     def test_modality_adjunction_asymmetry(self):
         assert prove(parse_sequent("p => boxd dia p"), LDIA) is not None
@@ -286,7 +287,9 @@ def _alt_provable(s, calc):
 # The pair the one generator replaced: ``instances`` yielding
 # ``(rule, principal)`` and ``premises_of`` deciding each instance again
 # and building its premises.  Kept verbatim as the reference for
-# ``TestAgreement::test_instances_match_the_replaced_pair``.
+# ``TestAgreement::test_instances_match_the_replaced_pair``; the
+# recursive ``_ref_positions`` is also the reference for
+# ``syntax.nodes``, which replaced the prover's copy of it.
 
 def _ref_positions(h):
     def walk(trees, prefix):
@@ -484,8 +487,7 @@ class TestAgreement:
                 assert check(got, LDIA)
                 assert check(got, LSTAR_DIA)
                 # derivability forces equal free-group images
-                assert word_of(s.antecedent, allow_plain=True) == \
-                    word_of(s.succedent, allow_plain=True)
+                assert word_of(s.antecedent) == word_of(s.succedent)
         assert n_provable > 20
 
     def test_sampled_unit_universe(self):
@@ -508,6 +510,13 @@ class TestAgreement:
                 seen_provable += 1
                 assert check(got, L1STAR_DIA)
         assert seen_provable >= 40
+
+    def test_nodes_match_the_recursive_positions(self, interp_population):
+        goals = _node_conclusions(pf for _, pf in interp_population)
+        for s in goals:
+            h = s.antecedent
+            assert list(nodes(h)) == list(_ref_positions(h)), \
+                print_sequent(s)
 
     def test_instances_match_the_replaced_pair(self, interp_population):
         def agree(goals, *calcs):
@@ -559,6 +568,25 @@ class TestProperties:
         assert q == p
         assert check(q, LDIA)
         assert print_proof(q) == print_proof(p)
+
+
+_AX = Proof(parse_sequent("p => p"), "Ax")
+
+
+@functools.lru_cache(maxsize=None)
+def _chain_conclusions():
+    """``p (p\\p)^k => p`` for k = 1..1500, built once."""
+    p, pp = leaf(prim("p")), leaf(under(prim("p"), prim("p")))
+    return [sequent((p,) + (pp,) * k, prim("p")) for k in range(1, 1501)]
+
+
+def _chain(bottom):
+    """``p (p\\p)^1500 => p`` by 1500 UnderL nodes, each over an Ax leaf
+    and the chain one shorter, built bottom up from ``bottom``."""
+    node = bottom
+    for s in _chain_conclusions():
+        node = Proof(s, "UnderL", (_AX, node))
+    return node
 
 
 class TestCheck:
@@ -627,23 +655,23 @@ class TestCheck:
         assert under_node.principal == ((), 0, 1)
 
     def test_deeper_than_the_recursion_limit(self):
-        # p (p\p)^n => p by n UnderL nodes, each over an Ax leaf and the
-        # chain one shorter, built bottom up
-        n = 1500
-        assert n > sys.getrecursionlimit()
-        p, pp = leaf(prim("p")), leaf(under(prim("p"), prim("p")))
-        ax = Proof(sequent((p,), prim("p")), "Ax")
+        assert len(_chain_conclusions()) > sys.getrecursionlimit()
+        assert check(_chain(_AX), LDIA)
+        tampered = Proof(_AX.conclusion, "Ax", (_AX,))
+        assert not check(_chain(tampered), LDIA)
 
-        def chain(bottom):
-            node = bottom
-            for k in range(1, n + 1):
-                node = Proof(sequent((p,) + (pp,) * k, prim("p")), "UnderL",
-                             (ax, node))
-            return node
-
-        assert check(chain(ax), LDIA)
-        tampered = Proof(ax.conclusion, "Ax", (ax,))
-        assert not check(chain(tampered), LDIA)
+    def test_deep_proof_walks(self):
+        # every walk over a proof takes one deeper than the recursion limit
+        pf = _chain(_AX)
+        assert pf == _chain(_AX) and hash(pf) == hash(_chain(_AX))
+        for bottom in (Proof(_AX.conclusion, "Ax", (_AX,)),
+                       Proof(parse_sequent("q => q"), "Ax"),
+                       Proof(_AX.conclusion, "UnitR")):
+            assert pf != _chain(bottom)
+        assert parse_proof(print_proof(pf)) == pf
+        thin, theta = thin_index(pf, LDIA)
+        assert is_thin(thin.conclusion) and check(thin, LDIA_M)
+        assert deindex_proof(thin, theta) == pf
 
     def test_parse_proof_errors(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Tests for the object language: parsing, printing, measures, structure."""
 
 import re
+import sys
 from collections import Counter
 
 import pytest
@@ -279,6 +280,18 @@ def test_addresses_and_spans():
     assert hole_coords(ctx) == ((1,), 0)
     swapped = replace_span(h, (), 0, 1, (leaf(q),))
     assert swapped == parse_hedge("q [ q [ p ] ] q")
+
+
+def test_deeper_than_the_recursion_limit():
+    # 2000 brackets, each the only child of the next, built directly
+    n = 2000
+    assert n > sys.getrecursionlimit()
+    h, context = (leaf(prim("p")),), (HOLE,)
+    for _ in range(n):
+        h, context = (bracket(h),), (bracket(context),)
+    assert bracket_addresses(h) == [(0,) * k for k in range(1, n + 1)]
+    assert yield_of(h) == [prim("p")]
+    assert hole_coords(context) == ((0,) * n, 0)
 
 
 def test_partitions_cover_all_spans():
