@@ -12,8 +12,9 @@ index (None for a plain one), and ``sign`` +1 or -1.
 
 The provability-invariant carried by this interpretation: in every
 derivable sequent the word of the antecedent equals the word of the
-succedent.  The prover uses that as a sound pruning filter, and the
-harness re-verifies it on every provable sequent it encounters.
+succedent.  The prover refutes an unbalanced goal with it and keeps
+only the rule instances whose argument spans balance; the harness
+re-verifies it on every provable sequent it encounters.
 """
 
 from __future__ import annotations
@@ -131,9 +132,10 @@ def word_of(x) -> Word:
     """Interpret a type, tree or hedge as a reduced group word.
 
     Non-indexed modalities and brackets are all read as carrying one
-    fixed index.  That collapsed reading is what the prover's pruning
-    filter uses; it is sound because the provability invariant holds
-    index by index and in the collapsed form alike.
+    fixed index.  That collapsed reading is what the prover's root
+    check and its argument-span filter use; it is sound because the
+    provability invariant holds index by index and in the collapsed
+    form alike.
 
     The word of each type and tree node is computed once and kept in
     the node's ``_word`` slot, so it lives exactly as long as the node:

@@ -574,47 +574,49 @@ def run_shrinking_trials(trials: int = 10000, max_factors: int = 6,
 # Flat reduction sweep
 
 
-def run_reduction_sweep(timeout_ms: Optional[float] = None,
-                        cache_dir=None) -> Report:
-    """Reduce every short provable flat sequent to bounded Cut pieces.
-
-    The population is every provable flat sequent with one to five
-    antecedent types drawn from the length-2 enumeration over {p, q}
-    (unprovability of word-unbalanced rows follows from the free-group
-    invariant, so only balanced rows reach the prover).  Each reduction
-    must replay to its sequent, its leaves must be members of the
-    two-premise rule set, and every intermediate conclusion must be
-    provable on its own.
-    """
-    from .interpolate import cut_reduce_flat
-
-    started = time.monotonic()
-    failures = []
+def _reduction_candidates():
+    """Yield the balanced flat sequents with one to five antecedent
+    types drawn from the length-2 enumeration over {p, q}, in
+    enumeration order (unprovability of word-unbalanced rows follows
+    from the free-group invariant, so only balanced rows reach the
+    prover)."""
     types = enum_types({"p", "q"}, 2)
     words = {t: word_of(t) for t in types}
     by_word = {}
     for t in types:
         by_word.setdefault(words[t], []).append(t)
 
-    candidates = []
-
     def walk(row, w, depth):
         if row:
             for succ in by_word.get(w, ()):
-                candidates.append((row, succ))
-        if depth == 5:
-            return
-        for t in types:
-            walk(row + (t,), mul(w, words[t]), depth + 1)
+                yield sequent(tuple(leaf(t) for t in row), succ)
+        if depth < 5:
+            for t in types:
+                yield from walk(row + (t,), mul(w, words[t]), depth + 1)
 
-    walk((), IDENTITY, 0)
+    return walk((), IDENTITY, 0)
+
+
+def run_reduction_sweep(timeout_ms: Optional[float] = None,
+                        cache_dir=None) -> Report:
+    """Reduce every short provable flat sequent to bounded Cut pieces.
+
+    The population is every provable one of ``_reduction_candidates``.
+    Each reduction must replay to its sequent, its leaves must be
+    members of the two-premise rule set, and every intermediate
+    conclusion must be provable on its own.
+    """
+    from .interpolate import cut_reduce_flat
+
+    started = time.monotonic()
+    failures = []
     prover = Prover(LDIA, timeout_ms=timeout_ms)
     rules = build_rulesets({"p", "q"}, 2, LDIA, cache_dir=cache_dir)
     base = set(rules.flat_rules)
-    provable = nodes = 0
+    candidates = provable = nodes = 0
     try:
-        for row, succ in candidates:
-            s = sequent(tuple(leaf(t) for t in row), succ)
+        for s in _reduction_candidates():
+            candidates += 1
             if prover.prove(s) is None:
                 continue
             provable += 1
@@ -636,7 +638,7 @@ def run_reduction_sweep(timeout_ms: Optional[float] = None,
     except ProofSearchTimeout as exc:
         failures.append(f"proof search timed out: {exc}")
 
-    counts = {"balanced_candidates": len(candidates), "provable": provable,
+    counts = {"balanced_candidates": candidates, "provable": provable,
               "derivation_nodes": nodes}
     return _finish("flat-reduction-sweep", started, counts, failures)
 

@@ -17,10 +17,13 @@ the backward reading of the rules; ``apply_rule`` is the forward one,
 over the same principal encodings, and every proof node with premises
 that the interpolator rebuilds goes through it.
 
-As a sound pruning step, a subgoal whose antecedent and succedent have
-different free-group images is refuted without search: every rule
-preserves equality of the two images from premises to conclusion, so
-no such sequent is derivable.
+The search is guided by the free-group interpretation: every rule
+preserves equality of the antecedent's and the succedent's images from
+premises to conclusion, so no sequent whose images differ is derivable.
+``Prover.prove`` refutes such a root without search, and ``instances``
+yields a slash or product instance only where its argument span's word
+equals the argument type's, so every premise of a balanced conclusion
+is balanced and no subgoal needs the comparison again.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import time
 from operator import attrgetter
 from typing import Iterator, Optional
 
-from .freegroup import word_of
+from .freegroup import IDENTITY, mul, word_of
 from .syntax import (
     BINARY, UNIT, BoxDown, Bracket, Dia, Leaf, Over, Prim, Prod, Sequent,
     Type, Under, Calculus, ParseError, boxdown, bracket, calculus,
@@ -114,6 +117,13 @@ def instances(s: Sequent, calc: Calculus) -> Iterator:
     on what a rule instance means.  Each instance's premises are built
     when it is reached, so a search that stops early builds no more.
 
+    UnderL, OverL and ProdR instances are yielded only where the
+    argument (the span of the first premise) has the free-group word of
+    its type.  The others cannot be derived, and on a balanced
+    conclusion the kept instances are exactly those whose premises are
+    all balanced.  The span words are computed lazily, one product per
+    tree, walking out from each slash leaf and up the ``ProdR`` splits.
+
     Principal encodings:
       UnderL   (parent, g, j): leaf ``A \\ B`` at position j under the
                bracket node at ``parent`` (() is the root hedge), with the
@@ -138,10 +148,16 @@ def instances(s: Sequent, calc: Calculus) -> Iterator:
     elif isinstance(succ, Under):
         yield "UnderR", None, (sequent((leaf(succ.left),) + ante, succ.right),)
     elif isinstance(succ, Prod):
+        # a split k only where ante[:k] balances the left factor; the
+        # prefix's word grows by one tree per step
         lo, hi = (0, len(ante)) if calc.starred else (1, len(ante) - 1)
-        for k in range(lo, hi + 1):
-            yield "ProdR", k, (sequent(ante[:k], succ.left),
-                               sequent(ante[k:], succ.right))
+        target, w = word_of(succ.left), IDENTITY
+        for k in range(hi + 1):
+            if k:
+                w = mul(w, word_of(ante[k - 1]))
+            if k >= lo and w == target:
+                yield "ProdR", k, (sequent(ante[:k], succ.left),
+                                   sequent(ante[k:], succ.right))
     elif isinstance(succ, Dia):
         if (len(ante) == 1 and isinstance(ante[0], Bracket)
                 and ante[0].index == succ.index):
@@ -160,15 +176,17 @@ def instances(s: Sequent, calc: Calculus) -> Iterator:
         else:
             t = tr.type
             if isinstance(t, (Under, Over)):
-                # the argument's far end: UnderL tries g = 0, 1, ...
+                # the argument's far end, only where the argument span
+                # balances the argument type: UnderL tries g = 0, 1, ...
                 # (longest argument first), OverL tries e = j+1, j+2, ...
                 # (shortest first); canonical proofs depend on both orders
                 side = 1 if isinstance(t, Over) else 0
-                empty = 1 if calc.starred else 0
                 rule = "OverL" if side else "UnderL"
                 arg, res = (t.right, t.left) if side else (t.left, t.right)
-                for f in (range(j + 2 - empty, len(siblings) + 1) if side
-                          else range(0, j + empty)):
+                target = word_of(arg)
+                ends = (f for f, w in _spans_out(siblings, j, side)
+                        if w == target and (calc.starred or f != j + side))
+                for f in ends if side else reversed(list(ends)):
                     x, y = (j, f) if side else (f, j)
                     yield rule, (parent, x, y), (
                         sequent(siblings[x + side:y], arg),
@@ -185,6 +203,24 @@ def instances(s: Sequent, calc: Calculus) -> Iterator:
                 continue
         yield rule, (parent, j), (
             sequent(replace_span(ante, parent, j, j + 1, repl), succ),)
+
+
+def _spans_out(siblings, j: int, side: int) -> Iterator:
+    """``(f, word)`` for each argument span of the slash leaf at ``j``,
+    walking out from it: siblings j+1..f-1 for f = j+1, j+2, ... when
+    ``side`` is 1 (``/``), siblings f..j-1 for f = j, j-1, ... when it
+    is 0 (``\\``).  Each word is the one before times one more tree, so
+    a walk that stops early computes no further words."""
+    w = IDENTITY
+    yield j + side, w
+    if side:
+        for f in range(j + 1, len(siblings)):
+            w = mul(w, word_of(siblings[f]))
+            yield f + 1, w
+    else:
+        for f in range(j - 1, -1, -1):
+            w = mul(word_of(siblings[f]), w)
+            yield f, w
 
 
 def apply_rule(rule: str, principal, premises,
@@ -266,32 +302,39 @@ class Prover:
         """A cut-free proof of ``s``, or None when there is none.
 
         Every goal the search settles is kept in ``self.memo`` for the
-        life of this instance.  A goal whose two sides have different
-        free-group words, the root included, is refuted without being
-        stored, so bulk enumeration of unbalanced goals does not grow
-        the table; the words themselves are cached on the type and tree
-        nodes (see ``freegroup.word_of``).
+        life of this instance.  The free-group words of the two sides
+        are compared once, at the root: a root whose words differ is
+        refuted without search and not stored, so bulk enumeration of
+        unbalanced goals does not grow the table.  Below a balanced
+        root every goal is balanced, because ``instances`` yields only
+        balanced premises of a balanced conclusion.  The words are
+        cached on the type and tree nodes (see ``freegroup.word_of``).
         """
         validate_sequent(s, self.calc)
         if self.timeout_ms is not None:
             self._deadline = time.monotonic() + self.timeout_ms / 1000.0
             self._ticks = 0
+            self._poll(s)
+        if word_of(s.antecedent) != word_of(s.succedent):
+            return None
         return self._search(s)
 
+    def _poll(self, s: Sequent) -> None:
+        if time.monotonic() >= self._deadline:
+            raise ProofSearchTimeout(
+                f"no answer for {print_sequent(s)} within "
+                f"{self.timeout_ms} ms")
+
     def _search(self, s: Sequent) -> Optional[Proof]:
-        # the deadline is read on the first goal of each ``prove`` call
-        # and on every 32nd goal after it
+        # the deadline is read by ``prove`` before the search and on
+        # every 32nd goal of it
         if self._deadline is not None:
             self._ticks += 1
-            if self._ticks % 32 == 1 and time.monotonic() >= self._deadline:
-                raise ProofSearchTimeout(
-                    f"no answer for {print_sequent(s)} within "
-                    f"{self.timeout_ms} ms")
+            if self._ticks % 32 == 0:
+                self._poll(s)
         result = self.memo.get(s, _MISSING)
         if result is not _MISSING:
             return result
-        if word_of(s.antecedent) != word_of(s.succedent):
-            return None
         result = None
         for rule, principal, premises in instances(s, self.calc):
             subproofs = []
@@ -330,10 +373,13 @@ def check(p: Proof, calc) -> bool:
     parsed proofs.  Each node must match an instance of ``instances``:
     the first one, in canonical order, with the node's rule, the node's
     premise conclusions and, when the node records a principal, that
-    principal (``None`` for the rules that take none).  The matching
-    principal is recorded on the node, so a checked proof is ready for
-    the machinery that dispatches on principal positions.  The walk is
-    ``syntax.preorder``, so proof depth is not bounded by recursion.
+    principal (``None`` for the rules that take none).  A node whose
+    argument span does not balance its argument type matches none, as
+    ``instances`` never yields it; no node of a legal proof is such.
+    The matching principal is recorded on the node, so a checked proof
+    is ready for the machinery that dispatches on principal positions.
+    The walk is ``syntax.preorder``, so proof depth is not bounded by
+    recursion.
     """
     calc = calculus(calc)
     for node, _ in preorder(p, _premises):

@@ -4,11 +4,15 @@ import functools
 import gc
 import random
 import sys
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lambrack import compiler
+from lambrack.compiler import build_rulesets
 from lambrack.freegroup import word_of
+from lambrack.harness import _reduction_candidates
 from lambrack.interpolate import thin_index
 from lambrack.prover import (
     Proof, ProofSearchTimeout, Prover, check, deindex_proof, instances,
@@ -19,7 +23,7 @@ from lambrack.syntax import (
     L, L1STAR, L1STAR_DIA, L1STAR_DIA_M, LDIA, LDIA_M, LSTAR, LSTAR_DIA,
     UNIT, BoxDown, Bracket, Dia, Leaf, Over, ParseError, Prim, Prod, Under,
     boxdown, bracket, calculus, children_at, dia, is_thin, leaf, nodes,
-    over, parse_sequent, parse_type, prim, print_sequent, prod,
+    over, parse_sequent, parse_type, preorder, prim, print_sequent, prod,
     replace_span, sequent, under,
 )
 
@@ -286,9 +290,10 @@ def _alt_provable(s, calc):
 
 # The pair the one generator replaced: ``instances`` yielding
 # ``(rule, principal)`` and ``premises_of`` deciding each instance again
-# and building its premises.  Kept verbatim as the reference for
-# ``TestAgreement::test_instances_match_the_replaced_pair``; the
-# recursive ``_ref_positions`` is also the reference for
+# and building its premises, with no free-group filter.  Kept verbatim
+# as the reference for ``TestAgreement``'s instance and word-guided
+# search tests, through ``_ref_balanced_triples`` and ``_RefProver``;
+# the recursive ``_ref_positions`` is also the reference for
 # ``syntax.nodes``, which replaced the prover's copy of it.
 
 def _ref_positions(h):
@@ -446,6 +451,61 @@ def _ref_triples(s, calc):
     return out
 
 
+def _balanced(s):
+    return word_of(s.antecedent) == word_of(s.succedent)
+
+
+def _ref_balanced_triples(s, calc):
+    """``_ref_triples`` filtered by the free-group balance.
+
+    On a balanced conclusion: the instances whose premises are all
+    balanced.  On an unbalanced one, where no instance has only
+    balanced premises, ``instances`` still filters the argument alone:
+    the instances whose first of two premises is balanced.
+    """
+    triples = _ref_triples(s, calc)
+    if _balanced(s):
+        return [t for t in triples if all(map(_balanced, t[2]))]
+    return [t for t in triples if len(t[2]) < 2 or _balanced(t[2][0])]
+
+
+class _RefProver:
+    """The search as it was before word-guided instances: it tries every
+    instance of ``_ref_triples`` and checks each goal's balance when
+    the goal is entered."""
+
+    def __init__(self, calc):
+        self.calc, self.memo = calc, {}
+
+    def prove(self, s):
+        if not _balanced(s):
+            return None
+        if s in self.memo:
+            return self.memo[s]
+        result = None
+        for rule, principal, premises in _ref_triples(s, self.calc):
+            subproofs = []
+            for premise in premises:
+                sub = self.prove(premise)
+                if sub is None:
+                    break
+                subproofs.append(sub)
+            else:
+                result = Proof(s, rule, subproofs, principal)
+                break
+        self.memo[s] = result
+        return result
+
+
+def _shape(p):
+    """Rule, principal and conclusion of every node, in preorder."""
+    return p if p is None else [(node.rule, node.principal, node.conclusion)
+                                for node, _ in preorder(p, _premises)]
+
+
+_premises = attrgetter("premises")
+
+
 def _node_conclusions(proofs):
     """The distinct conclusions of every node of ``proofs``."""
     seen = set()
@@ -523,7 +583,8 @@ class TestAgreement:
             for s in goals:
                 for calc in calcs:
                     assert list(instances(s, calc)) == \
-                        _ref_triples(s, calc), (print_sequent(s), calc.name)
+                        _ref_balanced_triples(s, calc), \
+                        (print_sequent(s), calc.name)
 
         agree(_small_sequents(2), LDIA, LSTAR_DIA, L1STAR_DIA)
         ts = _types(1, prims=("p",), unit=True)
@@ -537,6 +598,49 @@ class TestAgreement:
         thin = [thin_index(pf, LDIA)[0] for pf in proofs[::10]]
         agree(_node_conclusions(thin), L1STAR_DIA_M)
         agree(map(parse_sequent, _INDEXED_GOALS), L1STAR_DIA_M)
+
+    def test_word_guided_search_matches_the_reference(
+            self, interp_population, monkeypatch):
+        # every canonical proof is the one the unfiltered search finds,
+        # and on every goal the search reaches, ``instances`` yields the
+        # reference instances whose premises are all balanced (for the
+        # interpolation population, the test above covers the goals)
+        def agree(roots, proofs, goals):
+            ref = _RefProver(LDIA)
+            for s, pf in zip(roots, proofs):
+                assert _shape(pf) == _shape(ref.prove(s)), print_sequent(s)
+            for s in goals:
+                assert _balanced(s), print_sequent(s)
+                assert list(instances(s, LDIA)) == \
+                    _ref_balanced_triples(s, LDIA), print_sequent(s)
+
+        roots, proofs = zip(*interp_population)
+        agree(roots, proofs, ())
+
+        prover = Prover(LDIA)
+        rows = [(s, pf) for s in _reduction_candidates()
+                for pf in [prover.prove(s)] if pf is not None]
+        assert len(rows) == 2424
+        roots, proofs = zip(*rows)
+        agree(roots, proofs, _node_conclusions(proofs))
+
+        calls, provers = [], []
+
+        class Recording(Prover):
+            def __init__(self, calc):
+                super().__init__(calc)
+                provers.append(self)
+
+            def prove(self, s):
+                pf = super().prove(s)
+                calls.append((s, pf))
+                return pf
+
+        monkeypatch.setattr(compiler, "Prover", Recording)
+        build_rulesets({"p"}, 3, "Ldia")
+        (build,) = provers
+        roots, proofs = zip(*calls)
+        agree(roots, proofs, build.memo)
 
 
 
@@ -653,6 +757,29 @@ class TestCheck:
         under_node.principal = None
         assert check(q, LSTAR_DIA)
         assert under_node.principal == ((), 0, 1)
+
+    def test_rejects_unbalanced_arguments(self, interp_population):
+        # each node concludes a balanced sequent at an instance whose
+        # argument span does not have the argument type's word
+        for calc, text, rule, principal, premises in (
+                (LSTAR_DIA, "p p \\ p => p", "UnderL", ((), 1, 1),
+                 ("=> p", "p p => p")),
+                (LDIA, "q q \\ q p \\ p => q", "UnderL", ((), 1, 2),
+                 ("q \\ q => p", "q p => q")),
+                (LDIA, "p / p p \\ p p => p", "OverL", ((), 0, 2),
+                 ("p \\ p => p", "p p => p")),
+                (LDIA, "p p p \\ p => p * p", "ProdR", 2,
+                 ("p p => p", "p \\ p => p"))):
+            s = parse_sequent(text)
+            assert _balanced(s)
+            assert principal not in {pr for r, pr, _ in instances(s, calc)}
+            subproofs = [Proof(parse_sequent(t), "Ax") for t in premises]
+            assert _ref_premises_of(s, rule, principal, calc) == \
+                tuple(q.conclusion for q in subproofs)
+            for recorded in (principal, None):
+                node = Proof(s, rule, subproofs, recorded)
+                assert check(node, calc) is False, (text, recorded)
+        assert all(check(pf, LDIA) for _, pf in interp_population)
 
     def test_deeper_than_the_recursion_limit(self):
         assert len(_chain_conclusions()) > sys.getrecursionlimit()
@@ -812,6 +939,26 @@ class TestEngine:
         for _ in range(2):
             with pytest.raises(ProofSearchTimeout):
                 shared.prove(parse_sequent("p => p"))
+
+    def test_slash_chains_enter_linear_goals(self):
+        # ``OverL`` tries argument ends shortest first and ``UnderL``
+        # longest first, but both reach only the one balanced end, so
+        # the two chains enter the same goals: the chain one shorter
+        # and ``p => p`` per level
+        class Counting(Prover):
+            goals = 0
+
+            def _search(self, s):
+                self.goals += 1
+                return super()._search(s)
+
+        n = 100
+        counts = []
+        for text in ("p / p " * n + "p => p", "p" + " p \\ p" * n + " => p"):
+            prover = Counting(LDIA)
+            assert prover.prove(parse_sequent(text)) is not None
+            counts.append(prover.goals)
+        assert counts == [2 * n + 1] * 2
 
     def test_prover_reuse_matches_fresh_calls(self):
         shared = Prover(LDIA)
