@@ -33,9 +33,9 @@ from .prover import (
     translate_flat,
 )
 from .syntax import (
-    ParseError, Type, calculus, children_at, fold, hole_coords,
-    parse_context, parse_hedge, parse_sequent, parse_type, preorder,
-    print_sequent, print_type,
+    ParseError, Type, calculus, children_at, fold, hole_coords, leaf,
+    parse_context, parse_hedge, parse_sequent, parse_type, plug, preorder,
+    print_sequent, print_type, sequent,
 )
 from .freegroup import print_word, word_of
 
@@ -105,6 +105,15 @@ def _cmd_interpolate(args) -> int:
         _emit(args, {"provable": False}, "UNPROVABLE")
         return 0
     res = extract_interpolant(proof, part, calc)
+    left = sequent(part.selected, res.interpolant)
+    right = sequent(plug(context, (leaf(res.interpolant),)), s.succedent)
+    if (res.left_proof.conclusion != left
+            or res.right_proof.conclusion != right
+            or not check(res.left_proof, calc)
+            or not check(res.right_proof, calc)):
+        print("error: an interpolation proof fails its check against its "
+              "cut half", file=sys.stderr)
+        return 1
     payload = {
         "provable": True,
         "interpolant": print_type(res.interpolant),
@@ -370,6 +379,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("error: input nests too deeply for the recursion limit",
               file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        # an internal check failed; ProofSearchTimeout and RecursionError
+        # are subclasses, so their clauses must come before this one
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -734,7 +734,9 @@ def run_cut_completeness(timeout_ms: Optional[float] = None,
                     d = cut_derives(base, s)
                     if pf is not None:
                         provable += 1
-                        thin_forms.append(thin_index(pf, calc)[0].conclusion)
+                        # a search proof carries the principals the
+                        # rebuild reads
+                        thin_forms.append(_thin_rebuild(pf)[0].conclusion)
                     if d is not None:
                         derivable += 1
                         if not replay_cuts(d, base):

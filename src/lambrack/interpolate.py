@@ -175,7 +175,7 @@ def extract_interpolants(p: Proof, parts, calc,
         raise ValueError(f"proof does not check in {calc.name}")
     s = p.conclusion
     if guarded is None:
-        guarded = calc.unit and all(is_guarded(t) for t in sequent_types(s))
+        guarded = _guarded(calc, s)
     elif guarded:
         if not calc.unit:
             raise ValueError("guarded interpolation needs a unit calculus")
@@ -196,6 +196,12 @@ def extract_interpolants(p: Proof, parts, calc,
         out.append(InterpolationResult(
             *_extract(p, parent, lo, hi, calc, guarded)))
     return out
+
+
+def _guarded(calc: Calculus, s: Sequent) -> bool:
+    """The default interpolation mode: guarded exactly when ``calc`` has
+    the unit and every type of ``s`` is guarded."""
+    return calc.unit and all(is_guarded(t) for t in sequent_types(s))
 
 
 def _index_of(node: Proof) -> Optional[int]:
@@ -430,7 +436,8 @@ def eliminate_bracket(p: Proof, calc, bracket_addr=None):
     ``(B, "boxd", (a, b))`` with ``a : Δ ⇒ □↓B`` and ``b : Γ[B] ⇒ C``
     (writing the input conclusion as ``Γ[⟨Δ⟩] ⇒ C``).  The proof is
     thin-indexed internally so that the bridging type's length is
-    bounded by the free-group image of the bracket's contents.
+    bounded by the free-group image of the bracket's contents.  ``p`` is
+    checked once; the proofs built from it are not checked again.
     """
     calc = calculus(calc)
     if not calc.brackets:
@@ -509,24 +516,18 @@ def _descend(node: Proof, beta: tuple, icalc: Calculus):
     rule, pr = node.rule, node.principal
     if rule == "DiaR" and beta == (0,):
         inner = node.premises[0]
-        res = extract_interpolant(
-            inner,
-            partition_at(inner.conclusion.antecedent, (), 0,
-                         len(inner.conclusion.antecedent)),
-            icalc)
-        mid = apply_rule("DiaR", None, (res.right_proof,), _index_of(node))
-        pb = apply_rule("DiaL", ((), 0), (mid,))
-        return res.interpolant, "dia", res.left_proof, pb
+        e, left, right = _extract(
+            inner, (), 0, len(inner.conclusion.antecedent), icalc,
+            _guarded(icalc, inner.conclusion))
+        mid = apply_rule("DiaR", None, (right,), _index_of(node))
+        return e, "dia", left, apply_rule("DiaL", ((), 0), (mid,))
     if rule == "BoxDownL" and beta == pr[0] + (pr[1],):
         P, j = pr
         inner = node.premises[0]
-        res = extract_interpolant(
-            inner, partition_at(inner.conclusion.antecedent, P, j, j + 1),
-            icalc)
-        opened = apply_rule("BoxDownL", ((), 0), (res.left_proof,),
-                            _index_of(node))
-        pa = apply_rule("BoxDownR", None, (opened,))
-        return res.interpolant, "boxd", pa, res.right_proof
+        e, left, right = _extract(inner, P, j, j + 1, icalc,
+                                  _guarded(icalc, inner.conclusion))
+        opened = apply_rule("BoxDownL", ((), 0), (left,), _index_of(node))
+        return e, "boxd", apply_rule("BoxDownR", None, (opened,)), right
     target, beta2 = _premise_route(node, beta)
     b, variant, pa, pb = _descend(node.premises[target], beta2, icalc)
     if _acts_inside(rule, pr, beta):
@@ -553,7 +554,11 @@ def cut_reduce_flat(s: Sequent, prims, m: int, calc) -> CutDerivation:
     are split by interpolating either an adjacent pair whose free-group
     images shrink when multiplied, or the prefix before the last type,
     and recursing.  Every leaf is a provable sequent with at most two
-    antecedent types, all of length at most ``m`` over ``prims``.
+    antecedent types, all of length at most ``m`` over ``prims``.  The
+    prover's proof is checked once; each step thin-indexes and
+    interpolates a proof built from it, unchecked.  A failed check, a
+    piece proving the wrong sequent or an overlong interpolant raise
+    ``RuntimeError``.
     """
     calc = calculus(calc)
     if not calc.brackets:
@@ -577,39 +582,37 @@ def cut_reduce_flat(s: Sequent, prims, m: int, calc) -> CutDerivation:
     proof = prove(s, calc)
     if proof is None:
         raise ValueError(f"not provable: {print_sequent(s)}")
+    if not check(proof, calc):
+        raise RuntimeError(f"the proof of {print_sequent(s)} fails its "
+                           f"check in {calc.name}")
     icalc = indexed_counterpart(calc)
 
     def reduce_step(seq: Sequent, prf: Proof) -> CutDerivation:
         n = len(seq.antecedent)
         if n <= 2:
             return cut_leaf(seq)
-        thin, theta = thin_index(prf, calc)
+        thin, theta = _thin_rebuild(prf)
         tante = thin.conclusion.antecedent
         words = [word_of(tr) for tr in tante]
         words.append(inv(word_of(thin.conclusion.succedent)))
         k = shrinking_pair(words)
-        if k <= n - 1:
-            res = extract_interpolant(
-                thin, partition_at(tante, (), k - 1, k + 1), icalc)
-            e = _bounded(deindex(res.interpolant, theta), m, seq)
-            piece = sequent(seq.antecedent[k - 1:k + 1], e)
-            rest = sequent(seq.antecedent[:k - 1] + (leaf(e),)
-                           + seq.antecedent[k + 1:], seq.succedent)
-            rest_proof = _concluding(
-                deindex_proof(res.right_proof, theta), rest)
-            position = (seq.antecedent[:k - 1] + (HOLE,)
-                        + seq.antecedent[k + 1:])
-            return cut_node(cut_leaf(piece), reduce_step(rest, rest_proof),
-                            position)
-        res = extract_interpolant(
-            thin, partition_at(tante, (), 0, n - 1), icalc)
-        e = _bounded(deindex(res.interpolant, theta), m, seq)
-        head = sequent(seq.antecedent[:n - 1], e)
-        head_proof = _concluding(deindex_proof(res.left_proof, theta), head)
-        piece = sequent((leaf(e), seq.antecedent[n - 1]), seq.succedent)
-        position = (HOLE, seq.antecedent[n - 1])
-        return cut_node(reduce_step(head, head_proof), cut_leaf(piece),
-                        position)
+        pair = k <= n - 1
+        lo, hi = (k - 1, k + 1) if pair else (0, n - 1)
+        e, left, right = _extract(thin, (), lo, hi, icalc,
+                                  _guarded(icalc, thin.conclusion))
+        e = _bounded(deindex(e, theta), m, seq)
+        # Cut ``cut`` into ``rest`` at ``position``; the pair is a piece
+        # and the rest recurses, or the prefix recurses and the rest is
+        # a piece
+        ante = seq.antecedent
+        cut = sequent(ante[lo:hi], e)
+        rest = sequent(ante[:lo] + (leaf(e),) + ante[hi:], seq.succedent)
+        position = ante[:lo] + (HOLE,) + ante[hi:]
+        if pair:
+            return cut_node(cut_leaf(cut), reduce_step(rest, _concluding(
+                deindex_proof(right, theta), rest)), position)
+        return cut_node(reduce_step(cut, _concluding(
+            deindex_proof(left, theta), cut)), cut_leaf(rest), position)
 
     return reduce_step(s, proof)
 

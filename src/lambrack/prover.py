@@ -370,23 +370,25 @@ def check(p: Proof, calc) -> bool:
     """True iff every node of ``p`` is a legal rule instance of ``calc``.
 
     Independent of the search: usable as an oracle on hand-built or
-    parsed proofs.  Each node must match an instance of ``instances``:
+    parsed proofs.  The root's conclusion must be well formed for
+    ``calc``, and each node must match an instance of ``instances``:
     the first one, in canonical order, with the node's rule, the node's
     premise conclusions and, when the node records a principal, that
-    principal (``None`` for the rules that take none).  A node whose
-    argument span does not balance its argument type matches none, as
-    ``instances`` never yields it; no node of a legal proof is such.
-    The matching principal is recorded on the node, so a checked proof
-    is ready for the machinery that dispatches on principal positions.
-    The walk is ``syntax.preorder``, so proof depth is not bounded by
-    recursion.
+    principal (``None`` for the rules that take none).  No other node
+    is validated: each equals a premise ``instances`` yielded for its
+    accepted parent, and those are well formed for ``calc``.  A node
+    whose argument span does not balance its argument type matches
+    none.  The matching principal is recorded on the node, so a checked
+    proof is ready for the machinery that dispatches on principal
+    positions.  The walk is ``syntax.preorder``, so proof depth is not
+    bounded by recursion.
     """
     calc = calculus(calc)
+    try:
+        validate_sequent(p.conclusion, calc)
+    except ValueError:
+        return False
     for node, _ in preorder(p, _premises):
-        try:
-            validate_sequent(node.conclusion, calc)
-        except ValueError:
-            return False
         stored = tuple(q.conclusion for q in node.premises)
         for rule, principal, premises in instances(node.conclusion, calc):
             if (rule == node.rule and premises == stored

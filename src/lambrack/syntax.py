@@ -256,7 +256,7 @@ class Tree:
     """A node of the bracketed antecedent structure."""
 
     __slots__ = ("mode", "holes", "empty_brackets", "units", "_hash",
-                 "_prims", "_mods", "_str", "_word")
+                 "_str", "_word")
 
     def __hash__(self) -> int:
         return self._hash
@@ -327,8 +327,6 @@ def leaf(t: Type) -> Leaf:
     tr.empty_brackets = 0
     tr.units = t.units
     tr._hash = hash(("leaf", t))
-    tr._prims = t.prims
-    tr._mods = t.mods
     tr._str = None
     tr._word = None
     t._leaf = tr
@@ -357,8 +355,6 @@ def bracket(children, index: Optional[int] = None) -> Bracket:
     tr.empty_brackets = empties
     tr.units = units
     tr._hash = hash(("bracket", index, children))
-    tr._prims = None
-    tr._mods = None
     tr._str = None
     tr._word = None
     return tr
@@ -371,32 +367,12 @@ def _make_hole() -> Hole:
     tr.empty_brackets = 0
     tr.units = 0
     tr._hash = hash(("hole",))
-    tr._prims = _EMPTY_COUNTER
-    tr._mods = _EMPTY_COUNTER
     tr._str = "_"
     tr._word = None
     return tr
 
 
 HOLE = _make_hole()
-
-
-def _tree_prims(tr: Tree) -> Counter:
-    if tr._prims is None:
-        c = Counter()
-        for ch in tr.children:
-            c.update(_tree_prims(ch))
-        tr._prims = c
-    return tr._prims
-
-
-def _tree_mods(tr: Tree) -> Counter:
-    if tr._mods is None:
-        c = Counter({tr.index: 1})
-        for ch in tr.children:
-            c.update(_tree_mods(ch))
-        tr._mods = c
-    return tr._mods
 
 
 # ---------------------------------------------------------------------------
@@ -693,51 +669,48 @@ def length(t: Type) -> int:
     return t.length
 
 
-def _prims_of(x: _Countable) -> Counter:
+def _counts_of(x: _Countable) -> tuple:
+    """``(primitives, modality indices)`` of ``x`` as two counters: the
+    leaf types' counters plus one index per bracket, summed over one
+    ``nodes`` walk, so no depth of nesting is bounded by recursion.  A
+    type's own counters are returned as they are, not copied."""
     if isinstance(x, Type):
-        return x.prims
-    if isinstance(x, Tree):
-        return _tree_prims(x)
-    if isinstance(x, tuple):
-        c = Counter()
-        for tr in x:
-            c.update(_tree_prims(tr))
-        return c
+        return x.prims, x.mods
     if isinstance(x, Sequent):
-        return _prims_of(x.antecedent) + x.succedent.prims
-    raise TypeError(f"cannot count primitives of {x!r}")
-
-
-def _mods_of(x: _Countable) -> Counter:
-    if isinstance(x, Type):
-        return x.mods
-    if isinstance(x, Tree):
-        return _tree_mods(x)
-    if isinstance(x, tuple):
-        c = Counter()
-        for tr in x:
-            c.update(_tree_mods(tr))
-        return c
-    if isinstance(x, Sequent):
-        return _mods_of(x.antecedent) + x.succedent.mods
-    raise TypeError(f"cannot count modalities of {x!r}")
+        h, types = x.antecedent, [x.succedent]
+    elif isinstance(x, Tree):
+        h, types = (x,), []
+    elif isinstance(x, tuple):
+        h, types = x, []
+    else:
+        raise TypeError(f"cannot count primitives or modalities of {x!r}")
+    prims, mods = Counter(), Counter()
+    for _, _, tr, _ in nodes(h):
+        if isinstance(tr, Leaf):
+            types.append(tr.type)
+        elif isinstance(tr, Bracket):
+            mods[tr.index] += 1
+    for t in types:
+        prims.update(t.prims)
+        mods.update(t.mods)
+    return prims, mods
 
 
 def prim_count(name: str, x: _Countable) -> int:
     """Occurrences of the primitive ``name`` in ``x``."""
-    return _prims_of(x)[name]
+    return _counts_of(x)[0][name]
 
 
 def prim_counts(x: _Countable) -> Counter:
-    return Counter(_prims_of(x))
+    return Counter(_counts_of(x)[0])
 
 
 def mod_counts(x: _Countable) -> Counter:
-    return Counter(_mods_of(x))
+    return Counter(_counts_of(x)[1])
 
 
 def mod_total(x: _Countable) -> int:
-    return sum(_mods_of(x).values())
+    return sum(_counts_of(x)[1].values())
 
 
 def unit_count(x: _Countable) -> int:
@@ -754,8 +727,9 @@ def is_thin(s: Sequent) -> bool:
     """True iff every primitive and every index occurs at most twice."""
     if s.mode == "plain":
         raise ValueError("is_thin needs an indexed sequent")
-    return (all(v <= 2 for v in _prims_of(s).values())
-            and all(v <= 2 for v in _mods_of(s).values()))
+    prims, mods = _counts_of(s)
+    return (all(v <= 2 for v in prims.values())
+            and all(v <= 2 for v in mods.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -1026,11 +1000,11 @@ def validate_sequent(s: Sequent, calc: Calculus) -> None:
         raise ValueError(f"{calc.name} does not allow indexed modalities: {s}")
     if not calc.unit and unit_count(s) > 0:
         raise ValueError(f"{calc.name} does not include the unit: {s}")
-    if not calc.brackets:
+    if not calc.brackets and s.mode is not None:
+        # only a bracket or a modality gives a sequent a mode
         if not is_flat(s.antecedent):
             raise ValueError(f"{calc.name} does not allow brackets: {s}")
-        if mod_total(s) > 0:
-            raise ValueError(f"{calc.name} does not allow modalities: {s}")
+        raise ValueError(f"{calc.name} does not allow modalities: {s}")
     if not calc.starred:
         if not s.antecedent:
             raise ValueError(f"{calc.name} does not allow empty antecedents: {s}")

@@ -9,8 +9,9 @@ from lambrack.cfgkit import Derivation
 from lambrack.cli import main
 from lambrack.compiler import build_rulesets
 from lambrack.harness import Report
-from lambrack.prover import ProofSearchTimeout, check, parse_proof
-from lambrack.syntax import L1STAR_DIA_M, LDIA, LDIA_M, parse_sequent
+from lambrack.interpolate import InterpolationResult, extract_interpolant
+from lambrack.prover import Proof, ProofSearchTimeout, check, parse_proof
+from lambrack.syntax import L1STAR_DIA_M, LDIA, LDIA_M, parse_sequent, prim
 
 THIN_GOAL = "[ [ p ] dia p \\ p ] => boxd dia dia p"
 THIN_CONCLUSION = ("[:2 [:1 p1 ]:1 dia:1 p1 \\ p2 ]:2 "
@@ -115,6 +116,30 @@ class TestInterpolate:
         code, _, err = run(capsys, "interpolate", "p p \\ p => p", "q _")
         assert code == 2
         assert "context" in err
+
+    @pytest.mark.parametrize("mutation", ["swapped", "interpolant",
+                                          "left", "right"])
+    def test_wrong_answer_is_refused(self, capsys, monkeypatch, mutation):
+        # each mutated result either concludes the wrong cut half or
+        # fails its check; none is printed
+        def mutated(proof, part, calc):
+            res = extract_interpolant(proof, part, calc)
+            e, left, right = res.interpolant, res.left_proof, res.right_proof
+            if mutation == "swapped":
+                left, right = right, left
+            elif mutation == "interpolant":
+                e = prim("q")
+            elif mutation == "left":
+                left = Proof(left.conclusion, "DiaR", left.premises)
+            else:
+                right = Proof(right.conclusion, "Ax")
+            return InterpolationResult(e, left, right)
+
+        monkeypatch.setattr("lambrack.cli.extract_interpolant", mutated)
+        code, out, err = run(capsys, "interpolate", "p p \\ q => q",
+                             "_ p \\ q")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestThin:
@@ -354,6 +379,41 @@ class TestReport:
                            str(tmp_path))
         assert code == 1
         assert json.loads(out)["ok"] is False
+
+
+class TestInternalErrors:
+    # a RuntimeError from a failed internal check is one line and exit 1;
+    # its two subclasses keep their own clauses
+    @pytest.mark.parametrize("callee, argv", [
+        ("prove", ["prove", "p => p"]),
+        ("extract_interpolant", ["interpolate", "p p \\ q => q",
+                                 "_ p \\ q"]),
+        ("word_of", ["interpret", "p"]),
+    ])
+    def test_runtime_error_is_one_line(self, capsys, monkeypatch, callee,
+                                       argv):
+        def fail(*args, **kwargs):
+            raise RuntimeError("a reduction piece proves p => p, not q => q")
+
+        monkeypatch.setattr(f"lambrack.cli.{callee}", fail)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == ("error: a reduction piece proves p => p, "
+                       "not q => q\n")
+
+    @pytest.mark.parametrize("exc, code, message", [
+        (RecursionError, 2, "error: input nests too deeply"),
+        (ProofSearchTimeout, 1, "error: proof search timed out"),
+    ])
+    def test_subclasses_keep_their_clauses(self, capsys, monkeypatch, exc,
+                                           code, message):
+        def fail(*args, **kwargs):
+            raise exc("no answer")
+
+        monkeypatch.setattr("lambrack.cli.prove", fail)
+        got, out, err = run(capsys, "prove", "p => p")
+        assert (got, out) == (code, "")
+        assert err.startswith(message) and err.count("\n") == 1
 
 
 class TestUsage:

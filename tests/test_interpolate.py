@@ -4,6 +4,7 @@ elimination, and the flat Cut reduction."""
 import hashlib
 import re
 from collections import Counter
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,8 +24,9 @@ from lambrack.syntax import (
     HOLE, L1STAR, L1STAR_DIA, L1STAR_DIA_M, LDIA, LDIA_M, LSTAR_DIA, UNIT,
     boxdown, bracket, bracket_addresses, children_at, deindex, dia,
     hole_coords, is_thin, leaf, length, mod_counts, over, parse_sequent,
-    parse_type, partitions, plug, prim, prim_counts, print_sequent,
-    print_type, prod, replace_span, sequent, sequent_types, subtree, under,
+    parse_type, partitions, plug, preorder, prim, prim_counts, print_hedge,
+    print_sequent, print_type, prod, replace_span, sequent, sequent_types,
+    subtree, under,
 )
 from helpers import cut_candidates
 from test_prover import GOLDEN, _small_sequents
@@ -682,7 +684,7 @@ class TestEliminateBracket:
 
         monkeypatch.setattr(interpolate, "check", counting_check)
         eliminate_bracket(pf, LDIA)
-        assert checked.count(True) == 1
+        assert checked == [True]
 
 
 class TestCutReduceFlat:
@@ -754,6 +756,25 @@ class TestCutReduceFlat:
                             lambda p, theta: wrong)
         with pytest.raises(RuntimeError, match=re.escape(
                 "a reduction piece proves p => p, not p p \\ p => p")):
+            cut_reduce_flat(parse_sequent("p p \\ p p \\ p => p"),
+                            {"p"}, 2, LDIA)
+
+    def test_checks_the_proof_once(self, monkeypatch):
+        # the prover's proof is checked on entry; every piece proof is
+        # built from it and not checked again
+        s = parse_sequent("p p \\ p p \\ p p \\ p p \\ p p \\ p => p")
+        checked = []
+        monkeypatch.setattr(interpolate, "check", lambda p, calc: (
+            checked.append(p.conclusion) or check(p, calc)))
+        d = cut_reduce_flat(s, {"p"}, 2, LDIA)
+        assert d.cut_count() == 4 and replay_cuts(d)
+        assert checked == [s]
+
+    def test_failed_check_is_a_runtime_error(self, monkeypatch):
+        monkeypatch.setattr(interpolate, "check", lambda p, calc: False)
+        with pytest.raises(RuntimeError, match=re.escape(
+                "the proof of p p \\ p p \\ p => p fails its check in "
+                "Ldia")):
             cut_reduce_flat(parse_sequent("p p \\ p p \\ p => p"),
                             {"p"}, 2, LDIA)
 
@@ -866,6 +887,46 @@ def _digest_records(population, tally):
                           modes, tally)
     for i in (1, 2, 3):
         yield from _sweep(_telescope(i), L1STAR, True, (None,), tally)
+
+
+# Flat reductions in the starred and the unit calculus, with the base
+# primitives and the length bound of each
+REDUCTION_ROWS = [
+    ("p p \\ p p \\ p p \\ p => p", {"p"}, 2, LSTAR_DIA),
+    ("(p / p) p p \\ p => p", {"p"}, 2, LSTAR_DIA),
+    ("p p \\ (q / q) q => q", {"p", "q"}, 3, LSTAR_DIA),
+    ("dia 1 dia 1 \\ p p \\ p => p", {"p"}, 4, L1STAR_DIA),
+    ("p p \\ dia 1 dia 1 \\ p => p", {"p"}, 4, L1STAR_DIA),
+    ("dia 1 / dia 1 dia 1 p => dia 1 * p", {"p"}, 4, L1STAR_DIA),
+]
+
+REDUCTION_DIGEST = "f4595a1fbeaf0dffea516a39989f0be0c0d4212ef679331e3295e6d902051e85"
+
+
+def _reduction_record(d):
+    """Every node of a Cut derivation, preorder, indented by depth, with
+    the context position of each Cut."""
+    return "\n".join(
+        "  " * depth + print_sequent(node.conclusion)
+        + ("" if node.is_leaf else "  at " + print_hedge(node.position))
+        for node, depth in preorder(d, attrgetter("premises")))
+
+
+class TestReductionDigest:
+    def test_digest(self, reduction_population):
+        rows = [(s, {"p", "q"}, 2, LDIA)
+                for s, _ in reduction_population[::10]]
+        assert len(rows) == 243
+        rows += [(parse_sequent(t), prims, m, calc)
+                 for t, prims, m, calc in REDUCTION_ROWS]
+        h = hashlib.sha256()
+        cuts = 0
+        for s, prims, m, calc in rows:
+            d = cut_reduce_flat(s, prims, m, calc)
+            cuts += d.cut_count()
+            h.update(_reduction_record(d).encode() + b"\n")
+        assert cuts > 300
+        assert h.hexdigest() == REDUCTION_DIGEST
 
 
 class TestDifferentialDigest:

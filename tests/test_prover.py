@@ -4,15 +4,15 @@ import functools
 import gc
 import random
 import sys
+from collections import Counter
 from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lambrack import compiler
+from lambrack import compiler, interpolate
 from lambrack.compiler import build_rulesets
 from lambrack.freegroup import word_of
-from lambrack.harness import _reduction_candidates
 from lambrack.interpolate import thin_index
 from lambrack.prover import (
     Proof, ProofSearchTimeout, Prover, check, deindex_proof, instances,
@@ -20,11 +20,11 @@ from lambrack.prover import (
 )
 from lambrack.prover import RULES
 from lambrack.syntax import (
-    L, L1STAR, L1STAR_DIA, L1STAR_DIA_M, LDIA, LDIA_M, LSTAR, LSTAR_DIA,
-    UNIT, BoxDown, Bracket, Dia, Leaf, Over, ParseError, Prim, Prod, Under,
-    boxdown, bracket, calculus, children_at, dia, is_thin, leaf, nodes,
-    over, parse_sequent, parse_type, preorder, prim, print_sequent, prod,
-    replace_span, sequent, under,
+    CALCULI, L, L1STAR, L1STAR_DIA, L1STAR_DIA_M, LDIA, LDIA_M, LSTAR,
+    LSTAR_DIA, UNIT, BoxDown, Bracket, Dia, Leaf, Over, ParseError, Prim,
+    Prod, Under, boxdown, bracket, calculus, children_at, dia, fold,
+    is_thin, leaf, nodes, over, parse_sequent, parse_type, preorder, prim,
+    print_sequent, prod, replace_span, sequent, under, validate_sequent,
 )
 
 GOLDEN = "[ [ p ] dia p \\ p ] => boxd dia dia p"
@@ -600,7 +600,7 @@ class TestAgreement:
         agree(map(parse_sequent, _INDEXED_GOALS), L1STAR_DIA_M)
 
     def test_word_guided_search_matches_the_reference(
-            self, interp_population, monkeypatch):
+            self, interp_population, reduction_population, monkeypatch):
         # every canonical proof is the one the unfiltered search finds,
         # and on every goal the search reaches, ``instances`` yields the
         # reference instances whose premises are all balanced (for the
@@ -617,11 +617,8 @@ class TestAgreement:
         roots, proofs = zip(*interp_population)
         agree(roots, proofs, ())
 
-        prover = Prover(LDIA)
-        rows = [(s, pf) for s in _reduction_candidates()
-                for pf in [prover.prove(s)] if pf is not None]
-        assert len(rows) == 2424
-        roots, proofs = zip(*rows)
+        assert len(reduction_population) == 2424
+        roots, proofs = zip(*reduction_population)
         agree(roots, proofs, _node_conclusions(proofs))
 
         calls, provers = [], []
@@ -693,7 +690,130 @@ def _chain(bottom):
     return node
 
 
+def _ref_check(p, calc):
+    """The replaced ``check``, which validated every node's conclusion
+    and not only the root's."""
+    calc = calculus(calc)
+    for node, _ in preorder(p, _premises):
+        try:
+            validate_sequent(node.conclusion, calc)
+        except ValueError:
+            return False
+        stored = tuple(q.conclusion for q in node.premises)
+        for rule, principal, premises in instances(node.conclusion, calc):
+            if (rule == node.rule and premises == stored
+                    and node.principal in (None, principal)):
+                node.principal = principal
+                break
+        else:
+            return False
+    return True
+
+
+def _valid(s, calc):
+    try:
+        validate_sequent(s, calc)
+    except ValueError:
+        return False
+    return True
+
+
+def _invalid_in(s, calc):
+    """``s`` with an empty bracket, a unit or an indexed modality added
+    to its antecedent, the first of them that ``calc`` refuses, or None
+    when it refuses none (a plain sequent in L1starDia)."""
+    for extra in (bracket(()), leaf(UNIT), leaf(dia(prim("p"), 1)),
+                  leaf(dia(prim("p")))):
+        try:
+            t = sequent(s.antecedent + (extra,), s.succedent)
+        except ValueError:
+            continue  # mixed indexed and plain modalities
+        if not _valid(t, calc):
+            return t
+    return None
+
+
+def _with_conclusion(p, target, conclusion):
+    """A copy of ``p`` in which the node ``target`` concludes
+    ``conclusion``."""
+    return fold(p, _premises, lambda node, prems: Proof(
+        conclusion if node is target else node.conclusion, node.rule,
+        prems, node.principal))
+
+
+# Unit, starred and guarded goals, each with the calculus it is proved in
+_EDGE_ROWS = [
+    ("=> p / p", LSTAR), ("p => q / (p \\ q)", LSTAR), ("=> 1", L1STAR),
+    ("1 p => p", L1STAR), ("1 \\ p => p", L1STAR),
+    ("p p \\ q q \\ q => q", L1STAR_DIA), ("[ ] => dia 1", L1STAR_DIA),
+    ("dia 1 / dia 1 [ ] => dia 1", L1STAR_DIA),
+    ("[ p [ ] ] => dia (p * dia 1)", L1STAR_DIA),
+    ("p => (p * dia 1) / dia 1", L1STAR_DIA),
+    ("[ p p \\ q ] => dia q", LSTAR_DIA),
+    ("dia boxd p => dia boxd p", LSTAR_DIA),
+]
+
+
+@pytest.fixture(scope="module")
+def check_population(interp_population, reduction_population):
+    """``(proof, calculus)`` for the sweep populations: the interpolation
+    population and its thin forms, the reduction sweep's provables, the
+    edge rows and the indexed goals."""
+    plain = [pf for _, pf in interp_population]
+    pairs = [(pf, LDIA) for pf in plain]
+    pairs += [(interpolate._thin_rebuild(pf)[0], LDIA_M) for pf in plain]
+    pairs += [(pf, LDIA) for _, pf in reduction_population]
+    pairs += [(prove(parse_sequent(t), calc), calc) for t, calc in _EDGE_ROWS]
+    pairs += [(pf, L1STAR_DIA_M) for t in _INDEXED_GOALS
+              for pf in [prove(parse_sequent(t), L1STAR_DIA_M)] if pf]
+    assert all(pf is not None for pf, _ in pairs)
+    return pairs
+
+
 class TestCheck:
+    def test_matches_the_per_node_check(self, check_population):
+        # every population proof in its calculus, with a copy in which
+        # one inner conclusion is swapped for one the calculus refuses;
+        # every 10th proof also in every other calculus
+        rng = random.Random(20)
+        tampered = 0
+        for i, (pf, home) in enumerate(check_population):
+            assert check(pf, home) and _ref_check(pf, home)
+            inner = [node for node, _ in preorder(pf, _premises)][1:]
+            if inner:
+                target = rng.choice(inner)
+                bad = _invalid_in(target.conclusion, home)
+                if bad is not None:
+                    q = _with_conclusion(pf, target, bad)
+                    assert check(q, home) is _ref_check(q, home) is False
+                    tampered += 1
+            if i % 10 == 0:
+                for calc in CALCULI.values():
+                    assert check(pf, calc) == _ref_check(pf, calc), \
+                        (print_sequent(pf.conclusion), calc.name)
+        assert len(check_population) > 6000 and tampered > 5000
+
+    def test_instances_yield_valid_premises(self, check_population,
+                                            reduction_population):
+        # what lets ``check`` validate the root alone; of the reduction
+        # sweep, whose goals every calculus accepts, every 10th proof
+        sweep = {id(pf) for _, pf in reduction_population}
+        goals = _node_conclusions(
+            [pf for pf, _ in check_population if id(pf) not in sweep]
+            + [pf for _, pf in reduction_population[::10]])
+        goals |= set(map(parse_sequent, _INDEXED_GOALS))
+        premises_seen = Counter()
+        for calc in CALCULI.values():
+            for s in goals:
+                if not _valid(s, calc):
+                    continue
+                for rule, _, premises in instances(s, calc):
+                    for q in premises:
+                        assert _valid(q, calc), \
+                            (print_sequent(s), rule, calc.name)
+                        premises_seen[calc.name] += 1
+        assert set(premises_seen) == set(CALCULI)
+
     def test_rejects_wrong_calculus(self):
         p = prove(parse_sequent(GOLDEN), LDIA)
         assert not check(p, L)

@@ -8,13 +8,15 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
+from lambrack.interpolate import _thin_rebuild
 from lambrack.prover import print_proof, prove
 from lambrack.syntax import (
     HOLE, L1STAR_DIA_M, LDIA, LDIA_M, L, L1STAR, LSTAR_DIA,
     Bracket, BoxDown, Dia, Leaf, Over, Prim, Prod, UNIT, Under,
-    ParseError, boxdown, bracket, bracket_addresses, calculus, children_at,
-    deindex, dia, hole_coords, is_flat, is_thin, leaf, length,
-    mod_counts, mod_total, over, parse_context, parse_grammar, parse_hedge,
+    ParseError, Sequent, Type, boxdown, bracket, bracket_addresses,
+    calculus, children_at, deindex, dia, hole_coords, is_flat, is_thin,
+    leaf, length, mod_counts, mod_total, nodes, over, parse_context,
+    parse_grammar, parse_hedge,
     parse_sequent, parse_type, partitions, plug, prim,
     prim_count, prim_counts, print_hedge, print_sequent, print_tree,
     print_type, prod, replace_span, sequent, span_partition, subtree,
@@ -215,6 +217,79 @@ def test_counts_tables():
     assert mod_counts(s) == Counter({1: 2, 2: 2, 3: 2})
 
 
+def _ref_counts(x):
+    """Primitive and modality-index counters by the replaced per-tree
+    recursion, which summed each bracket's children."""
+    if isinstance(x, Sequent):
+        prims, mods = _ref_counts(x.antecedent)
+        return prims + x.succedent.prims, mods + x.succedent.mods
+    if isinstance(x, tuple):
+        prims, mods = Counter(), Counter()
+        for tr in x:
+            a, b = _ref_counts(tr)
+            prims.update(a)
+            mods.update(b)
+        return prims, mods
+    if isinstance(x, Leaf):
+        x = x.type
+    if isinstance(x, Type):
+        return Counter(x.prims), Counter(x.mods)
+    if x is HOLE:
+        return Counter(), Counter()
+    prims, mods = _ref_counts(x.children)
+    mods[x.index] += 1
+    return prims, mods
+
+
+def test_counts_match_the_replaced_recursion(interp_population):
+    # every node conclusion of the population and of the thin forms of
+    # every 4th proof, with its hedges, trees, types and one context per
+    # bracket level
+    proofs = [pf for _, pf in interp_population]
+    proofs += [_thin_rebuild(pf)[0] for pf in proofs[::4]]
+    seen, stack, compared = set(), list(proofs), 0
+    while stack:
+        node = stack.pop()
+        stack.extend(node.premises)
+        s = node.conclusion
+        if s in seen:
+            continue
+        seen.add(s)
+        items = [s, s.antecedent, s.succedent]
+        items += [tr for _, _, tr, _ in nodes(s.antecedent)]
+        items += [span_partition(s.antecedent, parent, 0, 1)[0]
+                  for parent in [()] + bracket_addresses(s.antecedent)
+                  if children_at(s.antecedent, parent)]
+        for x in items:
+            prims, mods = _ref_counts(x)
+            assert (prim_counts(x), mod_counts(x)) == (prims, mods), x
+            assert mod_total(x) == sum(mods.values())
+            assert all(prim_count(name, x) == n
+                       for name, n in prims.items())
+            compared += 1
+        if s.mode != "plain":
+            prims, mods = _ref_counts(s)
+            assert is_thin(s) == all(
+                v <= 2 for v in (prims + mods).values())
+    assert compared > 15000
+
+
+def test_counts_of_a_deep_nest():
+    # deeper than the recursion limit: the counts walk with ``nodes``
+    n = 2000
+    assert n > sys.getrecursionlimit()
+    h, plain = (leaf(p),), (leaf(p),)
+    for i in range(1, n + 1):
+        h, plain = (bracket(h, i),), (bracket(plain),)
+    s = sequent(h, p)
+    assert prim_counts(s) == Counter({"p": 2})
+    assert prim_count("p", h[0]) == 1
+    assert mod_counts(h) == Counter(range(1, n + 1))
+    assert mod_total(s) == n and mod_total(plain) == n
+    assert mod_counts(plain[0]) == Counter({None: n})
+    assert is_thin(s)
+
+
 def test_is_thin():
     assert is_thin(parse_sequent(INDEXED_GOLDEN))
     assert not is_thin(parse_sequent("p1 p1 p1 => p1"))
@@ -347,10 +422,12 @@ def test_validate_unit_and_brackets():
     with pytest.raises(ValueError):
         validate_sequent(parse_sequent("1 => 1"), LDIA)
     validate_sequent(parse_sequent("1 => 1"), L1STAR)
-    with pytest.raises(ValueError):
-        validate_sequent(parse_sequent("[ p ] => dia p"), L)
-    with pytest.raises(ValueError):
-        validate_sequent(parse_sequent("dia p => dia p"), L)
+    for text, what in (("[ p ] => dia p", "brackets"),
+                       ("[ p ] => p", "brackets"),
+                       ("dia p => dia p", "modalities"),
+                       ("p => boxd p", "modalities")):
+        with pytest.raises(ValueError, match=f"L does not allow {what}"):
+            validate_sequent(parse_sequent(text), L)
 
 
 def test_validate_starred():
