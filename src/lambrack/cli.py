@@ -21,13 +21,16 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .cfgkit import (
-    cut_derives, derives, parse_cfg, print_cfg, replay_derivation,
+    cut_derives, derives, parse_cfg, print_cfg, replay_cuts,
+    replay_derivation,
 )
 from .compiler import compile_cfg
 from .harness import (
     DEFAULT_SEED, format_reports, load_grammar, run_all, run_equivalence,
 )
-from .interpolate import extract_interpolant, partition_at, thin_index
+from .interpolate import (
+    _interpolant_bounds_ok, extract_interpolant, partition_at, thin_index,
+)
 from .prover import (
     ProofSearchTimeout, check, parse_proof, print_proof, prove,
     translate_flat,
@@ -113,6 +116,10 @@ def _cmd_interpolate(args) -> int:
             or not check(res.right_proof, calc)):
         print("error: an interpolation proof fails its check against its "
               "cut half", file=sys.stderr)
+        return 1
+    if not _interpolant_bounds_ok(res.interpolant, part, s.succedent):
+        print("error: the interpolant has more occurrences than a side of "
+              "the cut", file=sys.stderr)
         return 1
     payload = {
         "provable": True,
@@ -234,6 +241,10 @@ def _cmd_cut_derive(args) -> int:
     if d is None:
         _emit(args, {"derivable": False}, "NO")
         return 0
+    if d.conclusion != goal or not replay_cuts(d, set(base)):
+        print("error: Cut derivation fails its replay over the base",
+              file=sys.stderr)
+        return 1
     _emit(args, {"derivable": True, "derivation": _cut_tree(d)},
           "\n".join(_cut_lines(d)))
     return 0

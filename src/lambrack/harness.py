@@ -37,8 +37,8 @@ from .freegroup import (
     wlen, word, word_of,
 )
 from .interpolate import (
-    _thin_rebuild, extract_interpolant, extract_interpolants, partition_at,
-    thin_index,
+    _interpolant_bounds_ok, _thin_rebuild, extract_interpolant,
+    extract_interpolants, partition_at, thin_index,
 )
 from .prover import (
     ProofSearchTimeout, Prover, check, parse_proof, print_proof, prove,
@@ -47,9 +47,8 @@ from .prover import (
 from .syntax import (
     L, L1STAR, L1STAR_DIA, L1STAR_DIA_M, LDIA, LDIA_M, UNIT,
     Grammar, boxdown, bracket, calculus, deindex, dia, is_thin, leaf, length,
-    mod_counts, mod_total, over, parse_grammar, parse_sequent, parse_type,
-    partitions, plug, preorder, prim, prim_counts, print_sequent, prod,
-    sequent, under,
+    mod_total, over, parse_grammar, parse_sequent, parse_type, partitions,
+    plug, preorder, prim, print_sequent, prod, sequent, under,
 )
 
 __all__ = [
@@ -436,20 +435,6 @@ def _interp_population(timeout_ms=None):
                     if pf is not None:
                         found.append((s, pf))
     return found
-
-
-def _interpolant_bounds_ok(interpolant, part, succedent):
-    """Occurrence bounds: each primitive and each modality index occurs
-    in the interpolant no more often than on either side of the cut."""
-    ctx = sequent(plug(part.context, ()), succedent)
-    for counter in (prim_counts, mod_counts):
-        inner = counter(interpolant)
-        selected = counter(part.selected)
-        outer = counter(ctx)
-        for key, n in inner.items():
-            if n > min(selected[key], outer[key]):
-                return False
-    return True
 
 
 def _every_partition(pf, calc):

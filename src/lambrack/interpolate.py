@@ -39,9 +39,9 @@ from .syntax import (
     HOLE, L1STAR_DIA_M, LDIA_M, UNIT,
     Bracket, Calculus, Dia, Hedge, Leaf, Sequent, Type,
     bracket_addresses, calculus, children_at, deindex, fold, hole_coords,
-    is_flat, leaf, length, plug, prim, prim_counts, print_sequent,
-    print_type, sequent, sequent_types, span_partition, subtree,
-    validate_sequent,
+    is_flat, leaf, length, mod_counts, plug, prim, prim_counts,
+    print_sequent, print_type, sequent, sequent_types, span_partition,
+    subtree, validate_sequent,
 )
 
 __all__ = [
@@ -196,6 +196,20 @@ def extract_interpolants(p: Proof, parts, calc,
         out.append(InterpolationResult(
             *_extract(p, parent, lo, hi, calc, guarded)))
     return out
+
+
+def _interpolant_bounds_ok(interpolant, part, succedent):
+    """Occurrence bounds: each primitive and each modality index occurs
+    in the interpolant no more often than on either side of the cut."""
+    ctx = sequent(plug(part.context, ()), succedent)
+    for counter in (prim_counts, mod_counts):
+        inner = counter(interpolant)
+        selected = counter(part.selected)
+        outer = counter(ctx)
+        for key, n in inner.items():
+            if n > min(selected[key], outer[key]):
+                return False
+    return True
 
 
 def _guarded(calc: Calculus, s: Sequent) -> bool:

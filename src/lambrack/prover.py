@@ -12,7 +12,8 @@ canonical proofs, which keeps every derived artifact reproducible.
 
 ``instances`` is the one place that says what a rule instance is: it
 yields each instance with its premises, in that canonical order, and
-both the search and the independent checker ``check`` read it.  It is
+the search, the independent checker ``check`` and the proof reader
+``parse_proof`` all read it.  It is
 the backward reading of the rules; ``apply_rule`` is the forward one,
 over the same principal encodings, and every proof node with premises
 that the interpolator rebuilds goes through it.
@@ -34,11 +35,11 @@ from typing import Iterator, Optional
 
 from .freegroup import IDENTITY, mul, word_of
 from .syntax import (
-    BINARY, UNIT, BoxDown, Bracket, Dia, Leaf, Over, Prim, Prod, Sequent,
-    Type, Under, Calculus, ParseError, boxdown, bracket, calculus,
-    children_at, deindex, dia, fold, leaf, nodes, over, parse_sequent,
-    preorder, prim, prim_count, print_sequent, prod, replace_children,
-    replace_span, sequent, under, validate_sequent,
+    BINARY, L1STAR_DIA_M, UNIT, BoxDown, Bracket, Dia, Leaf, Over, Prim,
+    Prod, Sequent, Type, Under, Calculus, ParseError, boxdown, bracket,
+    calculus, children_at, deindex, dia, fold, leaf, nodes, over,
+    parse_sequent, preorder, prim, prim_count, print_sequent, prod,
+    replace_children, replace_span, sequent, under, validate_sequent,
 )
 
 __all__ = [
@@ -390,14 +391,25 @@ def check(p: Proof, calc) -> bool:
         return False
     for node, _ in preorder(p, _premises):
         stored = tuple(q.conclusion for q in node.premises)
-        for rule, principal, premises in instances(node.conclusion, calc):
-            if (rule == node.rule and premises == stored
-                    and node.principal in (None, principal)):
-                node.principal = principal
-                break
-        else:
+        fit = _first_fit(node.conclusion, calc, node.rule, node.principal,
+                         stored.__eq__)
+        if fit is None:
             return False
+        node.principal = fit[0]
     return True
+
+
+def _first_fit(s: Sequent, calc: Calculus, rule: str, principal,
+               fits) -> Optional[tuple]:
+    """``(principal, premises)`` of the first instance of ``rule``
+    concluding ``s``, in canonical order, with that principal (any when
+    ``principal`` is None) and premises that ``fits`` accepts, or None.
+    The one node matcher: ``check`` compares premises by value,
+    ``parse_proof`` by their printed text."""
+    for r, pr, premises in instances(s, calc):
+        if r == rule and principal in (None, pr) and fits(premises):
+            return pr, premises
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -412,47 +424,93 @@ def print_proof(p: Proof) -> str:
 
 
 def parse_proof(text: str) -> Proof:
-    """Inverse of ``print_proof``; principals are left to be inferred."""
-    entries = []
+    """Inverse of ``print_proof``; principals are left to be inferred.
+
+    Only the root line is parsed as a sequent.  Walking the lines in
+    preorder, each node's children take their conclusions from the
+    first instance of the node's rule (``instances`` in the unit and
+    starred calculus, whose instances include every calculus's) whose
+    premises print exactly as the child lines.  A premise that prints
+    as a line is the sequent that parsing the line gives, so the proof
+    is the one a line-by-line parse builds.  Once a node's children fit
+    no instance (hand-spaced text, or a proof no calculus accepts), the
+    remaining lines are parsed one by one.  A text whose indentation
+    does not form one tree is parsed line by line in full, so the first
+    bad line, in line order, is reported before any structure error.
+    """
+    rows = []      # (line number, format error, depth, rule, sequent text)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
             continue
         stripped = raw.lstrip(" ")
         indent = len(raw) - len(stripped)
-        if indent % 2:
-            raise ValueError(f"line {lineno}: odd indentation")
         parts = stripped.split(None, 1)
-        if len(parts) != 2 or parts[0] not in RULES:
-            raise ValueError(f"line {lineno}: expected '<rule>  <sequent>'")
-        try:
-            s = parse_sequent(parts[1])
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
-        entries.append((indent // 2, parts[0], s))
-    if not entries:
+        if indent % 2:
+            error = f"line {lineno}: odd indentation"
+        elif len(parts) != 2 or parts[0] not in RULES:
+            error = f"line {lineno}: expected '<rule>  <sequent>'"
+        else:
+            error = None
+        rows.append((lineno, error, indent // 2, parts[0], parts[-1]))
+    if not rows:
         raise ValueError("empty proof text")
 
-    # The open nodes, root first: the one at index k has depth k and
-    # collects its premises until a line at depth k or less closes it.
-    stack = []
-
-    def close():
-        rule, s, premises = stack.pop()
-        stack[-1][2].append(Proof(s, rule, premises))
-
-    for i, (d, rule, s) in enumerate(entries):
+    # The children of each line by the stack of open nodes, root first:
+    # the one at index k has depth k and collects its children until a
+    # line at depth k or less closes it.
+    kids = [[] for _ in rows]
+    shape_error, stack = None, []
+    for i, (_, _, d, _, _) in enumerate(rows):
         if stack and d == 0:
-            raise ValueError("trailing proof lines outside the root "
-                             "derivation")
-        while len(stack) > d:
-            close()
+            shape_error = ("trailing proof lines outside the root "
+                           "derivation")
+            break
+        del stack[d:]
         if d != len(stack):
-            raise ValueError(f"node {i}: expected depth {len(stack)}, got {d}")
-        stack.append((rule, s, []))
-    while len(stack) > 1:
-        close()
-    rule, s, premises = stack[0]
-    return Proof(s, rule, premises)
+            shape_error = f"node {i}: expected depth {len(stack)}, got {d}"
+            break
+        if stack:
+            kids[stack[-1]].append(i)
+        stack.append(i)
+
+    conclusions = [None] * len(rows)
+    if shape_error is None and not any(row[1] for row in rows):
+        conclusions[0] = _parse_line(rows[0])
+        for i, (_, _, _, rule, _) in enumerate(rows):
+            if not kids[i]:
+                continue
+            texts = [rows[k][4] for k in kids[i]]
+            fit = _first_fit(
+                conclusions[i], L1STAR_DIA_M, rule, None,
+                lambda premises: len(premises) == len(texts) and all(
+                    print_sequent(s) == t for s, t in zip(premises, texts)))
+            if fit is None:
+                break
+            for k, s in zip(kids[i], fit[1]):
+                conclusions[k] = s
+    for i, row in enumerate(rows):
+        if conclusions[i] is None:
+            if row[1]:
+                raise ValueError(row[1])
+            conclusions[i] = _parse_line(row)
+    if shape_error is not None:
+        raise ValueError(shape_error)
+
+    # every child line comes after its parent, so building from the last
+    # line up finds each node's premises already built
+    built = [None] * len(rows)
+    for i in range(len(rows) - 1, -1, -1):
+        built[i] = Proof(conclusions[i], rows[i][3],
+                         [built[k] for k in kids[i]])
+    return built[0]
+
+
+def _parse_line(row) -> Sequent:
+    lineno, _, _, _, body = row
+    try:
+        return parse_sequent(body)
+    except ValueError as exc:
+        raise ParseError(f"line {lineno}: {exc}") from None
 
 
 def deindex_proof(p: Proof, theta: Optional[dict] = None) -> Proof:

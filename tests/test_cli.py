@@ -2,16 +2,22 @@
 
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
-from lambrack.cfgkit import Derivation
+from lambrack.cfgkit import CutDerivation, Derivation, cut_derives
 from lambrack.cli import main
 from lambrack.compiler import build_rulesets
 from lambrack.harness import Report
 from lambrack.interpolate import InterpolationResult, extract_interpolant
-from lambrack.prover import Proof, ProofSearchTimeout, check, parse_proof
-from lambrack.syntax import L1STAR_DIA_M, LDIA, LDIA_M, parse_sequent, prim
+from lambrack.prover import (
+    Proof, ProofSearchTimeout, check, parse_proof, prove,
+)
+from lambrack.syntax import (
+    L1STAR_DIA_M, LDIA, LDIA_M, leaf, parse_sequent, parse_type, prim,
+    sequent,
+)
 
 THIN_GOAL = "[ [ p ] dia p \\ p ] => boxd dia dia p"
 THIN_CONCLUSION = ("[:2 [:1 p1 ]:1 dia:1 p1 \\ p2 ]:2 "
@@ -87,6 +93,23 @@ class TestProve:
         assert out == ""
         assert err.startswith("error: input nests too deeply")
 
+    @pytest.mark.parametrize("mutation", ["rule", "conclusion"])
+    def test_wrong_answer_is_refused(self, capsys, monkeypatch, mutation):
+        # the tampered proof prints and reads back as itself, but fails
+        # its check; nothing is printed
+        def tampered(s, calc, timeout_ms=None):
+            pf = prove(s, calc, timeout_ms)
+            if mutation == "rule":
+                return Proof(pf.conclusion, "OverL", pf.premises)
+            ax, _ = pf.premises
+            return Proof(pf.conclusion, pf.rule,
+                         (ax, Proof(parse_sequent("r => r"), "Ax")))
+
+        monkeypatch.setattr("lambrack.cli.prove", tampered)
+        code, out, err = run(capsys, "prove", "p p \\ q => q")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestInterpolate:
     SEQUENT = "p3 / dia:1 (p1 * dia:2 (p2 / p2)) [:1 p1 [:2 ]:2 ]:1 => p3"
@@ -138,6 +161,25 @@ class TestInterpolate:
         monkeypatch.setattr("lambrack.cli.extract_interpolant", mutated)
         code, out, err = run(capsys, "interpolate", "p p \\ q => q",
                              "_ p \\ q")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_interpolant_over_the_bound_is_refused(self, capsys,
+                                                   monkeypatch):
+        # both cut halves of (p / p) \ p are provable in LstarDia, but p
+        # occurs 3 times in it and once in the selection
+        e = parse_type("(p / p) \\ p")
+
+        def mutated(proof, part, calc):
+            left = prove(sequent(part.selected, e), calc)
+            right = prove(sequent((leaf(e),), proof.conclusion.succedent),
+                          calc)
+            assert check(left, calc) and check(right, calc)
+            return InterpolationResult(e, left, right)
+
+        monkeypatch.setattr("lambrack.cli.extract_interpolant", mutated)
+        code, out, err = run(capsys, "interpolate", "--calculus",
+                             "LstarDia", "p => p", "_")
         assert (code, out) == (1, "")
         assert err.startswith("error:") and err.count("\n") == 1
 
@@ -334,6 +376,25 @@ class TestCutDerive:
         code, _, err = run(capsys, "cut-derive", str(path), "p => p")
         assert code == 2
         assert err == "error: line 4: expected ')' (at position 7)\n"
+
+    @pytest.mark.parametrize("mutation", ["leaf", "swapped"])
+    def test_wrong_answer_is_refused(self, capsys, monkeypatch, tmp_path,
+                                     mutation):
+        # a derivation from outside the base, and one whose Cut does not
+        # rebuild its conclusion; neither is printed
+        def mutated(base, goal):
+            d = cut_derives(base, goal)
+            if mutation == "leaf":
+                return CutDerivation(goal)
+            return replace(d, left=d.right, right=d.left)
+
+        monkeypatch.setattr("lambrack.cli.cut_derives", mutated)
+        path = tmp_path / "base.seq"
+        path.write_text(self.BASE)
+        code, out, err = run(capsys, "cut-derive", str(path),
+                             "[ p p \\ p ] => dia p")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestCompare:

@@ -10,7 +10,7 @@ from operator import attrgetter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lambrack import compiler, interpolate
+from lambrack import compiler, interpolate, prover
 from lambrack.compiler import build_rulesets
 from lambrack.freegroup import word_of
 from lambrack.interpolate import thin_index
@@ -1042,6 +1042,152 @@ class TestProofText:
         finally:
             gc.enable()
         assert garbage == 0
+
+
+def _parse_proof_line_by_line(text):
+    """The ``parse_proof`` the instance-matching reader replaced, which
+    parsed every line as a sequent."""
+    entries = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if not raw.strip():
+            continue
+        stripped = raw.lstrip(" ")
+        indent = len(raw) - len(stripped)
+        if indent % 2:
+            raise ValueError(f"line {lineno}: odd indentation")
+        parts = stripped.split(None, 1)
+        if len(parts) != 2 or parts[0] not in RULES:
+            raise ValueError(f"line {lineno}: expected '<rule>  <sequent>'")
+        try:
+            s = parse_sequent(parts[1])
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+        entries.append((indent // 2, parts[0], s))
+    if not entries:
+        raise ValueError("empty proof text")
+
+    stack = []
+
+    def close():
+        rule, s, premises = stack.pop()
+        stack[-1][2].append(Proof(s, rule, premises))
+
+    for i, (d, rule, s) in enumerate(entries):
+        if stack and d == 0:
+            raise ValueError("trailing proof lines outside the root "
+                             "derivation")
+        while len(stack) > d:
+            close()
+        if d != len(stack):
+            raise ValueError(f"node {i}: expected depth {len(stack)}, got {d}")
+        stack.append((rule, s, []))
+    while len(stack) > 1:
+        close()
+    rule, s, premises = stack[0]
+    return Proof(s, rule, premises)
+
+
+def _respace(line):
+    """``line`` with every blank after a token doubled: the same proof
+    line, printed differently."""
+    body = line.lstrip(" ")
+    return line[:len(line) - len(body)] + body.replace(" ", "  ")
+
+
+def _text_variants(text, tampered=True):
+    """``(kind, text)``: ``text`` printed, fully re-spaced and with its
+    last line re-spaced; then, if ``tampered``, with two child blocks
+    swapped, a wrong rule tag on a node with premises, and one inner
+    conclusion changed."""
+    lines = text.split("\n")
+    yield "printed", text
+    yield "respaced", "\n".join(map(_respace, lines))
+    yield "last respaced", "\n".join(lines[:-1] + [_respace(lines[-1])])
+    if not tampered:
+        return
+    depth = [(len(line) - len(line.lstrip(" "))) // 2 for line in lines]
+
+    def end(i):
+        j = i + 1
+        while j < len(lines) and depth[j] > depth[i]:
+            j += 1
+        return j
+
+    def with_line(i, rule, body):
+        return "\n".join(lines[:i] + [f"{'  ' * depth[i]}{rule}  {body}"]
+                         + lines[i + 1:])
+
+    inner = [i for i in range(1, len(lines) - 1) if depth[i + 1] > depth[i]]
+    i = inner[0] if inner else 0
+    a = i + 1
+    b = end(a)
+    if b < end(i):
+        yield "swapped", "\n".join(lines[:a] + lines[b:end(b)] + lines[a:b]
+                                   + lines[end(b):])
+    rule, body = lines[i].lstrip(" ").split("  ", 1)
+    yield "rule", with_line(i, RULES[(RULES.index(rule) + 1) % len(RULES)],
+                            body)
+    if len(lines) > 1:
+        i = inner[-1] if inner else len(lines) - 1
+        rule = lines[i].lstrip(" ").split("  ", 1)[0]
+        yield "conclusion", with_line(i, rule, lines[0].split("  ", 1)[1])
+
+
+def _chain_lines(n):
+    """The printed proof of the ``n``-leaf chain ``p (p\\p)^(n-1) => p``
+    in L, split into lines, and the proof."""
+    pf = prove(_chain_conclusions()[n - 2], L)
+    return print_proof(pf).split("\n"), pf
+
+
+class TestProofReader:
+    def test_matches_the_line_by_line_reader(self, check_population):
+        # every population proof printed and re-spaced, every other one
+        # also tampered
+        kinds = Counter()
+        for i, (pf, _) in enumerate(check_population):
+            for kind, text in _text_variants(print_proof(pf), i % 2 == 0):
+                got = _parse_outcome(parse_proof, text)
+                assert got == _parse_outcome(_parse_proof_line_by_line,
+                                             text), text
+                assert isinstance(got, Proof)
+                assert all(node.principal is None
+                           for node, _ in preorder(got, _premises))
+                kinds[kind] += 1
+        assert min(kinds.values()) > 1000, kinds
+
+    def test_canonical_chain_parses_only_the_root(self, monkeypatch):
+        lines, pf = _chain_lines(200)
+        calls = []
+        real = prover.parse_sequent
+
+        def counted(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(prover, "parse_sequent", counted)
+        assert parse_proof("\n".join(lines)) == pf
+        assert calls == [lines[0].split("  ", 1)[1]]
+
+    @pytest.mark.parametrize("spaced", ["all", "last"])
+    def test_respaced_chain_falls_back_once(self, monkeypatch, spaced):
+        lines, pf = _chain_lines(200)
+        if spaced == "all":
+            lines = [_respace(line) for line in lines]
+        else:
+            lines[-1] = _respace(lines[-1])
+        fits = []
+        real = prover._first_fit
+
+        def counted(*args):
+            fits.append(real(*args))
+            return fits[-1]
+
+        monkeypatch.setattr(prover, "_first_fit", counted)
+        assert parse_proof("\n".join(lines)) == pf
+        # one miss, and no matching after it
+        assert fits.count(None) == 1 and fits[-1] is None
+        assert len(fits) == (1 if spaced == "all" else 199)
 
 
 class TestEngine:
