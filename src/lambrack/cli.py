@@ -29,16 +29,17 @@ from .harness import (
     DEFAULT_SEED, format_reports, load_grammar, run_all, run_equivalence,
 )
 from .interpolate import (
-    _interpolant_bounds_ok, extract_interpolant, partition_at, thin_index,
+    _contract_fault, extract_interpolant, indexed_counterpart, partition_at,
+    thin_index,
 )
 from .prover import (
     ProofSearchTimeout, check, parse_proof, print_proof, prove,
     translate_flat,
 )
 from .syntax import (
-    ParseError, Type, calculus, children_at, fold, hole_coords, leaf,
-    parse_context, parse_hedge, parse_sequent, parse_type, plug, preorder,
-    print_sequent, print_type, sequent,
+    ParseError, Type, calculus, children_at, deindex, fold, hole_coords,
+    is_thin, parse_context, parse_hedge, parse_sequent, parse_type, preorder,
+    print_sequent, print_type,
 )
 from .freegroup import print_word, word_of
 
@@ -108,18 +109,9 @@ def _cmd_interpolate(args) -> int:
         _emit(args, {"provable": False}, "UNPROVABLE")
         return 0
     res = extract_interpolant(proof, part, calc)
-    left = sequent(part.selected, res.interpolant)
-    right = sequent(plug(context, (leaf(res.interpolant),)), s.succedent)
-    if (res.left_proof.conclusion != left
-            or res.right_proof.conclusion != right
-            or not check(res.left_proof, calc)
-            or not check(res.right_proof, calc)):
-        print("error: an interpolation proof fails its check against its "
-              "cut half", file=sys.stderr)
-        return 1
-    if not _interpolant_bounds_ok(res.interpolant, part, s.succedent):
-        print("error: the interpolant has more occurrences than a side of "
-              "the cut", file=sys.stderr)
+    fault = _contract_fault(s, parent, lo, hi, res, calc)
+    if fault is not None:
+        print(f"error: {fault}", file=sys.stderr)
         return 1
     payload = {
         "provable": True,
@@ -135,6 +127,12 @@ def _cmd_thin(args) -> int:
     calc = calculus(args.calculus)
     proof = parse_proof(_read_text(args.proof))
     thin, theta = thin_index(proof, calc)
+    if (not check(thin, indexed_counterpart(calc))
+            or not is_thin(thin.conclusion)
+            or deindex(thin.conclusion, theta) != deindex(proof.conclusion)):
+        print("error: the thin proof fails its check against the input "
+              "proof", file=sys.stderr)
+        return 1
     if args.json:
         print(json.dumps({"proof": print_proof(thin), "theta": theta},
                          indent=2))
@@ -383,10 +381,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: proof search timed out: {exc}", file=sys.stderr)
         return 1
     except RecursionError:
-        # only the sequent parser and the proof search still recurse,
-        # once per nesting level and once per goal, so an input deep
-        # enough to pass Python's recursion limit is refused rather
-        # than answered
+        # the sequent parser, the proof search and the interpolation
+        # walk still recurse: once per nesting level, once per goal,
+        # and twice per proof level (``_extract`` and ``_pass_through``),
+        # so an input deep enough to pass Python's recursion limit is
+        # refused rather than answered
         print("error: input nests too deeply for the recursion limit",
               file=sys.stderr)
         return 2

@@ -37,8 +37,8 @@ from .freegroup import (
     wlen, word, word_of,
 )
 from .interpolate import (
-    _interpolant_bounds_ok, _thin_rebuild, extract_interpolant,
-    extract_interpolants, partition_at, thin_index,
+    InterpolationResult, _contract_fault, _extract, _guarded, _thin_rebuild,
+    extract_interpolant, partition_at, thin_index,
 )
 from .prover import (
     ProofSearchTimeout, Prover, check, parse_proof, print_proof, prove,
@@ -46,9 +46,9 @@ from .prover import (
 )
 from .syntax import (
     L, L1STAR, L1STAR_DIA, L1STAR_DIA_M, LDIA, LDIA_M, UNIT,
-    Grammar, boxdown, bracket, calculus, deindex, dia, is_thin, leaf, length,
-    mod_total, over, parse_grammar, parse_sequent, parse_type, partitions,
-    plug, preorder, prim, print_sequent, prod, sequent, under,
+    Grammar, boxdown, bracket, calculus, children_at, deindex, dia, is_thin,
+    leaf, length, mod_total, over, parse_grammar, parse_sequent, parse_type,
+    partitions, preorder, prim, print_sequent, prod, sequent, under,
 )
 
 __all__ = [
@@ -150,6 +150,18 @@ def _finish(claim, started, counts, failures, notes=(), artifacts=(),
 # Hedge enumeration for the brute-force side of language membership
 
 
+def _bracket_blocks(n: int, b: int, allow_empty: bool):
+    """The one hedge order: after the hedges over ``n`` types with
+    ``b`` bracket pairs that start with a leaf come those whose first
+    bracket holds the first ``k`` types and ``i`` brackets, by ``(k,
+    i)`` ascending.  The empty ``(0, 0)`` comes only with
+    ``allow_empty``; without it a wider empty bracket has no hedges."""
+    for k in range(n + 1):
+        for i in range(b):
+            if k or i or allow_empty:
+                yield k, i
+
+
 def _hedges_exact(seg: tuple, b: int, allow_empty: bool, memo: dict) -> tuple:
     """All hedges with yield ``seg`` and exactly ``b`` bracket pairs.
 
@@ -181,15 +193,11 @@ def _hedges_exact(seg: tuple, b: int, allow_empty: bool, memo: dict) -> tuple:
         first = leaf(seg[0])
         for rest in _hedges_exact(seg[1:], b, allow_empty, memo):
             out.append((first,) + rest)
-    for k in range(len(seg) + 1):
-        for i in range(b):
-            for inner in _hedges_exact(seg[:k], i, allow_empty, memo):
-                if not inner and not allow_empty:
-                    continue
-                first = bracket(inner)
-                for rest in _hedges_exact(seg[k:], b - 1 - i, allow_empty,
-                                          memo):
-                    out.append((first,) + rest)
+    for k, i in _bracket_blocks(len(seg), b, allow_empty):
+        for inner in _hedges_exact(seg[:k], i, allow_empty, memo):
+            first = bracket(inner)
+            for rest in _hedges_exact(seg[k:], b - 1 - i, allow_empty, memo):
+                out.append((first,) + rest)
     out = tuple(out)
     memo[key] = out
     return out
@@ -207,13 +215,9 @@ def _hedge_count(n: int, b: int, allow_empty: bool, memo: dict) -> int:
         out = 1
     else:
         out = _hedge_count(n - 1, b, allow_empty, memo) if n else 0
-        for k in range(n + 1):
-            for i in range(b):
-                inner = _hedge_count(k, i, allow_empty, memo)
-                if k == 0 and i == 0 and not allow_empty:
-                    inner = 0
-                out += inner * _hedge_count(n - k, b - 1 - i, allow_empty,
-                                            memo)
+        for k, i in _bracket_blocks(n, b, allow_empty):
+            out += (_hedge_count(k, i, allow_empty, memo)
+                    * _hedge_count(n - k, b - 1 - i, allow_empty, memo))
     memo[key] = out
     return out
 
@@ -223,9 +227,8 @@ def _hedge_at(seg: tuple, b: int, allow_empty: bool, index: int,
     """``_hedges_exact(seg, b, allow_empty, ...)[index]``, built alone.
 
     Unranks along ``_hedges_exact``'s decomposition: first the hedges
-    that start with a leaf, then those that start with a bracket over
-    ``seg[:k]`` holding ``i`` brackets, for ``k`` and then ``i``
-    ascending; within one ``(k, i)`` the inner hedge varies slowest.
+    that start with a leaf, then the ``_bracket_blocks``; within one
+    ``(k, i)`` the inner hedge varies slowest.
     ``counts`` is ``_hedge_count``'s memo.
     """
     if b == 0:
@@ -239,19 +242,15 @@ def _hedge_at(seg: tuple, b: int, allow_empty: bool, index: int,
             return (leaf(seg[0]),) + _hedge_at(seg[1:], b, allow_empty,
                                                index, counts)
         index -= c
-    for k in range(n + 1):
-        for i in range(b):
-            if k == 0 and i == 0 and not allow_empty:
-                continue
-            rest = _hedge_count(n - k, b - 1 - i, allow_empty, counts)
-            block = _hedge_count(k, i, allow_empty, counts) * rest
-            if index < block:
-                inner, index = divmod(index, rest)
-                first = bracket(_hedge_at(seg[:k], i, allow_empty, inner,
-                                          counts))
-                return (first,) + _hedge_at(seg[k:], b - 1 - i, allow_empty,
-                                            index, counts)
-            index -= block
+    for k, i in _bracket_blocks(n, b, allow_empty):
+        rest = _hedge_count(n - k, b - 1 - i, allow_empty, counts)
+        block = _hedge_count(k, i, allow_empty, counts) * rest
+        if index < block:
+            inner, index = divmod(index, rest)
+            first = bracket(_hedge_at(seg[:k], i, allow_empty, inner, counts))
+            return (first,) + _hedge_at(seg[k:], b - 1 - i, allow_empty,
+                                        index, counts)
+        index -= block
     raise IndexError("hedge index out of range")
 
 
@@ -437,25 +436,16 @@ def _interp_population(timeout_ms=None):
     return found
 
 
-def _every_partition(pf, calc):
-    """``((parent, lo, hi), partition, result)`` for every partition of
-    ``pf``'s antecedent; the proof is checked once for all of them."""
-    ante = pf.conclusion.antecedent
-    coords = list(partitions(ante))
-    parts = [partition_at(ante, *c) for c in coords]
-    return zip(coords, parts, extract_interpolants(pf, parts, calc))
-
-
 def run_interpolation_sweep(timeout_ms: Optional[float] = None) -> Report:
     """Interpolate every partition of every small provable sequent.
 
-    For each interpolation result the four contract conditions are
-    rechecked from scratch: the selected span derives the interpolant,
-    plugging the interpolant back derives the original succedent, both
-    emitted proofs replay, and the occurrence bounds hold.  After thin
-    indexing, the interpolant extracted at every partition has length
-    equal to the reduced free-group word of the selected span.  The
-    thin-indexed conclusions are the Report's ``thin_sequents``.
+    Each population proof is checked once and interpolated at every
+    span coordinate, and each result must meet ``_contract_fault``'s
+    contract.  The interpolant at every span of the proof's thin form
+    (built from the checked proof, not checked again) must have the
+    length of the selected span's reduced free-group word.  A proof
+    failing its check is a failure with its sequent as reproducer.
+    The thin-indexed conclusions are the Report's ``thin_sequents``.
     """
     started = time.monotonic()
     failures = []
@@ -465,33 +455,31 @@ def run_interpolation_sweep(timeout_ms: Optional[float] = None) -> Report:
     try:
         pairs = _interp_population(timeout_ms)
         for s, pf in pairs:
-            for (parent, lo, hi), part, res in _every_partition(pf, LDIA):
+            if pf.conclusion != s or not check(pf, LDIA):
+                failures.append(f"population proof fails its check: "
+                                f"{print_sequent(s)}")
+                continue
+            guarded = _guarded(LDIA, s)
+            for parent, lo, hi in partitions(s.antecedent):
                 n_parts += 1
-                left = sequent(part.selected, res.interpolant)
-                right = sequent(plug(part.context, (leaf(res.interpolant),)),
-                                s.succedent)
-                ok = (res.left_proof.conclusion == left
-                      and res.right_proof.conclusion == right
-                      and check(res.left_proof, LDIA)
-                      and check(res.right_proof, LDIA)
-                      and _interpolant_bounds_ok(res.interpolant, part,
-                                                 s.succedent))
-                if not ok:
+                res = InterpolationResult(
+                    *_extract(pf, parent, lo, hi, LDIA, guarded))
+                if _contract_fault(s, parent, lo, hi, res, LDIA):
                     failures.append(
                         f"interpolation contract fails at {parent} "
                         f"[{lo}:{hi}] of {print_sequent(s)}")
-        for s, pf in pairs:
-            # ``_every_partition`` above has checked ``pf`` in Ldia
             thin, _ = _thin_rebuild(pf)
-            thin_forms.append(thin.conclusion)
-            for (parent, lo, hi), part, res in _every_partition(thin,
-                                                                LDIA_M):
+            t = thin.conclusion
+            thin_forms.append(t)
+            guarded = _guarded(LDIA_M, t)
+            for parent, lo, hi in partitions(t.antecedent):
                 n_thin += 1
-                if length(res.interpolant) != wlen(word_of(part.selected)):
+                e, _, _ = _extract(thin, parent, lo, hi, LDIA_M, guarded)
+                selected = children_at(t.antecedent, parent)[lo:hi]
+                if length(e) != wlen(word_of(selected)):
                     failures.append(
                         f"thin interpolant length mismatch at {parent} "
-                        f"[{lo}:{hi}] of "
-                        f"{print_sequent(thin.conclusion)}")
+                        f"[{lo}:{hi}] of {print_sequent(t)}")
     except ProofSearchTimeout as exc:
         failures.append(f"proof search timed out: {exc}")
 

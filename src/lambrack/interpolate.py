@@ -23,6 +23,10 @@ at the spot where a designated bracket pair is introduced to replace
 that pair by a single bridging type, and ``cut_reduce_flat`` iterates
 interpolation to rebuild a flat provable sequent from bounded-length
 two-premise pieces using only Cut.
+
+A proof is checked once, where it enters; ``_extract`` then works on it
+at span coordinates ``(parent, lo, hi)``, and ``_contract_fault`` is the
+one statement of what an interpolation must satisfy.
 """
 
 from dataclasses import dataclass
@@ -40,14 +44,14 @@ from .syntax import (
     Bracket, Calculus, Dia, Hedge, Leaf, Sequent, Type,
     bracket_addresses, calculus, children_at, deindex, fold, hole_coords,
     is_flat, leaf, length, mod_counts, plug, prim, prim_counts,
-    print_sequent, print_type, sequent, sequent_types, span_partition,
-    subtree, validate_sequent,
+    print_sequent, print_type, replace_span, sequent, sequent_types,
+    span_partition, subtree, validate_sequent,
 )
 
 __all__ = [
     "Partition", "InterpolationResult", "partition_at",
     "indexed_counterpart", "thin_index",
-    "extract_interpolant", "extract_interpolants",
+    "extract_interpolant",
     "eliminate_bracket", "cut_reduce_flat",
 ]
 
@@ -159,17 +163,6 @@ def extract_interpolant(p: Proof, part: Partition, calc,
     diamond); by default it is on exactly when the calculus has the
     unit and every type in the conclusion is guarded.
     """
-    (res,) = extract_interpolants(p, (part,), calc, guarded)
-    return res
-
-
-def extract_interpolants(p: Proof, parts, calc,
-                         guarded: Optional[bool] = None) -> list:
-    """``extract_interpolant`` at each of ``parts``, in order.
-
-    ``p`` is checked once for all of them, which is what a sweep over
-    every partition of one proof wants.
-    """
     calc = calculus(calc)
     if not check(p, calc):
         raise ValueError(f"proof does not check in {calc.name}")
@@ -181,35 +174,39 @@ def extract_interpolants(p: Proof, parts, calc,
             raise ValueError("guarded interpolation needs a unit calculus")
         if not all(is_guarded(t) for t in sequent_types(s)):
             raise ValueError("guarded interpolation needs guarded types")
-    out = []
-    for part in parts:
-        if plug(part.context, part.selected) != s.antecedent:
-            raise ValueError(
-                "partition does not match the proof's antecedent")
-        parent, lo = hole_coords(part.context)
-        hi = lo + len(part.selected)
-        if lo == hi and guarded:
-            raise ValueError("guarded interpolation needs a nonempty "
-                             "selection")
-        if lo == hi and not calc.unit:
-            raise ValueError("an empty selection needs a unit calculus")
-        out.append(InterpolationResult(
-            *_extract(p, parent, lo, hi, calc, guarded)))
-    return out
+    if plug(part.context, part.selected) != s.antecedent:
+        raise ValueError("partition does not match the proof's antecedent")
+    parent, lo = hole_coords(part.context)
+    hi = lo + len(part.selected)
+    if lo == hi and guarded:
+        raise ValueError("guarded interpolation needs a nonempty selection")
+    if lo == hi and not calc.unit:
+        raise ValueError("an empty selection needs a unit calculus")
+    return InterpolationResult(*_extract(p, parent, lo, hi, calc, guarded))
 
 
-def _interpolant_bounds_ok(interpolant, part, succedent):
-    """Occurrence bounds: each primitive and each modality index occurs
-    in the interpolant no more often than on either side of the cut."""
-    ctx = sequent(plug(part.context, ()), succedent)
+def _contract_fault(s: Sequent, parent: tuple, lo: int, hi: int,
+                    res: InterpolationResult, calc) -> Optional[str]:
+    """Why ``res`` does not interpolate ``s`` at the span ``[lo, hi)``
+    under ``parent``, or None: its proofs must conclude the two cut
+    halves and pass ``check``, and each primitive and modality index
+    may occur in ``E`` no more often than on either side of the cut."""
+    ante, e = s.antecedent, res.interpolant
+    selected = children_at(ante, parent)[lo:hi]
+    right = sequent(replace_span(ante, parent, lo, hi, (leaf(e),)),
+                    s.succedent)
+    if (res.left_proof.conclusion != sequent(selected, e)
+            or res.right_proof.conclusion != right
+            or not check(res.left_proof, calc)
+            or not check(res.right_proof, calc)):
+        return "an interpolation proof fails its check against its cut half"
+    outer = sequent(replace_span(ante, parent, lo, hi, ()), s.succedent)
     for counter in (prim_counts, mod_counts):
-        inner = counter(interpolant)
-        selected = counter(part.selected)
-        outer = counter(ctx)
-        for key, n in inner.items():
-            if n > min(selected[key], outer[key]):
-                return False
-    return True
+        inner, sel, out = counter(e), counter(selected), counter(outer)
+        if any(n > min(sel[k], out[k]) for k, n in inner.items()):
+            return ("the interpolant has more occurrences than a side of "
+                    "the cut")
+    return None
 
 
 def _guarded(calc: Calculus, s: Sequent) -> bool:
@@ -569,10 +566,11 @@ def cut_reduce_flat(s: Sequent, prims, m: int, calc) -> CutDerivation:
     images shrink when multiplied, or the prefix before the last type,
     and recursing.  Every leaf is a provable sequent with at most two
     antecedent types, all of length at most ``m`` over ``prims``.  The
-    prover's proof is checked once; each step thin-indexes and
-    interpolates a proof built from it, unchecked.  A failed check, a
-    piece proving the wrong sequent or an overlong interpolant raise
-    ``RuntimeError``.
+    prover's proof is checked and thin-indexed once; each step
+    interpolates a thin piece of it, unchecked, and recurses on the
+    piece proof ``_extract`` returns.  A failed check, a piece whose
+    deindexed conclusion is not its sequent or an overlong interpolant
+    raise ``RuntimeError``.
     """
     calc = calculus(calc)
     if not calc.brackets:
@@ -599,22 +597,32 @@ def cut_reduce_flat(s: Sequent, prims, m: int, calc) -> CutDerivation:
     if not check(proof, calc):
         raise RuntimeError(f"the proof of {print_sequent(s)} fails its "
                            f"check in {calc.name}")
+    thin, theta = _thin_rebuild(proof)
     icalc = indexed_counterpart(calc)
 
     def reduce_step(seq: Sequent, prf: Proof) -> CutDerivation:
+        # ``prf`` is a thin proof whose conclusion deindexes to ``seq``
+        got = deindex(prf.conclusion, theta)
+        if got != seq:
+            raise RuntimeError(f"a reduction piece proves "
+                               f"{print_sequent(got)}, not "
+                               f"{print_sequent(seq)}")
         n = len(seq.antecedent)
         if n <= 2:
             return cut_leaf(seq)
-        thin, theta = _thin_rebuild(prf)
-        tante = thin.conclusion.antecedent
+        tante = prf.conclusion.antecedent
         words = [word_of(tr) for tr in tante]
-        words.append(inv(word_of(thin.conclusion.succedent)))
+        words.append(inv(word_of(prf.conclusion.succedent)))
         k = shrinking_pair(words)
         pair = k <= n - 1
         lo, hi = (k - 1, k + 1) if pair else (0, n - 1)
-        e, left, right = _extract(thin, (), lo, hi, icalc,
-                                  _guarded(icalc, thin.conclusion))
-        e = _bounded(deindex(e, theta), m, seq)
+        e, left, right = _extract(prf, (), lo, hi, icalc,
+                                  _guarded(icalc, prf.conclusion))
+        e = deindex(e, theta)
+        if length(e) > m:
+            raise RuntimeError(f"interpolant {print_type(e)} of "
+                               f"{print_sequent(seq)} exceeds the length "
+                               f"bound {m}")
         # Cut ``cut`` into ``rest`` at ``position``; the pair is a piece
         # and the rest recurses, or the prefix recurses and the rest is
         # a piece
@@ -623,26 +631,9 @@ def cut_reduce_flat(s: Sequent, prims, m: int, calc) -> CutDerivation:
         rest = sequent(ante[:lo] + (leaf(e),) + ante[hi:], seq.succedent)
         position = ante[:lo] + (HOLE,) + ante[hi:]
         if pair:
-            return cut_node(cut_leaf(cut), reduce_step(rest, _concluding(
-                deindex_proof(right, theta), rest)), position)
-        return cut_node(reduce_step(cut, _concluding(
-            deindex_proof(left, theta), cut)), cut_leaf(rest), position)
+            return cut_node(cut_leaf(cut), reduce_step(rest, right),
+                            position)
+        return cut_node(reduce_step(cut, left), cut_leaf(rest), position)
 
-    return reduce_step(s, proof)
+    return reduce_step(s, thin)
 
-
-def _bounded(e: Type, m: int, s: Sequent) -> Type:
-    """``e``, an interpolant cut out of ``s``, if it is within the bound."""
-    if length(e) > m:
-        raise RuntimeError(f"interpolant {print_type(e)} of "
-                           f"{print_sequent(s)} exceeds the length bound {m}")
-    return e
-
-
-def _concluding(p: Proof, s: Sequent) -> Proof:
-    """``p``, if it concludes ``s``."""
-    if p.conclusion != s:
-        raise RuntimeError(f"a reduction piece proves "
-                           f"{print_sequent(p.conclusion)}, not "
-                           f"{print_sequent(s)}")
-    return p

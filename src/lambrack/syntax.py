@@ -414,8 +414,9 @@ class Sequent:
         return print_sequent(self)
 
 
-def sequent(antecedent, succedent: Type) -> Sequent:
-    return Sequent(antecedent, succedent)
+# The public constructor is the class itself: a wrapper function
+# would add one Python frame to every sequent built.
+sequent = Sequent
 
 
 # ---------------------------------------------------------------------------

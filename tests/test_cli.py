@@ -10,7 +10,9 @@ from lambrack.cfgkit import CutDerivation, Derivation, cut_derives
 from lambrack.cli import main
 from lambrack.compiler import build_rulesets
 from lambrack.harness import Report
-from lambrack.interpolate import InterpolationResult, extract_interpolant
+from lambrack.interpolate import (
+    InterpolationResult, extract_interpolant, thin_index,
+)
 from lambrack.prover import (
     Proof, ProofSearchTimeout, check, parse_proof, prove,
 )
@@ -184,6 +186,19 @@ class TestInterpolate:
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+    def test_deep_proof_is_usage_error(self, capsys):
+        # prove answers this chain, but interpolating at its last leaf
+        # walks the proof with two frames per level and passes the
+        # recursion limit
+        goal = "p " + "p\\p " * 600 + "=> p"
+        code, out, err = run(capsys, "interpolate", goal,
+                             "p " + "p\\p " * 599 + "_")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: input nests too deeply")
+        code, _, _ = run(capsys, "prove", goal)
+        assert code == 0
+
+
 class TestThin:
     def _proof_text(self, capsys):
         code, out, _ = run(capsys, "prove", THIN_GOAL)
@@ -224,6 +239,25 @@ class TestThin:
         assert thin.conclusion == parse_sequent("[:1 p1 ]:1 => dia:1 p1")
         assert check(thin, L1STAR_DIA_M)
 
+    @pytest.mark.parametrize("mutation", ["proof", "theta"])
+    def test_wrong_answer_is_refused(self, capsys, monkeypatch, tmp_path,
+                                     mutation):
+        # a tampered thin proof fails its check; a wrong theta deindexes
+        # the thin conclusion to another sequent; neither is printed
+        def tampered(proof, calc):
+            thin, theta = thin_index(proof, calc)
+            if mutation == "proof":
+                thin = Proof(thin.conclusion, "ProdR", thin.premises)
+            else:
+                theta = dict(theta, p1="q")
+            return thin, theta
+
+        path = tmp_path / "goal.proof"
+        path.write_text(self._proof_text(capsys))
+        monkeypatch.setattr("lambrack.cli.thin_index", tampered)
+        code, out, err = run(capsys, "thin", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_bad_line_is_named(self, capsys, tmp_path):
         path = tmp_path / "bad.proof"

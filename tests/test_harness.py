@@ -9,17 +9,17 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lambrack import harness
+from lambrack import harness, interpolate
 from lambrack.compiler import enum_types
 from lambrack.freegroup import count_key, word_of
 from lambrack.harness import (
     BUNDLED_GRAMMARS, DEFAULT_SEED, Report, _bracket_count, _grammar_member,
     _hedge_at, _hedge_count, _hedges_exact, bundled_grammar,
     format_reports, load_grammar, run_freegroup_soundness,
-    run_identity_family, run_equivalence, run_golden, run_shrinking_trials,
-    write_reports,
+    run_identity_family, run_equivalence, run_golden,
+    run_interpolation_sweep, run_shrinking_trials, write_reports,
 )
-from lambrack.prover import Prover, check, parse_proof
+from lambrack.prover import Proof, Prover, check, parse_proof
 from lambrack.syntax import (
     LDIA, L1STAR_DIA, L1STAR_DIA_M, UNIT, Bracket, Leaf, boxdown, calculus,
     dia, leaf, length, mod_total, over, parse_sequent, prim, prod, sequent,
@@ -259,6 +259,30 @@ class TestGolden:
         assert check(bracketed, LDIA)
         unit = parse_proof((tmp_path / "reference-unit.proof").read_text())
         assert check(unit, L1STAR_DIA_M)
+
+
+class TestInterpolationSweep:
+    def test_checks_each_proof_once(self, monkeypatch, interp_population):
+        # one check per population proof and one per emitted proof; the
+        # thin proofs are built from checked ones and not checked again
+        checked = []
+        monkeypatch.setattr(harness, "_interp_population",
+                            lambda timeout_ms=None: interp_population)
+        for module in (harness, interpolate):
+            monkeypatch.setattr(module, "check", lambda p, calc: (
+                checked.append(p) or check(p, calc)))
+        r = run_interpolation_sweep()
+        assert r.ok and r.counts["partitions"] == 9342
+        assert len(checked) == 1996 + 2 * 9342
+
+    def test_proof_failing_its_check_is_a_failure(self, monkeypatch):
+        s = parse_sequent("p p \\ q => q")
+        monkeypatch.setattr(harness, "_interp_population",
+                            lambda timeout_ms=None: [(s, Proof(s, "Ax"))])
+        r = run_interpolation_sweep()
+        assert not r.ok
+        assert r.reproducer == ("population proof fails its check: "
+                                "p p \\ q => q")
 
 
 class TestShrinkingTrials:

@@ -14,8 +14,9 @@ from lambrack.compiler import enum_types
 from lambrack.freegroup import wlen, word_of
 from lambrack import interpolate
 from lambrack.interpolate import (
-    cut_reduce_flat, eliminate_bracket, extract_interpolant,
-    extract_interpolants, indexed_counterpart, partition_at, thin_index,
+    InterpolationResult, _contract_fault, _extract, cut_reduce_flat,
+    eliminate_bracket, extract_interpolant, indexed_counterpart,
+    partition_at, thin_index,
 )
 from lambrack.prover import (
     RULES, Proof, Prover, apply_rule, check, is_guarded, print_proof, prove,
@@ -414,34 +415,88 @@ class TestExtractGoldens:
             extract_interpolant(pf, part, LDIA)
 
 
-class TestExtractInterpolants:
-    def test_one_check_for_all_partitions(self, monkeypatch):
-        for text, calc in [(GOLDEN, LDIA), (UNIT_ROWS[-1], L1STAR_DIA)]:
-            pf = prove(parse_sequent(text), calc)
-            parts = list(_partitions(pf.conclusion.antecedent, calc))
-            one = [extract_interpolant(pf, part, calc) for part in parts]
-            checked = []
-            monkeypatch.setattr(
-                interpolate, "check",
-                lambda p, c, real=check: checked.append(p) or real(p, c))
-            many = extract_interpolants(pf, parts, calc)
-            monkeypatch.undo()
-            assert checked == [pf]
-            assert [(r.interpolant, print_proof(r.left_proof),
-                     print_proof(r.right_proof)) for r in many] == \
-                [(r.interpolant, print_proof(r.left_proof),
-                  print_proof(r.right_proof)) for r in one]
+def _reference_bounds_ok(interpolant, part, succedent):
+    """The occurrence bound as ``_interpolant_bounds_ok`` stated it."""
+    ctx = sequent(plug(part.context, ()), succedent)
+    for counter in (prim_counts, mod_counts):
+        inner = counter(interpolant)
+        selected = counter(part.selected)
+        outer = counter(ctx)
+        for key, n in inner.items():
+            if n > min(selected[key], outer[key]):
+                return False
+    return True
 
-    def test_every_partition_is_validated(self):
-        s = parse_sequent("p p \\ p => p")
-        pf = prove(s, LDIA)
-        good = partition_at(s.antecedent, (), 0, 1)
-        other = partition_at(parse_sequent("q q \\ p => p").antecedent,
-                             (), 0, 1)
-        empty = partition_at(s.antecedent, (), 1, 1)
-        for bad in (other, empty):
-            with pytest.raises(ValueError):
-                extract_interpolants(pf, [good, bad], LDIA)
+
+def _reference_cli_fault(s, part, res, calc):
+    """The check ``lambrack interpolate`` wrote out by hand."""
+    left = sequent(part.selected, res.interpolant)
+    right = sequent(plug(part.context, (leaf(res.interpolant),)),
+                    s.succedent)
+    if (res.left_proof.conclusion != left
+            or res.right_proof.conclusion != right
+            or not check(res.left_proof, calc)
+            or not check(res.right_proof, calc)):
+        return "an interpolation proof fails its check against its cut half"
+    if not _reference_bounds_ok(res.interpolant, part, s.succedent):
+        return "the interpolant has more occurrences than a side of the cut"
+    return None
+
+
+def _reference_sweep_ok(s, part, res, calc):
+    """The check the interpolation sweep wrote out by hand."""
+    left = sequent(part.selected, res.interpolant)
+    right = sequent(plug(part.context, (leaf(res.interpolant),)),
+                    s.succedent)
+    return (res.left_proof.conclusion == left
+            and res.right_proof.conclusion == right
+            and check(res.left_proof, calc)
+            and check(res.right_proof, calc)
+            and _reference_bounds_ok(res.interpolant, part, s.succedent))
+
+
+class TestContractFault:
+    def _agree(self, s, coords, res, calc):
+        part = partition_at(s.antecedent, *coords)
+        fault = _contract_fault(s, *coords, res, calc)
+        assert fault == _reference_cli_fault(s, part, res, calc)
+        assert (fault is None) == _reference_sweep_ok(s, part, res, calc)
+        return fault
+
+    def test_matches_the_checks_it_replaces(self, interp_population):
+        # every interpolation of the population, then each tampered:
+        # a wrong interpolant, the two proofs swapped, and the whole
+        # proof as the left one; the last two still hold where both
+        # cut halves are one sequent or the selection is everything
+        tally = Counter()
+        for s, pf in interp_population:
+            assert check(pf, LDIA)
+            for coords in partitions(s.antecedent):
+                e, left, right = _extract(pf, *coords, LDIA, False)
+                tally["real", self._agree(
+                    s, coords, InterpolationResult(e, left, right), LDIA)] += 1
+                for kind, res in [
+                        ("interpolant", InterpolationResult(
+                            prod(e, e), left, right)),
+                        ("swapped", InterpolationResult(e, right, left)),
+                        ("other", InterpolationResult(e, pf, right))]:
+                    tally[kind, self._agree(s, coords, res, LDIA)] += 1
+        assert tally["real", None] == 9342
+        assert tally["interpolant", None] == 0
+        assert tally["swapped", None] == 22
+        assert tally["other", None] == 1710
+
+    def test_interpolant_over_the_bound(self):
+        # both cut halves of (p / p) \ p are provable in LstarDia, but p
+        # occurs 3 times in it and once in the selection
+        s = parse_sequent("p => p")
+        e = parse_type("(p / p) \\ p")
+        res = InterpolationResult(e, prove(sequent(s.antecedent, e),
+                                           LSTAR_DIA),
+                                  prove(sequent((leaf(e),), P), LSTAR_DIA))
+        fault = self._agree(s, ((), 0, 1), res, LSTAR_DIA)
+        assert fault == ("the interpolant has more occurrences than a side "
+                         "of the cut")
 
 
 def _unit_identity():
@@ -752,23 +807,41 @@ class TestCutReduceFlat:
         # a piece proof that concludes the wrong sequent stops the
         # reduction with an error naming both, also under python -O
         wrong = prove(parse_sequent("p => p"), LDIA)
-        monkeypatch.setattr(interpolate, "deindex_proof",
-                            lambda p, theta: wrong)
+        monkeypatch.setattr(interpolate, "_extract",
+                            lambda *args: (P, wrong, wrong))
         with pytest.raises(RuntimeError, match=re.escape(
                 "a reduction piece proves p => p, not p p \\ p => p")):
             cut_reduce_flat(parse_sequent("p p \\ p p \\ p => p"),
                             {"p"}, 2, LDIA)
 
     def test_checks_the_proof_once(self, monkeypatch):
-        # the prover's proof is checked on entry; every piece proof is
-        # built from it and not checked again
+        # the prover's proof is checked and thin-indexed on entry; every
+        # piece proof is built from it and neither checked nor
+        # thin-indexed again
         s = parse_sequent("p p \\ p p \\ p p \\ p p \\ p p \\ p => p")
-        checked = []
+        checked, rebuilt = [], []
         monkeypatch.setattr(interpolate, "check", lambda p, calc: (
             checked.append(p.conclusion) or check(p, calc)))
+        monkeypatch.setattr(
+            interpolate, "_thin_rebuild",
+            lambda p, real=interpolate._thin_rebuild: (
+                rebuilt.append(p.conclusion) or real(p)))
         d = cut_reduce_flat(s, {"p"}, 2, LDIA)
         assert d.cut_count() == 4 and replay_cuts(d)
         assert checked == [s]
+        assert rebuilt == [s]
+
+    def test_thin_indexes_each_proof_once(self, monkeypatch,
+                                          reduction_population):
+        rebuilt = []
+        monkeypatch.setattr(
+            interpolate, "_thin_rebuild",
+            lambda p, real=interpolate._thin_rebuild: (
+                rebuilt.append(p.conclusion) or real(p)))
+        for s, _ in reduction_population:
+            cut_reduce_flat(s, {"p", "q"}, 2, LDIA)
+        assert len(reduction_population) == 2424
+        assert rebuilt == [s for s, _ in reduction_population]
 
     def test_failed_check_is_a_runtime_error(self, monkeypatch):
         monkeypatch.setattr(interpolate, "check", lambda p, calc: False)

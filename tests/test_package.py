@@ -38,3 +38,40 @@ def test_exports_resolve(name):
     module = importlib.import_module(name)
     missing = [x for x in module.__all__ if not hasattr(module, x)]
     assert missing == []
+
+
+def _imported_names(tree):
+    """``{name: line}`` of every name a module's imports bind."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                out[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                out[a.asname or a.name] = node.lineno
+    return out
+
+
+def _exported_names(tree):
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_no_unused_imports():
+    # an import that outlives the code that read it is dead weight; a
+    # name a module imports only to re-export is listed in its __all__
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        used |= _exported_names(tree)
+        found += [f"{path.name}:{line}: {name}"
+                  for name, line in _imported_names(tree).items()
+                  if name not in used]
+    assert found == []
