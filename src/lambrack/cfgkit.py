@@ -11,15 +11,12 @@ nonterminal and set of nonterminals in the form, built on first use.
 sequents: a leaf is a base sequent, and an inner node combines a
 derivation of ``Γ ⇒ A`` with a derivation of ``Δ[A] ⇒ B`` into one of
 ``Δ[Γ] ⇒ B``, where ``position`` records the context ``Δ[∎]``.
-``cut_derives`` searches for such a derivation by deductive parsing
-over the sub-hedges of the goal's antecedent: items are filled
-innermost bracket first and narrowest span first, each span closed
-from an agenda of its new types, and each span tries only the base
-sequents whose first tree can start there; inside a goal bracket no
-base bracket can enter, nothing is filled.  The base is indexed once
-as a ``CutBase`` (by succedent, by first tree, by leaf type for the
-same-span closure, and by the indices of its non-empty brackets);
-callers build one per rule set and pass it to every call.
+One chart parser serves both.  ``cut_derives`` reads the base as a
+grammar (a ``CutBase``: each base sequent ``Δ ⇒ E`` is the production
+``E -> tokens(Δ)``, with brackets as terminal tokens), parses the goal's
+antecedent with the recognizer ``derives`` uses, and turns the grammar
+derivation into Cut inferences; callers build one ``CutBase`` per rule
+set and pass it to every call.
 """
 
 import itertools
@@ -30,9 +27,8 @@ from operator import attrgetter
 from typing import Optional
 
 from .syntax import (
-    HOLE, Bracket, Hedge, Leaf, Sequent, Type,
-    bracket_addresses, leaf, nodes, parse_type, plug, preorder,
-    print_sequent, print_type, replace_span, sequent,
+    HOLE, Hedge, Leaf, Sequent, Type, fold, leaf, nodes, parse_type, plug,
+    preorder, print_sequent, print_type, replace_span, sequent,
 )
 
 __all__ = [
@@ -275,6 +271,10 @@ def _eps_free(g: Cfg, null: dict) -> dict:
     for prod in g.productions:
         lhs, rhs = prod
         nullable = [i for i, sym in enumerate(rhs) if sym in null]
+        if not nullable:
+            if rhs:
+                out.setdefault(prod, (prod, tuple(range(len(rhs)))))
+            continue
         for r in range(len(nullable) + 1):
             for drop in itertools.combinations(nullable, r):
                 kept = tuple(i for i in range(len(rhs)) if i not in drop)
@@ -354,117 +354,116 @@ def _useful(g: Cfg, nt: Type, given: frozenset) -> tuple:
 
 
 class _Recognizer:
-    """The epsilon-free, binarized, unary-closed image of a grammar."""
+    """The epsilon-free, binarized image of a grammar, and its chart.
+
+    ``units`` maps a symbol to the reduced rules ``lhs -> symbol`` that
+    read it.  ``by_left`` maps a symbol to the binary rules whose left
+    symbol it is, each as ``(n, head, x, y, efree_key)``, where ``n``
+    numbers the binary rules in grammar order; the heads of all but the
+    first part of a binarized right-hand side are synthetic tuples.
+    """
 
     def __init__(self, g: Cfg):
         self.g = g
         self.null = _null_derivations(g)
         self.efree = _eps_free(g, self.null)
-        # token rules: lhs -> single symbol
-        self.unary = {}      # key (lhs, rhs2) with len(rhs2) == 1
-        self.binary = []     # (head, x, y, efree_key, part_index)
+        self.units = {}
+        self.by_left = {}
+        n = 0
         for key in self.efree:
             lhs, rhs2 = key
             if len(rhs2) == 1:
-                self.unary[key] = None
-            elif len(rhs2) == 2:
-                self.binary.append((lhs, rhs2[0], rhs2[1], key, 0))
-            else:
-                syn = [("#syn", key, t) for t in range(len(rhs2) - 2)]
-                heads = [lhs] + syn
-                tails = syn + [rhs2[-1]]
-                for t in range(len(rhs2) - 1):
-                    self.binary.append(
-                        (heads[t], rhs2[t], tails[t], key, t))
-        # unary closure over nonterminal-to-nonterminal reduced rules
-        self.chains = {}     # (a, b) -> tuple of unary efree keys, a =>+ b
-        frontier = {}
-        for key in self.unary:
-            lhs, (sym,) = key
-            if isinstance(sym, Type):
-                if (lhs, sym) not in self.chains:
-                    self.chains[(lhs, sym)] = (key,)
-                    frontier[(lhs, sym)] = (key,)
-        while frontier:
-            new = {}
-            for (a, b), chain in frontier.items():
-                for key in self.unary:
-                    lhs, (sym,) = key
-                    if sym == a and isinstance(sym, Type):
-                        pair = (lhs, b)
-                        if pair not in self.chains and lhs != b:
-                            ext = (key,) + chain
-                            self.chains[pair] = ext
-                            new[pair] = ext
-            frontier = new
+                self.units.setdefault(rhs2[0], []).append(key)
+                continue
+            syn = [("#syn", key, t) for t in range(len(rhs2) - 2)]
+            heads = [lhs] + syn
+            tails = syn + [rhs2[-1]]
+            for t in range(len(rhs2) - 1):
+                self.by_left.setdefault(rhs2[t], []).append(
+                    (n, heads[t], rhs2[t], tails[t], key))
+                n += 1
+
+    def close(self, cell):
+        """Add to ``cell`` every symbol that derives one of its symbols
+        by unit rules: each symbol new to the cell tries only the unit
+        rules that read it."""
+        agenda = list(cell)
+        for sym in agenda:
+            for key in self.units.get(sym, ()):
+                if key[0] not in cell:
+                    cell[key[0]] = ("unit", key, sym)
+                    agenda.append(key[0])
 
     def parse(self, tokens):
-        """CKY chart for a sentential form; returns the chart."""
+        """CKY chart for a sentential form; returns the chart.
+
+        A cell maps each symbol that derives its span to how: ``self``
+        for the token itself, ``unit`` or ``bin``.  For each head and
+        split, the first matching binary rule in grammar order wins.
+        """
         n = len(tokens)
         chart = {}
-
-        def close(cell):
-            # ``chains`` is transitively closed, so one pass adds every
-            # symbol that derives some symbol of the cell
-            for (a, b), chain in self.chains.items():
-                if b in cell and a not in cell:
-                    cell[a] = ("chain", chain, b)
-
+        by_left = self.by_left
         for i, tok in enumerate(tokens):
             # the token stands for itself, so binary rules can consume
             # terminals directly wherever they sit in a right-hand side
-            cell = {tok: ("self",)}
-            for key in self.unary:
-                lhs, (sym,) = key
-                if not isinstance(sym, Type) and sym == tok:
-                    cell.setdefault(lhs, ("tok", key))
-            close(cell)
-            chart[(i, i + 1)] = cell
+            cell = chart[(i, i + 1)] = {tok: ("self",)}
+            self.close(cell)
         for width in range(2, n + 1):
             for i in range(n - width + 1):
                 j = i + width
-                cell = {}
+                cell = chart[(i, j)] = {}
                 for k in range(i + 1, j):
-                    left, right = chart[(i, k)], chart[(k, j)]
-                    for rule in self.binary:
-                        head, x, y, key, part = rule
-                        if head in cell:
-                            continue
-                        if x in left and y in right:
-                            cell[head] = ("bin", rule, k)
-                close(cell)
-                chart[(i, j)] = cell
+                    right = chart[(k, j)]
+                    if not right:
+                        continue
+                    hits = [rule for x in chart[(i, k)]
+                            for rule in by_left.get(x, ())
+                            if rule[3] in right]
+                    hits.sort()
+                    for rule in hits:
+                        if rule[1] not in cell:
+                            cell[rule[1]] = ("bin", rule, k)
+                self.close(cell)
         return chart
 
     def rebuild(self, chart, i, j, sym, tokens):
-        """A Derivation over original productions for a chart entry."""
-        entry = chart[(i, j)][sym]
-        tag = entry[0]
-        if tag == "self":
-            return Derivation(sym)
-        if tag == "tok":
-            key = entry[1]
-            child = Derivation(tokens[i])
-            return _apply_efree(key, self.efree, self.null, (child,))
-        if tag == "chain":
-            _, chain, b = entry
-            d = self.rebuild(chart, i, j, b, tokens)
-            for key in reversed(chain):
-                d = _apply_efree(key, self.efree, self.null, (d,))
-            return d
-        # binary: walk the synthetic tail to gather all reduced children
-        _, rule, k = entry
-        head, x, y, key, part = rule
-        children = [self.rebuild(chart, i, k, x, tokens)]
-        cur, lo = y, k
-        while isinstance(cur, tuple) and cur and cur[0] == "#syn":
-            sub = chart[(lo, j)][cur]
-            _, rule2, k2 = sub
-            _, x2, y2, _, _ = rule2
-            children.append(self.rebuild(chart, lo, k2, x2, tokens))
-            cur, lo = y2, k2
-        children.append(self.rebuild(chart, lo, j, cur, tokens))
-        return _apply_efree(key, self.efree, self.null, tuple(children))
+        """A Derivation over original productions for a chart entry.
+
+        A cell's unit steps are followed in a loop, so only binary
+        splits recurse.
+        """
+        cell = chart[(i, j)]
+        steps = []
+        entry = cell[sym]
+        while entry[0] == "unit":
+            steps.append(entry[1])
+            entry = cell[entry[2]]
+        if entry[0] == "self":
+            d = Derivation(tokens[i])
+        else:
+            # binary: walk the synthetic tail to gather all reduced children
+            _, (_, _, x, cur, key), k = entry
+            children = [self.rebuild(chart, i, k, x, tokens)]
+            lo = k
+            while isinstance(cur, tuple):
+                _, (_, _, x2, cur, _), k2 = chart[(lo, j)][cur]
+                children.append(self.rebuild(chart, lo, k2, x2, tokens))
+                lo = k2
+            children.append(self.rebuild(chart, lo, j, cur, tokens))
+            d = _apply_efree(key, self.efree, self.null, tuple(children))
+        for key in reversed(steps):
+            d = _apply_efree(key, self.efree, self.null, (d,))
+        return d
+
+    def derive(self, nt, tokens) -> Optional[Derivation]:
+        """A derivation of ``tokens`` from ``nt``, or None."""
+        if not tokens:
+            return self.null.get(nt)
+        chart = self.parse(tokens)
+        if nt not in chart[(0, len(tokens))]:
+            return None
+        return self.rebuild(chart, 0, len(tokens), nt, tokens)
 
 
 def derives(g: Cfg, nt: Type, symbols) -> Optional[Derivation]:
@@ -474,18 +473,19 @@ def derives(g: Cfg, nt: Type, symbols) -> Optional[Derivation]:
     asks whether ``nt`` is nullable.  Returns ``None`` when no
     derivation exists, and raises on symbols outside the grammar.
 
-    The chart recognizer is the epsilon-free, binarized, unary-closed
-    image of only the productions ``_useful`` for ``nt``, given the
-    nonterminals of the form.  The first call with a pair of ``nt`` and
-    form nonterminals builds it, and ``g`` keeps it for as long as the
+    The chart recognizer is the epsilon-free, binarized image of only
+    the productions ``_useful`` for ``nt``, given the nonterminals of
+    the form.  The first call with a pair of ``nt`` and form
+    nonterminals builds it, and ``g`` keeps it for as long as the
     grammar lives; later calls with that pair only parse.
 
     The derivation is the one a recognizer of all of ``g`` returns.  A
     symbol in a chart cell derives the cell's span, so it generates, and
-    so do the symbols of the rules, chains and null derivations that
-    put it there.  For a symbol ``nt`` reaches, those are exactly the
-    kept ones, in the same relative order, so every chart entry that
-    the rebuild from ``nt`` reads is the same in both charts.
+    so do the symbols of the rules and null derivations that put it
+    there.  For a symbol ``nt`` reaches, those are exactly the kept
+    ones, in the same relative order, and a cell's agenda meets them in
+    the same relative order, so every chart entry that the rebuild from
+    ``nt`` reads is the same in both charts.
     """
     if nt not in g.nonterminals:
         raise ValueError(f"unknown nonterminal {print_type(nt)!r}")
@@ -502,13 +502,8 @@ def derives(g: Cfg, nt: Type, symbols) -> Optional[Derivation]:
     if rec is None:
         rec = g._recognizers[key] = _Recognizer(
             replace(g, start=nt, productions=_useful(g, nt, given)))
-    if not toks:
-        return rec.null.get(nt)
-    chart = rec.parse(toks)
-    if nt not in chart[(0, len(toks))]:
-        return None
-    d = rec.rebuild(chart, 0, len(toks), nt, toks)
-    if d.fringe() != toks:
+    d = rec.derive(nt, toks)
+    if d is not None and d.fringe() != toks:
         raise RuntimeError(
             f"derivation from {print_type(nt)} does not yield the form "
             f"{' '.join(_show_symbol(sym) for sym in toks)}")
@@ -634,49 +629,28 @@ def parse_cfg(text: str) -> Cfg:
 
 
 class CutBase:
-    """A base set of sequents, indexed once for ``cut_derives``.
+    """A base set of sequents, read as a grammar for ``cut_derives``.
 
-    ``rules`` keeps the base without duplicates, in its given order,
-    and so does every rule list of the indexes:
-
-    - ``by_succedent`` maps each succedent to its rules;
-    - ``by_first`` maps the key of each antecedent's first top-level
-      tree (its leaf type, or ``("bracket", index)``) to the rules
-      starting with it;
-    - ``by_leaf`` maps a type to the rules whose antecedent is a row of
-      leaves with one of that type: the only rules that can rewrite a
-      span again once the span rewrites to that type;
-    - ``empty`` holds the rules with an empty antecedent;
-    - ``inner_indices`` holds the indices of the base's brackets, at any
-      depth, that have something inside: only a goal bracket with one
-      of these indices can have items inside it that a match reads.
-
-    Build one per rule set and pass it to every ``cut_derives`` call
-    over that set.  It supports ``in``, so it can also be the base of
-    ``replay_cuts``.
+    ``rules`` keeps the base without duplicates, in its given order.
+    Each rule ``Δ ⇒ E`` is the production ``E -> tokens(Δ)``, whose leaf
+    types are nonterminals and whose brackets are the terminal tokens
+    ``[``, ``]``, ``[:i`` and ``]:i``.  The recognizer of that grammar
+    is built on the first ``cut_derives`` call, so build one ``CutBase``
+    per rule set and pass it to every call over that set.  It supports
+    ``in``, so it can also be the base of ``replay_cuts``.
     """
 
     def __init__(self, rules):
         self.rules = tuple(dict.fromkeys(rules))
         self._members = frozenset(self.rules)
-        self.by_succedent = {}
-        self.by_first = {}
-        self.by_leaf = {}
-        self.empty = []
-        self.inner_indices = set()
-        for r in self.rules:
-            ante = r.antecedent
-            self.inner_indices.update(
-                tr.index for _, _, tr, _ in nodes(ante)
-                if isinstance(tr, Bracket) and tr.children)
-            self.by_succedent.setdefault(r.succedent, []).append(r)
-            if not ante:
-                self.empty.append(r)
-                continue
-            self.by_first.setdefault(_first_key(ante[0]), []).append(r)
-            if all(isinstance(tr, Leaf) for tr in ante):
-                for t in dict.fromkeys(tr.type for tr in ante):
-                    self.by_leaf.setdefault(t, []).append(r)
+
+    @cached_property
+    def _grammar(self) -> tuple:
+        """The recognizer of the base's productions, and the rule of
+        each production."""
+        rule_of = {(r.succedent, _tokens(r.antecedent)): r
+                   for r in self.rules}
+        return _Recognizer(cfg(self.rules[0].succedent, rule_of)), rule_of
 
     def __contains__(self, s) -> bool:
         return s in self._members
@@ -685,9 +659,22 @@ class CutBase:
         return f"<cut base of {len(self.rules)} sequents>"
 
 
-def _first_key(tr) -> object:
-    """The ``CutBase.by_first`` key of a tree."""
-    return tr.type if isinstance(tr, Leaf) else ("bracket", tr.index)
+def _tokens(h: Hedge) -> tuple:
+    """The grammar symbols of a hedge, left to right: a leaf is its
+    type, and a bracket an opening and a closing token."""
+    toks, closes = [], []
+    for parent, _, tr, _ in nodes(h):
+        # the brackets still open are the ones around ``tr``
+        while len(closes) > len(parent):
+            toks.append(closes.pop())
+        if isinstance(tr, Leaf):
+            toks.append(tr.type)
+        else:
+            mark = "" if tr.index is None else f":{tr.index}"
+            toks.append("[" + mark)
+            closes.append("]" + mark)
+    toks.extend(reversed(closes))
+    return tuple(toks)
 
 
 def cut_derives(base, s: Sequent) -> Optional[CutDerivation]:
@@ -697,130 +684,64 @@ def cut_derives(base, s: Sequent) -> Optional[CutDerivation]:
     wrapped in one; build the ``CutBase`` once when many goals share a
     base.
 
-    Deductive parsing over the connected sub-hedges of the goal's
-    antecedent: an item ``(parent, lo, hi, E)`` says that the children
-    ``lo:hi`` under the bracket at ``parent`` rewrite to the type ``E``,
-    because some base sequent with succedent ``E`` matches that span,
-    each of its antecedent leaves covering either one equal goal leaf
-    or a sub-span that already rewrites to that leaf's type, and each
-    of its brackets one goal bracket with the same index whose children
-    it matches whole.  This normal form is complete: in any Cut tree
-    the final base sequent's antecedent splits the goal the same way.
+    A Cut-only derivation from the base is a derivation in the base's
+    grammar: each base sequent a production, each Cut a substitution of
+    one production's derivation for a nonterminal of another.  So the
+    goal's antecedent is tokenized like a base antecedent and parsed
+    from its succedent by the chart recognizer ``derives`` uses; brackets
+    nest in the parse as they do in the goal, since every right-hand
+    side is balanced.  A goal ``C ⇒ C`` is a form the grammar derives in
+    no steps, while a Cut derivation uses at least one base sequent, so
+    it needs one unit rule back to ``C``.  A goal with a succedent, leaf
+    type or bracket token the base does not have is refused before any
+    parse.
 
-    Items are filled in dependency order: the children of a bracket
-    before its parent, and narrow spans before wide ones.  Inside a goal
-    bracket, items are filled only when a match can read them: when its
-    index is in ``CutBase.inner_indices`` and the brackets around it are
-    filled too.  A span first tries the base rules whose first tree can
-    start at ``lo`` (the goal tree there, or a type with an item from
-    ``lo``), then closes itself from an agenda of the types it has newly
-    rewritten to: each retries only the ``CutBase.by_leaf`` rules of
-    that type, until the agenda is empty.  Sub-items are read from the
-    filled ends, kept per ``(parent, start)`` and type in ascending
-    order.  A goal whose succedent no base sequent has is refused before
-    any item is built, since the last Cut of a derivation ends in a base
-    sequent's succedent.
+    Each grammar node becomes its base sequent with the derivations of
+    its derived children cut into their leaves, right to left, so the
+    addresses of the leaves not yet cut stay put.
     """
     if not isinstance(base, CutBase):
         base = CutBase(base)
-    if s.succedent not in base.by_succedent:
+    if not base.rules:
         return None
-    goal_ante = s.antecedent
-    # bracket_addresses lists a bracket after the brackets around it
-    sibs_at = {(): goal_ante}
-    for addr in bracket_addresses(goal_ante):
-        if addr[:-1] in sibs_at:
-            tr = sibs_at[addr[:-1]][addr[-1]]
-            if tr.index in base.inner_indices:
-                sibs_at[addr] = tr.children
-    parents = list(sibs_at)
-    table = {}   # item -> (base sequent, substitutions)
-    ends = {}    # (parent, start) -> {type: ascending ends of its items}
-
-    def match(trees, ti, qpath, parent, pos, hi):
-        """Match ``trees[ti:]`` against the children ``pos:hi`` at
-        ``parent``; a list of (base leaf address, item) substitutions,
-        or None."""
-        if ti == len(trees):
-            return [] if pos == hi else None
-        tr = trees[ti]
-        sibs = sibs_at[parent]
-        if isinstance(tr, Bracket):
-            if pos < hi:
-                orig = sibs[pos]
-                if isinstance(orig, Bracket) and orig.index == tr.index:
-                    sub = match(tr.children, 0, qpath + (ti,),
-                                parent + (pos,), 0, len(orig.children))
-                    if sub is not None:
-                        rest = match(trees, ti + 1, qpath, parent, pos + 1,
-                                     hi)
-                        if rest is not None:
-                            return sub + rest
+    rec, rule_of = base._grammar
+    g = rec.g
+    toks = _tokens(s.antecedent)
+    c = s.succedent
+    if c not in g.nonterminals or any(
+            sym not in g.nonterminals and sym not in g.terminals
+            for sym in toks):
+        return None
+    if toks == (c,):
+        # derived in no steps, but a Cut derivation uses a base sequent
+        chart = rec.parse(toks)
+        step = next(((key, y) for y in chart[(0, 1)]
+                     for key in rec.units.get(y, ()) if key[0] == c), None)
+        if step is None:
             return None
-        f = tr.type
-        if pos < hi and isinstance(sibs[pos], Leaf) and sibs[pos].type is f:
-            rest = match(trees, ti + 1, qpath, parent, pos + 1, hi)
-            if rest is not None:
-                return rest
-        for end in ends[(parent, pos)].get(f, ()):
-            if end > hi:
-                break
-            rest = match(trees, ti + 1, qpath, parent, end, hi)
-            if rest is not None:
-                return [((qpath, ti), (parent, pos, end, f))] + rest
-        return None
+        gd = _apply_efree(step[0], rec.efree, rec.null,
+                          (rec.rebuild(chart, 0, 1, step[1], toks),))
+    else:
+        gd = rec.derive(c, toks)
+        if gd is None:
+            return None
 
-    for parent in reversed(parents):
-        sibs = sibs_at[parent]
-        n = len(sibs)
-        for width in range(n + 1):
-            for lo in range(n - width + 1):
-                hi = lo + width
-                # every item from lo filled so far ends at or before hi
-                from_lo = ends.setdefault((parent, lo), {})
-                starts = dict.fromkeys(from_lo)
-                if lo < hi:
-                    starts[_first_key(sibs[lo])] = None
-                candidates = [base.by_first.get(k, ()) for k in starts]
-                if lo == hi:
-                    candidates.append(base.empty)
-                agenda = []
-                rules = itertools.chain.from_iterable(candidates)
-                while True:
-                    for b in rules:
-                        e = b.succedent
-                        item = (parent, lo, hi, e)
-                        if item in table:
-                            continue
-                        sub = match(b.antecedent, 0, (), parent, lo, hi)
-                        if sub is not None:
-                            table[item] = (b, sub)
-                            from_lo.setdefault(e, []).append(hi)
-                            agenda.append(e)
-                    if not agenda:
-                        break
-                    rules = base.by_leaf.get(agenda.pop(), ())
-
-    top = ((), 0, len(goal_ante), s.succedent)
-    if top not in table:
-        return None
-    built = {}
-
-    def build(state):
-        if state in built:
-            return built[state]
-        b, subs = table[state]
-        d = cut_leaf(b)
-        for (qpath, c), substate in sorted(
-                subs, key=lambda it: it[0][0] + (it[0][1],), reverse=True):
-            piece = build(substate)
-            position = replace_span(d.conclusion.antecedent, qpath, c, c + 1,
-                                    (HOLE,))
-            d = cut_node(piece, d, position)
-        built[state] = d
+    def cut_in(node, pieces):
+        if node.production is None:
+            return None
+        d = cut_leaf(rule_of[node.production])
+        leaves = [(parent, j) for parent, j, tr, _
+                  in nodes(d.conclusion.antecedent) if isinstance(tr, Leaf)]
+        pieces = [piece for sym, piece in zip(node.production[1], pieces)
+                  if isinstance(sym, Type)]
+        for (qpath, i), piece in reversed(list(zip(leaves, pieces))):
+            if piece is not None:
+                position = replace_span(d.conclusion.antecedent, qpath, i,
+                                        i + 1, (HOLE,))
+                d = cut_node(piece, d, position)
         return d
 
-    d = build(top)
+    d = fold(gd, _children, cut_in)
     if d.conclusion != s:
         raise RuntimeError(
             f"Cut derivation of {print_sequent(s)} concludes "

@@ -26,7 +26,8 @@ from .cfgkit import (
 )
 from .compiler import compile_cfg
 from .harness import (
-    DEFAULT_SEED, format_reports, load_grammar, run_all, run_equivalence,
+    DEFAULT_SEED, default_max_len, format_reports, load_grammar,
+    report_payload, run_all, run_equivalence,
 )
 from .interpolate import (
     _contract_fault, extract_interpolant, indexed_counterpart, partition_at,
@@ -249,13 +250,12 @@ def _cmd_cut_derive(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    report = run_equivalence(args.grammar, args.calculus,
-                             max_len=args.max_len,
-                             timeout_ms=args.timeout_ms,
-                             cache_dir=args.cache_dir)
     bound = args.max_len
     if bound is None:
-        bound = 4 if calculus(args.calculus).starred else 5
+        bound = default_max_len(args.calculus)
+    report = run_equivalence(args.grammar, args.calculus, max_len=bound,
+                             timeout_ms=args.timeout_ms,
+                             cache_dir=args.cache_dir)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     elif report.ok:
@@ -270,9 +270,7 @@ def _cmd_report(args) -> int:
     reports = run_all(seed=args.seed, timeout_ms=args.timeout_ms,
                       out_dir=out_dir, cache_dir=args.cache_dir)
     if args.json:
-        payload = {"seed": args.seed, "ok": all(r.ok for r in reports),
-                   "reports": [r.to_dict() for r in reports]}
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(report_payload(reports, args.seed), indent=2))
     else:
         sys.stdout.write(format_reports(reports, seed=args.seed))
         json_path, txt_path = out_dir / "report.json", out_dir / "report.txt"

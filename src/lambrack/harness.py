@@ -63,10 +63,12 @@ __all__ = [
     "run_reduction_sweep",
     "run_cut_completeness",
     "run_equivalence",
+    "default_max_len",
     "run_identity_family",
     "run_freegroup_soundness",
     "run_all",
     "format_reports",
+    "report_payload",
     "write_reports",
 ]
 
@@ -654,9 +656,10 @@ def run_cut_completeness(timeout_ms: Optional[float] = None,
     unbalanced as a whole: they are counted with ``_hedge_count``, and
     only their sampled candidates are built, by ``_hedge_at``, so the
     same candidates are sampled as if every group were enumerated.
-    The rule set of each mode is indexed once, as a ``CutBase``, for
-    all of its ``cut_derives`` calls.  The thin-indexed conclusions of
-    the provable candidates are the Report's ``thin_sequents``.
+    The rule set of each mode is read as a grammar once, as a
+    ``CutBase``, for all of its ``cut_derives`` calls.  The thin-indexed
+    conclusions of the provable candidates are the Report's
+    ``thin_sequents``.
     """
     started = time.monotonic()
     failures = []
@@ -778,6 +781,12 @@ def _grammar_member(g, word_toks, calc, prover, hedges):
     return False
 
 
+def default_max_len(calc) -> int:
+    """``run_equivalence``'s string length bound when none is given: 4
+    in a starred calculus, 5 otherwise."""
+    return 4 if calculus(calc).starred else 5
+
+
 def run_equivalence(source, calc=LDIA, max_len: Optional[int] = None,
                     timeout_ms: Optional[float] = None, out_dir=None,
                     cache_dir=None) -> Report:
@@ -800,7 +809,7 @@ def run_equivalence(source, calc=LDIA, max_len: Optional[int] = None,
                          f"bracket calculus, not {calc.name}")
     name, g = load_grammar(source)
     if max_len is None:
-        max_len = 4 if calc.starred else 5
+        max_len = default_max_len(calc)
     cfg = compile_cfg(g, calc, cache_dir=cache_dir)
     prover = Prover(calc, timeout_ms=timeout_ms)
     hedges = {}
@@ -976,17 +985,20 @@ def format_reports(reports, seed: Optional[int] = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def report_payload(reports, seed: Optional[int] = None) -> dict:
+    """The document ``report.json`` holds and ``report --json`` prints:
+    the seed, whether every claim passed, and each report."""
+    return {"seed": seed, "ok": all(r.ok for r in reports),
+            "reports": [r.to_dict() for r in reports]}
+
+
 def write_reports(reports, out_dir, seed: Optional[int] = None):
     """Persist reports as ``report.json`` and ``report.txt``."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "seed": seed,
-        "ok": all(r.ok for r in reports),
-        "reports": [r.to_dict() for r in reports],
-    }
     json_path = out_dir / "report.json"
     txt_path = out_dir / "report.txt"
-    json_path.write_text(json.dumps(payload, indent=2) + "\n")
+    json_path.write_text(json.dumps(report_payload(reports, seed), indent=2)
+                         + "\n")
     txt_path.write_text(format_reports(reports, seed=seed))
     return json_path, txt_path

@@ -41,9 +41,9 @@ from .prover import (
 )
 from .syntax import (
     HOLE, L1STAR_DIA_M, LDIA_M, UNIT,
-    Bracket, Calculus, Dia, Hedge, Leaf, Sequent, Type,
+    Bracket, Calculus, Dia, Hedge, Leaf, Sequent, Type, _counts_of,
     bracket_addresses, calculus, children_at, deindex, fold, hole_coords,
-    is_flat, leaf, length, mod_counts, plug, prim, prim_counts,
+    is_flat, leaf, length, plug, prim, prim_counts,
     print_sequent, print_type, replace_span, sequent, sequent_types,
     span_partition, subtree, validate_sequent,
 )
@@ -201,8 +201,9 @@ def _contract_fault(s: Sequent, parent: tuple, lo: int, hi: int,
             or not check(res.right_proof, calc)):
         return "an interpolation proof fails its check against its cut half"
     outer = sequent(replace_span(ante, parent, lo, hi, ()), s.succedent)
-    for counter in (prim_counts, mod_counts):
-        inner, sel, out = counter(e), counter(selected), counter(outer)
+    # one walk per object gives its primitive and its modality counts
+    counts = [_counts_of(x) for x in (e, selected, outer)]
+    for inner, sel, out in zip(*counts):
         if any(n > min(sel[k], out[k]) for k, n in inner.items()):
             return ("the interpolant has more occurrences than a side of "
                     "the cut")

@@ -18,8 +18,8 @@ from lambrack.harness import BUNDLED_GRAMMARS, bundled_grammar
 from lambrack.syntax import (
     HOLE, LDIA, UNIT, Bracket, Leaf, Type, bracket, bracket_addresses,
     children_at,
-    dia, leaf, parse_sequent, parse_type, prim, print_sequent, print_type,
-    replace_span, sequent, under,
+    dia, leaf, nodes, over, parse_sequent, parse_type, prim, print_sequent,
+    print_type, replace_span, sequent, under,
 )
 
 P, Q, D = prim("p"), prim("q"), prim("d")
@@ -242,44 +242,71 @@ def _random_cfg(rng):
     return g, extras
 
 
-def _reference_chart(rec, tokens):
-    """``_Recognizer.parse`` with each cell's unary closure repeated
-    until a pass adds nothing."""
-    n = len(tokens)
-    chart = {}
+class _ChainRecognizer(cfgkit._Recognizer):
+    """The chart recognizer ``derives`` used before each cell was closed
+    by an agenda: a materialized, transitively closed table of unit
+    chains, scanned in full for every cell, and every binary rule tried
+    at every split.  Kept as the reference for chart symbol sets."""
 
-    def close(cell):
-        added = True
-        while added:
-            added = False
-            for (a, b), chain in rec.chains.items():
+    def __init__(self, g):
+        super().__init__(g)
+        unary = [key for key in self.efree if len(key[1]) == 1]
+        self.binary = []     # (n, head, x, y, efree_key)
+        for key in self.efree:
+            lhs, rhs2 = key
+            syn = [("#syn", key, t) for t in range(len(rhs2) - 2)]
+            heads, tails = [lhs] + syn, syn + [rhs2[-1]]
+            for t in range(len(rhs2) - 1):
+                self.binary.append((len(self.binary), heads[t], rhs2[t],
+                                    tails[t], key))
+        self.chains = {}     # (a, b) -> tuple of unary efree keys, a =>+ b
+        frontier = {}
+        for key in unary:
+            lhs, (sym,) = key
+            if isinstance(sym, Type) and (lhs, sym) not in self.chains:
+                self.chains[(lhs, sym)] = frontier[(lhs, sym)] = (key,)
+        while frontier:
+            new = {}
+            for (a, b), chain in frontier.items():
+                for key in unary:
+                    lhs, (sym,) = key
+                    if sym == a and isinstance(sym, Type):
+                        pair = (lhs, b)
+                        if pair not in self.chains and lhs != b:
+                            self.chains[pair] = new[pair] = (key,) + chain
+            frontier = new
+        self.unary = unary
+
+    def parse(self, tokens):
+        n = len(tokens)
+        chart = {}
+
+        def close(cell):
+            for (a, b), chain in self.chains.items():
                 if b in cell and a not in cell:
                     cell[a] = ("chain", chain, b)
-                    added = True
 
-    for i, tok in enumerate(tokens):
-        cell = {tok: ("self",)}
-        for key in rec.unary:
-            lhs, (sym,) = key
-            if not isinstance(sym, Type) and sym == tok:
-                cell.setdefault(lhs, ("tok", key))
-        close(cell)
-        chart[(i, i + 1)] = cell
-    for width in range(2, n + 1):
-        for i in range(n - width + 1):
-            j = i + width
-            cell = {}
-            for k in range(i + 1, j):
-                left, right = chart[(i, k)], chart[(k, j)]
-                for rule in rec.binary:
-                    head, x, y, key, part = rule
-                    if head in cell:
-                        continue
-                    if x in left and y in right:
-                        cell[head] = ("bin", rule, k)
+        for i, tok in enumerate(tokens):
+            cell = {tok: ("self",)}
+            for key in self.unary:
+                lhs, (sym,) = key
+                if not isinstance(sym, Type) and sym == tok:
+                    cell.setdefault(lhs, ("tok", key))
             close(cell)
-            chart[(i, j)] = cell
-    return chart
+            chart[(i, i + 1)] = cell
+        for width in range(2, n + 1):
+            for i in range(n - width + 1):
+                j = i + width
+                cell = {}
+                for k in range(i + 1, j):
+                    left, right = chart[(i, k)], chart[(k, j)]
+                    for rule in self.binary:
+                        if rule[1] not in cell and rule[2] in left \
+                                and rule[3] in right:
+                            cell[rule[1]] = ("bin", rule, k)
+                close(cell)
+                chart[(i, j)] = cell
+        return chart
 
 
 # unary cycles, an epsilon rule inside long right-hand sides, and
@@ -293,24 +320,42 @@ _CHAIN_GRAMMAR = (
     '"s1" -> v\n')
 
 
-@pytest.mark.parametrize("name", [n for n, _ in BUNDLED_GRAMMARS]
-                         + ["chains"])
-def test_one_closure_pass_gives_the_whole_chart(name, bundled_cfgs):
+def _chart_forms(name, bundled_cfgs):
+    """A grammar and sentential forms over it that mix terminals and
+    nonterminals."""
+    if name.startswith("random"):
+        g, extras = _random_cfg(random.Random(int(name[len("random"):])))
+        alphabet = dict.fromkeys(sorted(g.terminals) + [
+            sym for extra in extras for sym in extra])
+        return g, [w for n in range(1, 5)
+                   for w in itertools.product(alphabet, repeat=n)]
     g = bundled_cfgs.get(name) or parse_cfg(_CHAIN_GRAMMAR)
     terms = sorted(g.terminals)
     forms = [w for n in range(1, 4) for w in itertools.product(terms,
                                                                 repeat=n)]
-    # sentential forms that mix terminals and nonterminals
     forms += [rhs for _, rhs in g.productions[::40] if rhs]
     forms += [(g.start,) + w for w in forms[:20]]
-    rec = cfgkit._Recognizer(g)
+    return g, forms
+
+
+@pytest.mark.parametrize("name", [n for n, _ in BUNDLED_GRAMMARS]
+                         + ["chains"] + [f"random{i}" for i in range(10)])
+def test_chart_matches_the_chain_closure(name, bundled_cfgs):
+    # the agenda closure against the materialized chains it replaced:
+    # the same symbols in every cell, and every derivation replays
+    g, forms = _chart_forms(name, bundled_cfgs)
+    rec, ref = cfgkit._Recognizer(g), _ChainRecognizer(g)
+    derived = 0
     for toks in forms:
-        want = _reference_chart(rec, toks)
-        got = rec.parse(toks)
+        got, want = rec.parse(toks), ref.parse(toks)
         assert list(got) == list(want)
         for span, cell in got.items():
-            assert list(cell.items()) == list(want[span].items()), (toks,
-                                                                     span)
+            assert set(cell) == set(want[span]), (toks, span)
+        d = derives(g, g.start, toks)
+        if d is not None:
+            derived += 1
+            assert d.fringe() == toks and replay_derivation(d, g)
+    assert derived > 0
 
 
 def _bfs_language(g, n, cap=60000):
@@ -577,15 +622,6 @@ class TestCutBase:
         cb = CutBase([a, b, a, c, b])
         assert cb.rules == (a, b, c) and a in cb
         assert parse_sequent("q => q") not in cb
-        assert cb.by_succedent == {P: [a, b], dia(P): [c]}
-        assert cb.by_first == {P: [a, b], ("bracket", None): [c]}
-        assert cb.by_leaf == {P: [a, b], under(P, P): [a]}
-        assert cb.empty == [] and cb.inner_indices == {None}
-        # an empty bracket matches only an empty goal bracket, so no
-        # items inside a goal bracket of its index are ever read
-        cb = CutBase([parse_sequent("[:2 ]:2 => q"),
-                      parse_sequent("[:1 [:3 p ]:3 [:4 ]:4 ]:1 => q")])
-        assert cb.inner_indices == {1, 3}
 
     def test_brackets_the_base_cannot_enter(self):
         base = [parse_sequent("q => p"), parse_sequent("[:1 p ]:1 => q"),
@@ -613,9 +649,17 @@ class TestCutBase:
             assert replay_cuts(d, CutBase(base))
 
     def test_unknown_succedent_refused_before_any_item(self, monkeypatch):
-        monkeypatch.setattr(cfgkit, "bracket_addresses", None)
+        monkeypatch.setattr(cfgkit._Recognizer, "parse", None)
         assert cut_derives(_cut_base_simple(), parse_sequent("p => q")) \
             is None
+
+    @pytest.mark.parametrize("text", ["q p \\ p => p",
+                                      "[:1 p ]:1 => p"])
+    def test_unknown_symbols_refused_before_any_parse(self, monkeypatch,
+                                                      text):
+        # a leaf type, or a bracket token, that no base sequent has
+        monkeypatch.setattr(cfgkit._Recognizer, "parse", None)
+        assert cut_derives(_cut_base_simple(), parse_sequent(text)) is None
 
 
 def _reference_cut_derives(base, s):
@@ -674,13 +718,13 @@ def _reference_cut_derives(base, s):
     return ((), 0, len(goal_ante), s.succedent) in table
 
 
-def _criterion_6_goals(monkeypatch):
-    """Every (base, goal) that criterion 6 at stride 500 hands to
+def _criterion_6_goals(monkeypatch, stride=500):
+    """Every (base, goal) that criterion 6 at ``stride`` hands to
     ``cut_derives``."""
     goals = []
     monkeypatch.setattr(harness, "cut_derives",
                         lambda base, s: goals.append((base, s)))
-    harness.run_cut_completeness(sample_stride=500)
+    harness.run_cut_completeness(sample_stride=stride)
     monkeypatch.undo()
     return goals
 
@@ -735,6 +779,162 @@ class TestCutDerivesDifferential:
         base = CutBase(build_rulesets({"p"}, 3, LDIA).rules)
         derivable = self._agree(base, _bracketed_goals(60))
         assert 0 < derivable < 60
+
+
+def _item_cut_derivable(rules, s):
+    """The deductive item parser ``cut_derives`` used before it parsed
+    with the chart recognizer, reduced to its verdict.
+
+    An item ``(parent, lo, hi, E)`` says that the children ``lo:hi``
+    under the bracket at ``parent`` rewrite to ``E``.  Items are filled
+    innermost bracket first and narrowest span first; a span tries the
+    rules whose first tree can start at ``lo``, then closes itself from
+    an agenda of its new types over the rules whose antecedent is a row
+    of leaves with that type."""
+    rules = list(dict.fromkeys(rules))
+
+    def first_key(tr):
+        return tr.type if isinstance(tr, Leaf) else ("bracket", tr.index)
+
+    by_succedent, by_first, by_leaf, empty = {}, {}, {}, []
+    inner_indices = set()
+    for r in rules:
+        ante = r.antecedent
+        inner_indices.update(tr.index for _, _, tr, _ in nodes(ante)
+                             if isinstance(tr, Bracket) and tr.children)
+        by_succedent.setdefault(r.succedent, []).append(r)
+        if not ante:
+            empty.append(r)
+            continue
+        by_first.setdefault(first_key(ante[0]), []).append(r)
+        if all(isinstance(tr, Leaf) for tr in ante):
+            for t in dict.fromkeys(tr.type for tr in ante):
+                by_leaf.setdefault(t, []).append(r)
+    if s.succedent not in by_succedent:
+        return False
+    goal_ante = s.antecedent
+    sibs_at = {(): goal_ante}
+    for addr in bracket_addresses(goal_ante):
+        if addr[:-1] in sibs_at:
+            tr = sibs_at[addr[:-1]][addr[-1]]
+            if tr.index in inner_indices:
+                sibs_at[addr] = tr.children
+    table = set()
+    ends = {}    # (parent, start) -> {type: ascending ends of its items}
+
+    def match(trees, ti, parent, pos, hi):
+        if ti == len(trees):
+            return pos == hi
+        tr = trees[ti]
+        sibs = sibs_at[parent]
+        if isinstance(tr, Bracket):
+            return (pos < hi and isinstance(sibs[pos], Bracket)
+                    and sibs[pos].index == tr.index
+                    and match(tr.children, 0, parent + (pos,), 0,
+                              len(sibs[pos].children))
+                    and match(trees, ti + 1, parent, pos + 1, hi))
+        f = tr.type
+        if (pos < hi and isinstance(sibs[pos], Leaf) and sibs[pos].type is f
+                and match(trees, ti + 1, parent, pos + 1, hi)):
+            return True
+        return any(match(trees, ti + 1, parent, end, hi)
+                   for end in ends[(parent, pos)].get(f, ()) if end <= hi)
+
+    for parent in reversed(list(sibs_at)):
+        sibs = sibs_at[parent]
+        n = len(sibs)
+        for width in range(n + 1):
+            for lo in range(n - width + 1):
+                hi = lo + width
+                from_lo = ends.setdefault((parent, lo), {})
+                starts = dict.fromkeys(from_lo)
+                if lo < hi:
+                    starts[first_key(sibs[lo])] = None
+                candidates = [by_first.get(k, ()) for k in starts]
+                if lo == hi:
+                    candidates.append(empty)
+                agenda = []
+                todo = itertools.chain.from_iterable(candidates)
+                while True:
+                    for b in todo:
+                        item = (parent, lo, hi, b.succedent)
+                        if item not in table and match(b.antecedent, 0,
+                                                       parent, lo, hi):
+                            table.add(item)
+                            from_lo.setdefault(b.succedent, []).append(hi)
+                            agenda.append(b.succedent)
+                    if not agenda:
+                        break
+                    todo = by_leaf.get(agenda.pop(), ())
+    return ((), 0, len(goal_ante), s.succedent) in table
+
+
+def _random_bracketed(rng, n_bases, n_goals):
+    """``(base, goals)`` pairs over {p, q}: in each, every bracket and
+    diamond is plain, or every one carries an index 1 or 2.  Bases have
+    empty antecedents, empty brackets and brackets inside brackets; the
+    goals are members of the base's Cut closure and random hedges."""
+    out = []
+    for trial in range(n_bases):
+        indices = (None,) if trial % 2 else (1, 2)
+        pool = [P, Q, under(P, Q), over(Q, P)] + [dia(P, i) for i in indices]
+
+        def tree(depth):
+            if depth == 0 or rng.random() < 0.6:
+                return leaf(rng.choice(pool))
+            return bracket([tree(depth - 1)
+                            for _ in range(rng.randint(0, 2))],
+                           rng.choice(indices))
+
+        def hedge(width, depth):
+            return tuple(tree(depth) for _ in range(width))
+
+        base = list(dict.fromkeys(
+            sequent(hedge(rng.randint(0, 2), 2), rng.choice(pool))
+            for _ in range(rng.randint(2, 5))))
+        closure = _forward_closure(base, size_cap=7, rounds=4)
+        goals = rng.sample(sorted(closure, key=print_sequent),
+                           min(n_goals, len(closure)))
+        goals += [sequent(hedge(rng.randint(0, 3), 2), rng.choice(pool))
+                  for _ in range(n_goals)]
+        out.append((base, goals))
+    return out
+
+
+class TestCutDerivesAgainstItemParser:
+    """The chart parse against the deductive item parser it replaced."""
+
+    def _agree(self, base, goals):
+        derivable = 0
+        for s in goals:
+            d = cut_derives(base, s)
+            assert (d is not None) == _item_cut_derivable(base.rules, s), \
+                print_sequent(s)
+            if d is not None:
+                derivable += 1
+                assert d.conclusion == s
+                assert replay_cuts(d, base)
+        return derivable
+
+    def test_criterion_6_candidates(self, monkeypatch):
+        goals = _criterion_6_goals(monkeypatch, stride=50)
+        assert len(goals) == 780 + 12159
+        bases = {id(base): base for base, _ in goals}
+        derivable = sum(self._agree(base, [s for b, s in goals if b is base])
+                        for base in bases.values())
+        assert derivable == 90
+
+    def test_cut_goal_shapes(self):
+        base = CutBase(build_rulesets({"p"}, 3, LDIA).rules)
+        derivable = self._agree(base, _bracketed_goals(300))
+        assert 0 < derivable < 300
+
+    def test_random_bracketed_bases(self):
+        derivable = total = 0
+        for base, goals in _random_bracketed(random.Random(25), 600, 12):
+            derivable += self._agree(CutBase(base), goals)
+            total += len(goals)
+        assert 0 < derivable < total
 
 
 def _tree_size(tr):
@@ -837,6 +1037,24 @@ class TestDeepDerivations:
         assert d.cut_count() == self.N
         assert replay_cuts(d, CutBase(base))
         assert not replay_cuts(d, CutBase(base[1:]))
+        found = cut_derives(base, d.conclusion)
+        assert found.conclusion == d.conclusion
+        assert found.cut_count() == self.N
+        assert replay_cuts(found, CutBase(base))
+
+    def test_unit_chain_as_a_grammar(self):
+        # p_k+1 -> p_k, 1500 times, then p0 -> q
+        ps = [prim(f"p{k}") for k in range(self.N + 1)]
+        g = cfg(ps[-1], [(ps[0], (Q,))] + [
+            (ps[k + 1], (ps[k],)) for k in range(self.N)])
+        d = derives(g, ps[-1], [Q])
+        assert d.fringe() == (Q,) and replay_derivation(d, g)
+        steps = 0
+        while d.production is not None:
+            (d,) = d.children
+            steps += 1
+        assert steps == self.N + 1 and d.symbol is Q
+        assert derives(g, ps[-1], [Q, Q]) is None
 
     def test_grammar_derivation_chain(self):
         # S -> a S, 1500 times, then S -> b

@@ -6,10 +6,14 @@ from dataclasses import replace
 
 import pytest
 
-from lambrack.cfgkit import CutDerivation, Derivation, cut_derives
-from lambrack.cli import main
+from lambrack.cfgkit import (
+    CutDerivation, Derivation, cut_derives, replay_cuts,
+)
+from lambrack.cli import _cut_lines, main
 from lambrack.compiler import build_rulesets
-from lambrack.harness import Report
+from lambrack.harness import (
+    Report, default_max_len, run_equivalence, write_reports,
+)
 from lambrack.interpolate import (
     InterpolationResult, extract_interpolant, thin_index,
 )
@@ -411,6 +415,21 @@ class TestCutDerive:
         assert code == 2
         assert err == "error: line 4: expected ')' (at position 7)\n"
 
+    def test_deep_unit_chain(self, capsys, tmp_path):
+        # q => p0, then p_k => p_k+1 for 1500 steps: every Cut nests
+        n = 1500
+        lines = ["q => p0"] + [f"p{k} => p{k + 1}" for k in range(n)]
+        path = tmp_path / "base.seq"
+        path.write_text("\n".join(lines) + "\n")
+        goal = f"q => p{n}"
+        code, out, err = run(capsys, "cut-derive", str(path), goal)
+        assert (code, err) == (0, "")
+        base = [parse_sequent(line) for line in lines]
+        d = cut_derives(base, parse_sequent(goal))
+        assert out.splitlines() == list(_cut_lines(d))
+        assert out.splitlines()[0] == goal
+        assert d.cut_count() == n and replay_cuts(d, set(base))
+
     @pytest.mark.parametrize("mutation", ["leaf", "swapped"])
     def test_wrong_answer_is_refused(self, capsys, monkeypatch, tmp_path,
                                      mutation):
@@ -437,6 +456,21 @@ class TestCompare:
                            "--calculus", "LstarDia")
         assert code == 0
         assert out.strip() == "EQUIVALENT up to 4"
+
+    @pytest.mark.parametrize("grammar,calc,bound", [
+        ("brackets.lg", "Ldia", 5), ("starred.lg", "LstarDia", 4)])
+    def test_default_bound_is_the_checked_one(self, capsys, monkeypatch,
+                                              grammar, calc, bound):
+        checked = []
+
+        def spy(*args, **kwargs):
+            checked.append(kwargs["max_len"])
+            return run_equivalence(*args, **kwargs)
+
+        monkeypatch.setattr("lambrack.cli.run_equivalence", spy)
+        code, out, _ = run(capsys, "compare", grammar, "--calculus", calc)
+        assert (code, out) == (0, f"EQUIVALENT up to {bound}\n")
+        assert checked == [bound] and default_max_len(calc) == bound
 
     def test_max_len_override(self, capsys, rule_cache):
         code, out, _ = run(capsys, "compare", "anbn.lg", "--max-len", "2",
@@ -474,6 +508,26 @@ class TestReport:
                            str(tmp_path))
         assert code == 1
         assert json.loads(out)["ok"] is False
+
+
+    def test_json_is_the_written_report(self, capsys, monkeypatch,
+                                        tmp_path):
+        # report --json prints byte for byte what report.json holds
+        reports = [Report(claim="demo", status="pass", counts={"n": 1},
+                          elapsed=0.5, notes=("a note",)),
+                   Report(claim="other", status="fail", counts={},
+                          elapsed=0.0, reproducer="p => q")]
+
+        def run_all(seed, out_dir, **kwargs):
+            write_reports(reports, out_dir, seed=seed)
+            return reports
+
+        monkeypatch.setattr("lambrack.cli.run_all", run_all)
+        code, out, _ = run(capsys, "report", "--json", "--seed", "7",
+                           "--out", str(tmp_path))
+        assert code == 1
+        assert out == (tmp_path / "report.json").read_text()
+        assert json.loads(out)["seed"] == 7
 
 
 class TestInternalErrors:

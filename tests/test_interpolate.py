@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from lambrack.cfgkit import cut_leaf, cut_node, replay_cuts
 from lambrack.compiler import enum_types
 from lambrack.freegroup import wlen, word_of
-from lambrack import interpolate
+from lambrack import interpolate, syntax
 from lambrack.interpolate import (
     InterpolationResult, _contract_fault, _extract, cut_reduce_flat,
     eliminate_bracket, extract_interpolant, indexed_counterpart,
@@ -485,6 +485,31 @@ class TestContractFault:
         assert tally["interpolant", None] == 0
         assert tally["swapped", None] == 22
         assert tally["other", None] == 1710
+
+    def test_one_count_walk_per_object(self, monkeypatch):
+        # the interpolant, the selection and the outer sequent are each
+        # walked once for their primitive and modality counts together
+        counts_of, calls = syntax._counts_of, []
+
+        def counting(x):
+            calls.append(x)
+            return counts_of(x)
+
+        monkeypatch.setattr(syntax, "_counts_of", counting)
+        monkeypatch.setattr(interpolate, "_counts_of", counting,
+                            raising=False)
+        s = parse_sequent("p / p [ boxd p ] p \\ p p \\ p => p")
+        pf = prove(s, LDIA)
+        spans = 0
+        for coords in partitions(s.antecedent):
+            e, left, right = _extract(pf, *coords, LDIA, False)
+            del calls[:]
+            assert _contract_fault(s, *coords,
+                                   InterpolationResult(e, left, right),
+                                   LDIA) is None
+            assert len(calls) == 3
+            spans += 1
+        assert spans > 5
 
     def test_interpolant_over_the_bound(self):
         # both cut halves of (p / p) \ p are provable in LstarDia, but p

@@ -75,3 +75,62 @@ def test_no_unused_imports():
                   for name, line in _imported_names(tree).items()
                   if name not in used]
     assert found == []
+
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
+
+
+def _calls_itself(fn, method):
+    """Whether ``fn``'s own body, outside nested definitions, calls
+    ``fn`` by name, or as ``self.<name>`` when it is a method."""
+    todo = list(ast.iter_child_nodes(fn))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, _DEFS):
+            continue
+        todo.extend(ast.iter_child_nodes(node))
+        f = node.func if isinstance(node, ast.Call) else None
+        if method:
+            if (isinstance(f, ast.Attribute) and f.attr == fn.name
+                    and isinstance(f.value, ast.Name)
+                    and f.value.id == "self"):
+                return True
+        elif isinstance(f, ast.Name) and f.id == fn.name:
+            return True
+    return False
+
+
+def _self_recursive(node, prefix=(), method=False):
+    """Qualified names of the functions under ``node`` that call
+    themselves directly."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _self_recursive(child, prefix + (child.name,), True)
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = prefix + (child.name,)
+            if _calls_itself(child, method):
+                yield ".".join(name)
+            yield from _self_recursive(child, name)
+        else:
+            yield from _self_recursive(child, prefix, method)
+
+
+# Every function that recurses on itself, and so fails on inputs nested
+# past the recursion limit; a walk that keeps its own stack leaves the
+# list.  Mutual recursion, such as ``_extract`` through ``_pass_through``
+# or ``_Parser.tree`` through ``_Parser.hedge``, is not detected.
+SELF_RECURSIVE = {
+    "Prover._search", "_Parser.type_operand", "_Recognizer.rebuild",
+    "_descend", "_extract", "_hedge_at", "_hedge_count", "_hedges_exact",
+    "_interp_population.grow", "_reduction_candidates.walk",
+    "_word_of_tree", "_word_of_type", "cut_reduce_flat.reduce_step",
+    "deindex.tree", "deindex.ty", "is_guarded", "plug", "print_tree",
+    "replace_children", "translate_flat.go", "unit_count",
+}
+
+
+def test_self_recursive_functions():
+    found = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        found.update(_self_recursive(ast.parse(path.read_text(), str(path))))
+    assert found == SELF_RECURSIVE
