@@ -23,8 +23,8 @@ from .prover import (
 )
 from .freegroup import IDENTITY, Word, print_word, shrinking_pair, word_of
 from .interpolate import (
-    InterpolationResult, cut_reduce_flat, extract_interpolant, partition_at,
-    thin_index,
+    InterpolationResult, cut_reduce, cut_reduce_flat, extract_interpolant,
+    partition_at, thin_index,
 )
 from .cfgkit import (
     Cfg, CutBase, CutDerivation, Derivation, cut_derives, derives,
@@ -40,8 +40,9 @@ __all__ = [
     "ParseError", "Proof", "ProofSearchTimeout", "Prover", "Report",
     "Sequent", "Type", "UNIT", "Word", "boxdown", "bracket", "build_rulesets",
     "bundled_grammar", "calculus", "check", "compile_cfg", "cut_derives",
-    "cut_reduce_flat", "derives", "dia", "enum_types", "extract_interpolant",
-    "language_upto", "leaf", "length", "load_grammar", "over", "parse_cfg",
+    "cut_reduce", "cut_reduce_flat", "derives", "dia", "enum_types",
+    "extract_interpolant", "language_upto", "leaf", "length", "load_grammar",
+    "over", "parse_cfg",
     "parse_grammar", "parse_hedge", "parse_proof", "parse_sequent",
     "parse_type", "partition_at", "prim", "print_cfg", "print_hedge",
     "print_proof", "print_sequent", "print_type", "print_word", "prod",

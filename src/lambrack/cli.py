@@ -38,7 +38,7 @@ from .prover import (
     translate_flat,
 )
 from .syntax import (
-    ParseError, Type, calculus, children_at, deindex, fold, hole_coords,
+    ParseError, Type, calculus, children_at, deindex, hole_coords,
     is_thin, parse_context, parse_hedge, parse_sequent, parse_type, preorder,
     print_sequent, print_type,
 )
@@ -210,16 +210,6 @@ def _cmd_parse(args) -> int:
     return 0
 
 
-def _cut_tree(d) -> dict:
-    def node(cut, premises):
-        out = {"conclusion": print_sequent(cut.conclusion)}
-        if premises:
-            out["premises"] = list(premises)
-        return out
-
-    return fold(d, attrgetter("premises"), node)
-
-
 def _cut_lines(d):
     for node, depth in preorder(d, attrgetter("premises")):
         tag = "  [base]" if node.is_leaf else ""
@@ -244,8 +234,8 @@ def _cmd_cut_derive(args) -> int:
         print("error: Cut derivation fails its replay over the base",
               file=sys.stderr)
         return 1
-    _emit(args, {"derivable": True, "derivation": _cut_tree(d)},
-          "\n".join(_cut_lines(d)))
+    lines = list(_cut_lines(d))
+    _emit(args, {"derivable": True, "derivation": lines}, "\n".join(lines))
     return 0
 
 

@@ -38,7 +38,7 @@ from .freegroup import (
 )
 from .interpolate import (
     InterpolationResult, _contract_fault, _extract, _guarded, _thin_rebuild,
-    extract_interpolant, partition_at, thin_index,
+    cut_reduce_flat, extract_interpolant, partition_at, thin_index,
 )
 from .prover import (
     ProofSearchTimeout, Prover, check, parse_proof, print_proof, prove,
@@ -581,8 +581,6 @@ def run_reduction_sweep(timeout_ms: Optional[float] = None,
     members of the two-premise rule set, and every intermediate
     conclusion must be provable on its own.
     """
-    from .interpolate import cut_reduce_flat
-
     started = time.monotonic()
     failures = []
     prover = Prover(LDIA, timeout_ms=timeout_ms)

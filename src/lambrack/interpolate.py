@@ -1,4 +1,4 @@
-"""Interpolant extraction, thin indexing, and bracket elimination.
+"""Interpolant extraction, thin indexing, and the Cut reduction.
 
 The centre of this module is ``extract_interpolant``: given a cut-free
 proof of ``Γ[Δ] ⇒ C`` and the partition ``(Δ; Γ[∎])`` of its
@@ -18,11 +18,12 @@ is an empty bracket or a single ``dia 1`` leaf, with interpolant
 each occurs at most twice in the conclusion; on such thin sequents the
 interpolant's length equals the reduced free-group length of the
 selection's image, which is what makes the length bounds of the
-grammar compilation work.  ``eliminate_bracket`` uses an interpolant
-at the spot where a designated bracket pair is introduced to replace
-that pair by a single bridging type, and ``cut_reduce_flat`` iterates
-interpolation to rebuild a flat provable sequent from bounded-length
-two-premise pieces using only Cut.
+grammar compilation work.  ``cut_reduce`` rebuilds a provable sequent
+from bounded pieces using only Cut: ``_descend`` interpolates at the
+spot where a bracket pair is introduced to replace that pair by a
+single bridging type, and flat rows are split by iterated
+interpolation into two-premise pieces; ``cut_reduce_flat`` is its
+bracket-free case.
 
 A proof is checked once, where it enters; ``_extract`` then works on it
 at span coordinates ``(parent, lo, hi)``, and ``_contract_fault`` is the
@@ -36,14 +37,12 @@ from typing import Optional
 
 from .cfgkit import CutDerivation, cut_leaf, cut_node
 from .freegroup import inv, shrinking_pair, word_of
-from .prover import (
-    LEFT_RULES, Proof, apply_rule, check, deindex_proof, is_guarded, prove,
-)
+from .prover import LEFT_RULES, Proof, apply_rule, check, is_guarded, prove
 from .syntax import (
     HOLE, L1STAR_DIA_M, LDIA_M, UNIT,
     Bracket, Calculus, Dia, Hedge, Leaf, Sequent, Type, _counts_of,
-    bracket_addresses, calculus, children_at, deindex, fold, hole_coords,
-    is_flat, leaf, length, plug, prim, prim_counts,
+    boxdown, bracket, bracket_addresses, calculus, children_at, deindex,
+    dia, fold, hole_coords, is_flat, leaf, length, plug, prim, prim_counts,
     print_sequent, print_type, replace_span, sequent, sequent_types,
     span_partition, subtree, validate_sequent,
 )
@@ -52,7 +51,7 @@ __all__ = [
     "Partition", "InterpolationResult", "partition_at",
     "indexed_counterpart", "thin_index",
     "extract_interpolant",
-    "eliminate_bracket", "cut_reduce_flat",
+    "cut_reduce", "cut_reduce_flat",
 ]
 
 # The one UnitR leaf, ``=> 1``, that every rebuilt proof shares.
@@ -435,57 +434,7 @@ def _pass_through(p: Proof, parent: tuple, lo: int, hi: int,
 
 
 # ---------------------------------------------------------------------------
-# Bracket elimination
-
-
-def eliminate_bracket(p: Proof, calc, bracket_addr=None):
-    """Replace one bracket pair by a single bridging type.
-
-    Follows the designated bracket up the proof to the step that
-    introduced it.  If that step read the bracket off a diamond
-    succedent, returns ``(B, "dia", (a, b))`` with ``a : Δ ⇒ B`` and
-    ``b : Γ[◊B] ⇒ C``; if it wrapped a box-down leaf, returns
-    ``(B, "boxd", (a, b))`` with ``a : Δ ⇒ □↓B`` and ``b : Γ[B] ⇒ C``
-    (writing the input conclusion as ``Γ[⟨Δ⟩] ⇒ C``).  The proof is
-    thin-indexed internally so that the bridging type's length is
-    bounded by the free-group image of the bracket's contents.  ``p`` is
-    checked once; the proofs built from it are not checked again.
-    """
-    calc = calculus(calc)
-    if not calc.brackets:
-        raise ValueError(f"{calc.name} has no brackets to eliminate")
-    if not check(p, calc):
-        raise ValueError(f"proof does not check in {calc.name}")
-    addrs = bracket_addresses(p.conclusion.antecedent)
-    if bracket_addr is None:
-        if not addrs:
-            raise ValueError("the antecedent has no bracket")
-        beta = addrs[0]
-    else:
-        beta = tuple(bracket_addr)
-        if beta not in addrs:
-            raise ValueError(f"no bracket at address {beta!r}")
-    if not subtree(p.conclusion.antecedent, beta).children:
-        raise ValueError("cannot eliminate an empty bracket; use the "
-                         "empty-bracket base sequent instead")
-    icalc = indexed_counterpart(calc)
-    q, theta = _thin_rebuild(p)
-    b, variant, pa, pb = _descend(q, beta, icalc)
-    return (deindex(b, theta), variant,
-            (deindex_proof(pa, theta), deindex_proof(pb, theta)))
-
-
-def _acts_inside(rule: str, pr, beta: tuple) -> bool:
-    """Whether a rule's active region lies inside the bracket at ``beta``.
-
-    Only the left rules carry an antecedent position; the right rules
-    restructure the root and never work strictly inside a surviving
-    bracket.
-    """
-    if rule not in LEFT_RULES:
-        return False
-    path = pr[0]
-    return len(path) >= len(beta) and path[:len(beta)] == beta
+# Bracket bridges
 
 
 def _premise_route(node: Proof, beta: tuple):
@@ -524,7 +473,11 @@ def _premise_route(node: Proof, beta: tuple):
 
 
 def _descend(node: Proof, beta: tuple, icalc: Calculus):
-    """Walk the bracket at ``beta`` up to its introduction and bridge it."""
+    """Walk the nonempty bracket ``⟨Δ⟩`` at ``beta`` of ``Γ[⟨Δ⟩] ⇒ C`` up
+    to its introduction and bridge it: ``(B, "dia", a, b)`` with
+    ``a : Δ ⇒ B`` and ``b : Γ[◊B] ⇒ C`` for a bracket read off a diamond
+    succedent, ``(B, "boxd", a, b)`` with ``a : Δ ⇒ □↓B`` and
+    ``b : Γ[B] ⇒ C`` for one wrapped round a box-down leaf."""
     rule, pr = node.rule, node.principal
     if rule == "DiaR" and beta == (0,):
         inner = node.premises[0]
@@ -542,7 +495,7 @@ def _descend(node: Proof, beta: tuple, icalc: Calculus):
         return e, "boxd", apply_rule("BoxDownR", None, (opened,)), right
     target, beta2 = _premise_route(node, beta)
     b, variant, pa, pb = _descend(node.premises[target], beta2, icalc)
-    if _acts_inside(rule, pr, beta):
+    if rule in LEFT_RULES and pr[0][:len(beta)] == beta:
         # The rule only transforms the bracket's contents: the proof of
         # the replaced conclusion passes through unchanged, and the rule
         # is re-applied on the contents side, re-rooted to the bracket.
@@ -555,31 +508,32 @@ def _descend(node: Proof, beta: tuple, icalc: Calculus):
 
 
 # ---------------------------------------------------------------------------
-# Flat reduction to bounded two-premise pieces
+# Reduction to bounded pieces
 
 
-def cut_reduce_flat(s: Sequent, prims, m: int, calc) -> CutDerivation:
-    """Derive a flat provable sequent from bounded pieces using Cut.
+def cut_reduce(s: Sequent, prims, m: int, calc) -> CutDerivation:
+    """Derive a provable sequent from bounded pieces using Cut.
 
     ``prims`` is the allowed primitive set and ``m`` bounds type
-    lengths.  Sequents of width at most two become leaves; longer ones
-    are split by interpolating either an adjacent pair whose free-group
-    images shrink when multiplied, or the prefix before the last type,
-    and recursing.  Every leaf is a provable sequent with at most two
-    antecedent types, all of length at most ``m`` over ``prims``.  The
-    prover's proof is checked and thin-indexed once; each step
-    interpolates a thin piece of it, unchecked, and recurses on the
-    piece proof ``_extract`` returns.  A failed check, a piece whose
-    deindexed conclusion is not its sequent or an overlong interpolant
-    raise ``RuntimeError``.
+    lengths.  Each step first cuts out the deepest bracket ``⟨Δ⟩``: an
+    empty one from ``[ ] ⇒ ◊1``, any other from the bridge ``[B] ⇒ ◊B``
+    or ``[□↓B] ⇒ B`` that ``_descend`` finds, with ``Δ ⇒ B`` or
+    ``Δ ⇒ □↓B`` cut into it.  A flat row wider than two is split by
+    interpolating an adjacent pair whose free-group images shrink when
+    multiplied, or else the prefix before the last type.  Both halves
+    recurse; every leaf is a bridge or a provable flat sequent with at
+    most two antecedent types, all of length at most ``m`` over
+    ``prims``.  The prover's proof is checked and thin-indexed once;
+    each step cuts a thin piece of it, unchecked.  A failed check, a
+    piece whose deindexed conclusion is not its sequent, an overlong
+    interpolant or a bridge type longer than ``m - 2`` raise
+    ``RuntimeError``.
     """
     calc = calculus(calc)
     if not calc.brackets:
         raise ValueError("the reduction searches proofs with brackets; "
                          f"{calc.name} has none")
     validate_sequent(s, calc)
-    if not is_flat(s.antecedent):
-        raise ValueError("the antecedent must be a flat row of types")
     prims = set(prims)
     for t in sequent_types(s):
         extra = set(prim_counts(t)) - prims
@@ -608,7 +562,34 @@ def cut_reduce_flat(s: Sequent, prims, m: int, calc) -> CutDerivation:
             raise RuntimeError(f"a reduction piece proves "
                                f"{print_sequent(got)}, not "
                                f"{print_sequent(seq)}")
-        n = len(seq.antecedent)
+        ante = seq.antecedent
+        addrs = bracket_addresses(ante)
+        if addrs:
+            # Cut ``[Δ] ⇒ X`` into the rest ``Γ[X] ⇒ C`` at the deepest
+            # bracket, whose contents ``Δ`` are flat
+            beta = max(addrs, key=len)
+            parent, j = beta[:-1], beta[-1]
+            contents = subtree(ante, beta).children
+            if not contents:
+                unit = apply_rule("UnitL", (beta, 0), (prf,))
+                right = apply_rule("DiaL", (parent, j), (unit,))
+                cut = cut_leaf(sequent((bracket(()),), dia(UNIT)))
+            else:
+                e, variant, left, right = _descend(prf, beta, icalc)
+                b = deindex(e, theta)
+                if length(b) > m - 2:
+                    raise RuntimeError(f"bridge type {print_type(b)} of "
+                                       f"{print_sequent(seq)} exceeds the "
+                                       f"length bound {m} - 2")
+                x, y = (b, dia(b)) if variant == "dia" else (boxdown(b), b)
+                bridge = sequent((bracket((leaf(x),)),), y)
+                cut = cut_node(reduce_step(sequent(contents, x), left),
+                               cut_leaf(bridge), (bracket((HOLE,)),))
+            position = replace_span(ante, parent, j, j + 1, (HOLE,))
+            rest = sequent(plug(position, (leaf(cut.conclusion.succedent),)),
+                           seq.succedent)
+            return cut_node(cut, reduce_step(rest, right), position)
+        n = len(ante)
         if n <= 2:
             return cut_leaf(seq)
         tante = prf.conclusion.antecedent
@@ -627,7 +608,6 @@ def cut_reduce_flat(s: Sequent, prims, m: int, calc) -> CutDerivation:
         # Cut ``cut`` into ``rest`` at ``position``; the pair is a piece
         # and the rest recurses, or the prefix recurses and the rest is
         # a piece
-        ante = seq.antecedent
         cut = sequent(ante[lo:hi], e)
         rest = sequent(ante[:lo] + (leaf(e),) + ante[hi:], seq.succedent)
         position = ante[:lo] + (HOLE,) + ante[hi:]
@@ -638,3 +618,10 @@ def cut_reduce_flat(s: Sequent, prims, m: int, calc) -> CutDerivation:
 
     return reduce_step(s, thin)
 
+
+def cut_reduce_flat(s: Sequent, prims, m: int, calc) -> CutDerivation:
+    """``cut_reduce`` of a sequent whose antecedent is a flat row of
+    types."""
+    if not is_flat(s.antecedent):
+        raise ValueError("the antecedent must be a flat row of types")
+    return cut_reduce(s, prims, m, calc)

@@ -37,7 +37,7 @@ from .freegroup import IDENTITY, mul, word_of
 from .syntax import (
     BINARY, L1STAR_DIA_M, UNIT, BoxDown, Bracket, Dia, Leaf, Over, Prim,
     Prod, Sequent, Type, Under, Calculus, ParseError, boxdown, bracket,
-    calculus, children_at, deindex, dia, fold, leaf, nodes, over,
+    calculus, children_at, dia, leaf, nodes, over,
     parse_sequent, preorder, prim, prim_count, print_sequent, prod,
     replace_children, replace_span, sequent, under, validate_sequent,
 )
@@ -45,7 +45,7 @@ from .syntax import (
 __all__ = [
     "Proof", "ProofSearchTimeout", "RULES", "LEFT_RULES",
     "Prover", "prove", "check", "instances", "apply_rule",
-    "print_proof", "parse_proof", "deindex_proof",
+    "print_proof", "parse_proof",
     "translate_flat", "is_guarded",
 ]
 
@@ -511,12 +511,6 @@ def _parse_line(row) -> Sequent:
         return parse_sequent(body)
     except ValueError as exc:
         raise ParseError(f"line {lineno}: {exc}") from None
-
-
-def deindex_proof(p: Proof, theta: Optional[dict] = None) -> Proof:
-    """Deindex every sequent in the proof; rule structure is unchanged."""
-    return fold(p, _premises, lambda node, premises: Proof(
-        deindex(node.conclusion, theta), node.rule, premises, node.principal))
 
 
 # ---------------------------------------------------------------------------

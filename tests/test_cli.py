@@ -398,7 +398,10 @@ class TestCutDerive:
         assert code == 0
         payload = json.loads(out)
         assert payload["derivable"] is True
-        assert len(payload["derivation"]["premises"]) == 2
+        d = cut_derives([parse_sequent(line) for line in
+                         ("p p \\ p => p", "[ p ] => dia p")],
+                        parse_sequent("[ p p \\ p ] => dia p"))
+        assert payload["derivation"] == list(_cut_lines(d))
 
     def test_bad_base_line(self, capsys, tmp_path):
         path = tmp_path / "base.seq"
@@ -429,6 +432,11 @@ class TestCutDerive:
         assert out.splitlines() == list(_cut_lines(d))
         assert out.splitlines()[0] == goal
         assert d.cut_count() == n and replay_cuts(d, set(base))
+        # the JSON form lists the same lines, so it nests no deeper
+        code, out, err = run(capsys, "cut-derive", "--json", str(path), goal)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"derivable": True,
+                                   "derivation": list(_cut_lines(d))}
 
     @pytest.mark.parametrize("mutation", ["leaf", "swapped"])
     def test_wrong_answer_is_refused(self, capsys, monkeypatch, tmp_path,

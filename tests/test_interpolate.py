@@ -1,22 +1,26 @@
 """Tests for interpolant extraction, thin indexing, bracket
-elimination, and the flat Cut reduction."""
+elimination, and the Cut reduction."""
 
 import hashlib
 import re
 from collections import Counter
+from itertools import product
 from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lambrack.cfgkit import cut_leaf, cut_node, replay_cuts
-from lambrack.compiler import enum_types
-from lambrack.freegroup import wlen, word_of
+from lambrack.cfgkit import (
+    CutBase, cut_derives, cut_leaf, cut_node, replay_cuts,
+)
+from lambrack.compiler import build_rulesets, enum_types
+from lambrack.freegroup import count_key, wlen, word_of
 from lambrack import interpolate, syntax
+from lambrack.harness import _bracket_count, _hedges_exact, _row_key
 from lambrack.interpolate import (
-    InterpolationResult, _contract_fault, _extract, cut_reduce_flat,
-    eliminate_bracket, extract_interpolant, indexed_counterpart,
-    partition_at, thin_index,
+    InterpolationResult, _contract_fault, _extract, cut_reduce,
+    cut_reduce_flat, extract_interpolant, indexed_counterpart, partition_at,
+    thin_index,
 )
 from lambrack.prover import (
     RULES, Proof, Prover, apply_rule, check, is_guarded, print_proof, prove,
@@ -29,7 +33,7 @@ from lambrack.syntax import (
     print_sequent, print_type, prod, replace_span, sequent, sequent_types,
     subtree, under,
 )
-from helpers import cut_candidates
+from helpers import cut_candidates, eliminate_bracket
 from test_prover import GOLDEN, _small_sequents
 
 P, Q = prim("p"), prim("q")
@@ -687,7 +691,7 @@ class TestEliminateBracket:
     def test_dia_variant(self):
         s = parse_sequent("[ p ] => dia p")
         pf = prove(s, LDIA)
-        b, variant, (pa, pb) = eliminate_bracket(pf, LDIA)
+        b, variant, (pa, pb) = eliminate_bracket(pf, LDIA, (0,))
         assert (b, variant) == (P, "dia")
         assert pa.conclusion == parse_sequent("p => p")
         assert pb.conclusion == parse_sequent("dia p => dia p")
@@ -696,7 +700,7 @@ class TestEliminateBracket:
     def test_boxd_variant(self):
         s = parse_sequent("[ boxd q ] => q")
         pf = prove(s, LDIA)
-        b, variant, (pa, pb) = eliminate_bracket(pf, LDIA)
+        b, variant, (pa, pb) = eliminate_bracket(pf, LDIA, (0,))
         assert (b, variant) == (Q, "boxd")
         assert pa.conclusion == parse_sequent("boxd q => boxd q")
         assert pb.conclusion == parse_sequent("q => q")
@@ -706,7 +710,7 @@ class TestEliminateBracket:
         # rebuilt half must carry the step, re-rooted to the bracket
         s = parse_sequent("[ p p \\ boxd p ] => p")
         pf = prove(s, LDIA)
-        b, variant, (pa, pb) = eliminate_bracket(pf, LDIA)
+        b, variant, (pa, pb) = eliminate_bracket(pf, LDIA, (0,))
         assert (b, variant) == (P, "boxd")
         assert pa.conclusion == parse_sequent("p p \\ boxd p => boxd p")
         assert pb.conclusion == parse_sequent("p => p")
@@ -734,37 +738,102 @@ class TestEliminateBracket:
         image = wlen(word_of(contents))
         assert length(b) <= max(1, image)
 
-    def test_no_bracket(self):
-        pf = prove(parse_sequent("p => p"), LDIA)
-        with pytest.raises(ValueError):
-            eliminate_bracket(pf, LDIA)
 
-    def test_empty_bracket(self):
-        pf = prove(parse_sequent("[ ] => dia 1"), L1STAR_DIA)
-        with pytest.raises(ValueError):
-            eliminate_bracket(pf, L1STAR_DIA)
-
-    def test_bad_address(self):
-        pf = prove(parse_sequent("[ p ] => dia p"), LDIA)
-        with pytest.raises(ValueError):
-            eliminate_bracket(pf, LDIA, bracket_addr=(3,))
-
+class TestCutReduce:
     def test_bracketless_calculus(self):
-        pf = prove(parse_sequent("p => p"), LDIA)
         with pytest.raises(ValueError):
-            eliminate_bracket(pf, "L")
+            cut_reduce(parse_sequent("p => p"), {"p"}, 2, "L")
+
+    def test_empty_bracket_is_one_cut(self):
+        s = parse_sequent("[ ] => dia 1")
+        d = cut_reduce(s, set(), 2, L1STAR_DIA)
+        assert d.conclusion == s and d.cut_count() == 1 and replay_cuts(d)
+        assert list(d.leaves()) == [s, parse_sequent("dia 1 => dia 1")]
+
+    @pytest.mark.parametrize("text, bridge, leaves", [
+        ("[ p ] => dia p", "[ p ] => dia p", ["p => p", "dia p => dia p"]),
+        ("[ boxd q ] => q", "[ boxd q ] => q",
+         ["boxd q => boxd q", "q => q"]),
+    ])
+    def test_two_cuts_through_the_bridge(self, text, bridge, leaves):
+        s = parse_sequent(text)
+        d = cut_reduce(s, {"p", "q"}, 3, LDIA)
+        assert d.conclusion == s and d.cut_count() == 2 and replay_cuts(d)
+        first, last = map(parse_sequent, leaves)
+        assert list(d.leaves()) == [first, parse_sequent(bridge), last]
 
     def test_checks_the_proof_once(self, monkeypatch):
-        pf = prove(parse_sequent("[ p p \\ boxd p ] => p"), LDIA)
-        checked = []
+        # a bracketed input is checked and thin-indexed on entry, and
+        # the bridge pieces are neither checked nor thin-indexed again
+        s = parse_sequent("[ [ p ] dia p \\ p ] => dia p")
+        checked, rebuilt = [], []
+        monkeypatch.setattr(interpolate, "check", lambda p, calc: (
+            checked.append(p.conclusion) or check(p, calc)))
+        monkeypatch.setattr(
+            interpolate, "_thin_rebuild",
+            lambda p, real=interpolate._thin_rebuild: (
+                rebuilt.append(p.conclusion) or real(p)))
+        d = cut_reduce(s, {"p"}, 4, LDIA)
+        assert d.cut_count() == 4 and replay_cuts(d)
+        assert checked == [s]
+        assert rebuilt == [s]
 
-        def counting_check(p, calc):
-            checked.append(p is pf)
-            return check(p, calc)
+    def test_wrong_bridge_piece_is_a_runtime_error(self, monkeypatch):
+        wrong = prove(parse_sequent("p => p"), LDIA)
+        monkeypatch.setattr(interpolate, "_descend",
+                            lambda *args: (P, "dia", wrong, wrong))
+        with pytest.raises(RuntimeError, match=re.escape(
+                "a reduction piece proves p => p, not p p \\ p => p")):
+            cut_reduce(parse_sequent("[ p p \\ p ] => dia p"), {"p"}, 3,
+                       LDIA)
 
-        monkeypatch.setattr(interpolate, "check", counting_check)
-        eliminate_bracket(pf, LDIA)
-        assert checked == [True]
+    def test_overlong_bridge_is_a_runtime_error(self, monkeypatch):
+        wrong = prove(parse_sequent("p => p"), LDIA)
+        monkeypatch.setattr(interpolate, "_descend",
+                            lambda *args: (over(P, P), "dia", wrong, wrong))
+        with pytest.raises(RuntimeError, match=re.escape(
+                "bridge type p / p of [ p ] => dia p exceeds the length "
+                "bound 3 - 2")):
+            cut_reduce(parse_sequent("[ p ] => dia p"), {"p"}, 3, LDIA)
+
+    @pytest.mark.parametrize("calc, counts", [
+        (LDIA, (1691, 361, 64)), (L1STAR_DIA, (3181, 931, 319)),
+    ], ids=["Ldia", "L1starDia"])
+    def test_bracketed_cut_completeness(self, calc, counts):
+        # every word-balanced candidate over {p} at length bound 3, with
+        # rows of up to two types: provability and Cut-derivability
+        # agree, and every bracketed provable is reduced by cut_reduce
+        # to a derivation over the same base
+        rules = build_rulesets({"p"}, 3, calc).rules
+        base, members = CutBase(rules), set(rules)
+        words = {t: word_of(t) for t in enum_types({"p"}, 3, calc.unit)}
+        prover, hedges = Prover(calc), {}
+        balanced = provable = bracketed = 0
+        for n in range(0 if calc.starred else 1, 3):
+            for row in product(words, repeat=n):
+                key = _row_key(row, words)
+                for succ, w in words.items():
+                    # the one bracket count that can balance the row
+                    b = _bracket_count(key, count_key(w))
+                    if b is None:
+                        continue
+                    for h in _hedges_exact(row, b, calc.starred, hedges):
+                        if word_of(h) != w:
+                            continue
+                        s = sequent(h, succ)
+                        balanced += 1
+                        pf = prover.prove(s)
+                        d = cut_derives(base, s)
+                        assert (pf is None) == (d is None), s
+                        if pf is None:
+                            continue
+                        provable += 1
+                        if bracket_addresses(h):
+                            bracketed += 1
+                            d = cut_reduce(s, {"p"}, 3, calc)
+                            assert d.conclusion == s, s
+                            assert replay_cuts(d, members), s
+        assert (balanced, provable, bracketed) == counts
 
 
 class TestCutReduceFlat:

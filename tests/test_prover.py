@@ -15,7 +15,7 @@ from lambrack.compiler import build_rulesets
 from lambrack.freegroup import word_of
 from lambrack.interpolate import thin_index
 from lambrack.prover import (
-    Proof, ProofSearchTimeout, Prover, check, deindex_proof, instances,
+    Proof, ProofSearchTimeout, Prover, check, instances,
     is_guarded, parse_proof, print_proof, prove, translate_flat,
 )
 from lambrack.prover import RULES
@@ -26,6 +26,7 @@ from lambrack.syntax import (
     is_thin, leaf, nodes, over, parse_sequent, parse_type, preorder, prim,
     print_sequent, prod, replace_span, sequent, under, validate_sequent,
 )
+from helpers import deindex_proof
 
 GOLDEN = "[ [ p ] dia p \\ p ] => boxd dia dia p"
 
@@ -929,15 +930,6 @@ class TestCheck:
             parse_proof("Nope  p => p")
         with pytest.raises(ValueError):
             parse_proof("Ax  p => p\nAx  q => q")
-
-    def test_deindex_proof(self):
-        s = parse_sequent("[:2 [:1 p1 ]:1 dia:1 p1 \\ p2 ]:2 => boxd:3 dia:3 dia:2 p2")
-        p = prove(s, LDIA_M)
-        theta = {"p1": "a", "p2": "b"}
-        q = deindex_proof(p, theta)
-        assert print_sequent(q.conclusion) == "[ [ a ] dia a \\ b ] => boxd dia dia b"
-        assert check(q, LDIA)
-
 
 
 def _print_proof_recursive(p):
