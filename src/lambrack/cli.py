@@ -61,7 +61,7 @@ def _common(sub, calc=False, timeout=False, cache=False):
                      help="emit machine-readable JSON")
     if cache:
         sub.add_argument("--cache-dir", default=None,
-                         help="directory for persisted rule-set caches")
+                         help="rule-set cache directory for grammar compiles")
 
 
 def _emit(args, payload: dict, text: str) -> None:

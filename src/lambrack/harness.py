@@ -38,7 +38,7 @@ from .freegroup import (
 )
 from .interpolate import (
     InterpolationResult, _contract_fault, _extract, _guarded, _thin_rebuild,
-    cut_reduce_flat, extract_interpolant, partition_at, thin_index,
+    cut_reduce, extract_interpolant, partition_at, thin_index,
 )
 from .prover import (
     ProofSearchTimeout, Prover, check, parse_proof, print_proof, prove,
@@ -572,11 +572,11 @@ def _reduction_candidates():
     return walk((), IDENTITY, 0)
 
 
-def run_reduction_sweep(timeout_ms: Optional[float] = None,
-                        cache_dir=None) -> Report:
+def run_reduction_sweep(timeout_ms: Optional[float] = None) -> Report:
     """Reduce every short provable flat sequent to bounded Cut pieces.
 
-    The population is every provable one of ``_reduction_candidates``.
+    The population is every provable one of ``_reduction_candidates``,
+    each reduced from the proof the sweep's one ``Prover`` found.
     Each reduction must replay to its sequent, its leaves must be
     members of the two-premise rule set, and every intermediate
     conclusion must be provable on its own.
@@ -584,16 +584,17 @@ def run_reduction_sweep(timeout_ms: Optional[float] = None,
     started = time.monotonic()
     failures = []
     prover = Prover(LDIA, timeout_ms=timeout_ms)
-    rules = build_rulesets({"p", "q"}, 2, LDIA, cache_dir=cache_dir)
+    rules = build_rulesets({"p", "q"}, 2, LDIA)
     base = set(rules.flat_rules)
     candidates = provable = nodes = 0
     try:
         for s in _reduction_candidates():
             candidates += 1
-            if prover.prove(s) is None:
+            proof = prover.prove(s)
+            if proof is None:
                 continue
             provable += 1
-            d = cut_reduce_flat(s, {"p", "q"}, 2, LDIA)
+            d = cut_reduce(proof, {"p", "q"}, 2, LDIA)
             if d.conclusion != s or not replay_cuts(d, base):
                 failures.append(f"reduction fails for {print_sequent(s)}")
                 continue
@@ -636,8 +637,7 @@ def _cut_groups(calc, types):
 
 
 def run_cut_completeness(timeout_ms: Optional[float] = None,
-                         sample_stride: int = 50,
-                         cache_dir=None) -> Report:
+                         sample_stride: int = 50) -> Report:
     """Provability coincides with Cut-derivability from the rule sets.
 
     For primitive set {p} at length bound 2, in both the plain and the
@@ -672,7 +672,7 @@ def run_cut_completeness(timeout_ms: Optional[float] = None,
     try:
         for calc, guarded in ((LDIA, False), (L1STAR_DIA, True)):
             types = enum_types({"p"}, 2, guarded=guarded)
-            rules = build_rulesets({"p"}, 2, calc, cache_dir=cache_dir)
+            rules = build_rulesets({"p"}, 2, calc)
             base = CutBase(rules.rules)
             prover = Prover(calc, timeout_ms=timeout_ms)
             words = {t: word_of(t) for t in types}
@@ -808,6 +808,8 @@ def run_equivalence(source, calc=LDIA, max_len: Optional[int] = None,
     name, g = load_grammar(source)
     if max_len is None:
         max_len = default_max_len(calc)
+    if max_len < (0 if calc.starred else 1):
+        raise ValueError(f"a length bound of {max_len} admits no string")
     cfg = compile_cfg(g, calc, cache_dir=cache_dir)
     prover = Prover(calc, timeout_ms=timeout_ms)
     hedges = {}
@@ -947,9 +949,8 @@ def run_all(seed: int = DEFAULT_SEED,
         run_golden(timeout_ms=timeout_ms, out_dir=out_dir),
         interp := run_interpolation_sweep(timeout_ms=timeout_ms),
         run_shrinking_trials(seed=seed),
-        run_reduction_sweep(timeout_ms=timeout_ms, cache_dir=cache_dir),
-        cut := run_cut_completeness(timeout_ms=timeout_ms,
-                                    cache_dir=cache_dir),
+        run_reduction_sweep(timeout_ms=timeout_ms),
+        cut := run_cut_completeness(timeout_ms=timeout_ms),
     ]
     for name, calc_name in BUNDLED_GRAMMARS:
         reports.append(run_equivalence(name, calc_name,

@@ -18,8 +18,8 @@ is an empty bracket or a single ``dia 1`` leaf, with interpolant
 each occurs at most twice in the conclusion; on such thin sequents the
 interpolant's length equals the reduced free-group length of the
 selection's image, which is what makes the length bounds of the
-grammar compilation work.  ``cut_reduce`` rebuilds a provable sequent
-from bounded pieces using only Cut: ``_descend`` interpolates at the
+grammar compilation work.  ``cut_reduce`` rebuilds the conclusion of a
+proof from bounded pieces using only Cut: ``_descend`` interpolates at the
 spot where a bracket pair is introduced to replace that pair by a
 single bridging type, and flat rows are split by iterated
 interpolation into two-premise pieces; ``cut_reduce_flat`` is its
@@ -44,7 +44,7 @@ from .syntax import (
     boxdown, bracket, bracket_addresses, calculus, children_at, deindex,
     dia, fold, hole_coords, is_flat, leaf, length, plug, prim, prim_counts,
     print_sequent, print_type, replace_span, sequent, sequent_types,
-    span_partition, subtree, validate_sequent,
+    span_partition, subtree,
 )
 
 __all__ = [
@@ -511,8 +511,8 @@ def _descend(node: Proof, beta: tuple, icalc: Calculus):
 # Reduction to bounded pieces
 
 
-def cut_reduce(s: Sequent, prims, m: int, calc) -> CutDerivation:
-    """Derive a provable sequent from bounded pieces using Cut.
+def cut_reduce(p: Proof, prims, m: int, calc) -> CutDerivation:
+    """Derive the conclusion of ``p`` from bounded pieces using Cut.
 
     ``prims`` is the allowed primitive set and ``m`` bounds type
     lengths.  Each step first cuts out the deepest bracket ``⟨Δ⟩``: an
@@ -523,19 +523,23 @@ def cut_reduce(s: Sequent, prims, m: int, calc) -> CutDerivation:
     multiplied, or else the prefix before the last type.  Both halves
     recurse; every leaf is a bridge or a provable flat sequent with at
     most two antecedent types, all of length at most ``m`` over
-    ``prims``.  The prover's proof is checked and thin-indexed once;
-    each step cuts a thin piece of it, unchecked.  A failed check, a
-    piece whose deindexed conclusion is not its sequent, an overlong
-    interpolant or a bridge type longer than ``m - 2`` raise
-    ``RuntimeError``.
+    ``prims``.  In ``LstarDia`` an empty bracket brings in the unit:
+    ``[ ] ⇒ ◊(p / p)`` at ``m = 4`` reduces to ``[ ] ⇒ ◊1`` and
+    ``◊1 ⇒ ◊(p / p)``, so the leaves belong to the guarded base
+    ``build_rulesets(prims, m, L1STAR_DIA)`` of starred grammars.
+    ``p`` is checked (else ``ValueError``) and thin-indexed once; each
+    step cuts a thin piece of it, unchecked.  A piece whose deindexed
+    conclusion is not its sequent, an overlong interpolant or a bridge
+    type longer than ``m - 2`` raise ``RuntimeError``.
     """
     calc = calculus(calc)
     if not calc.brackets:
         raise ValueError("the reduction searches proofs with brackets; "
                          f"{calc.name} has none")
-    validate_sequent(s, calc)
+    if not check(p, calc):
+        raise ValueError(f"proof does not check in {calc.name}")
     prims = set(prims)
-    for t in sequent_types(s):
+    for t in sequent_types(p.conclusion):
         extra = set(prim_counts(t)) - prims
         if extra:
             raise ValueError(
@@ -546,13 +550,7 @@ def cut_reduce(s: Sequent, prims, m: int, calc) -> CutDerivation:
         if calc.unit and not is_guarded(t):
             raise ValueError(f"unit mode needs guarded types: "
                              f"{print_type(t)}")
-    proof = prove(s, calc)
-    if proof is None:
-        raise ValueError(f"not provable: {print_sequent(s)}")
-    if not check(proof, calc):
-        raise RuntimeError(f"the proof of {print_sequent(s)} fails its "
-                           f"check in {calc.name}")
-    thin, theta = _thin_rebuild(proof)
+    thin, theta = _thin_rebuild(p)
     icalc = indexed_counterpart(calc)
 
     def reduce_step(seq: Sequent, prf: Proof) -> CutDerivation:
@@ -616,12 +614,15 @@ def cut_reduce(s: Sequent, prims, m: int, calc) -> CutDerivation:
                             position)
         return cut_node(reduce_step(cut, left), cut_leaf(rest), position)
 
-    return reduce_step(s, thin)
+    return reduce_step(p.conclusion, thin)
 
 
 def cut_reduce_flat(s: Sequent, prims, m: int, calc) -> CutDerivation:
-    """``cut_reduce`` of a sequent whose antecedent is a flat row of
-    types."""
+    """``cut_reduce`` of the proof ``prove`` finds for a sequent whose
+    antecedent is a flat row of types."""
     if not is_flat(s.antecedent):
         raise ValueError("the antecedent must be a flat row of types")
-    return cut_reduce(s, prims, m, calc)
+    proof = prove(s, calc)
+    if proof is None:
+        raise ValueError(f"not provable: {print_sequent(s)}")
+    return cut_reduce(proof, prims, m, calc)

@@ -294,6 +294,9 @@ class Prover:
 
     def __init__(self, calc, timeout_ms: Optional[float] = None):
         self.calc = calculus(calc)
+        # ``not >=`` refuses NaN too, which would turn the deadline off
+        if timeout_ms is not None and not timeout_ms >= 0:
+            raise ValueError(f"timeout_ms must be 0 or more, not {timeout_ms}")
         self.timeout_ms = timeout_ms
         self.memo: dict = {}
         self._deadline = None

@@ -85,6 +85,16 @@ class TestProve:
         assert code == 1
         assert "timed out" in err
 
+    @pytest.mark.parametrize("budget, code", [
+        ("nan", 2), ("-5", 2), ("0", 1)])
+    def test_negative_or_nan_budget_is_usage_error(self, capsys, budget,
+                                                   code):
+        # NaN would switch the deadline off; 0 is a budget spent at once
+        got, out, err = run(capsys, "prove", "p => p", "--timeout-ms", budget)
+        assert (got, out) == (code, "") and err.count("\n") == 1
+        assert err.startswith("error: timeout_ms must be 0 or more"
+                              if code == 2 else "error: proof search timed")
+
     def test_deep_chain_is_answered(self, capsys):
         # 900 leaves: the search fits the recursion limit, and the round
         # trip and the check walk the proof without recursing
@@ -479,6 +489,15 @@ class TestCompare:
         code, out, _ = run(capsys, "compare", grammar, "--calculus", calc)
         assert (code, out) == (0, f"EQUIVALENT up to {bound}\n")
         assert checked == [bound] and default_max_len(calc) == bound
+
+    @pytest.mark.parametrize("grammar, calc, bound", [
+        ("brackets.lg", "Ldia", "0"), ("brackets.lg", "Ldia", "-1"),
+        ("starred.lg", "LstarDia", "-1")])
+    def test_bound_admitting_no_string(self, capsys, grammar, calc, bound):
+        code, out, err = run(capsys, "compare", grammar, "--calculus", calc,
+                             "--max-len", bound)
+        assert (code, out) == (2, "")
+        assert err == f"error: a length bound of {bound} admits no string\n"
 
     def test_max_len_override(self, capsys, rule_cache):
         code, out, _ = run(capsys, "compare", "anbn.lg", "--max-len", "2",

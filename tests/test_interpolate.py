@@ -742,11 +742,33 @@ class TestEliminateBracket:
 class TestCutReduce:
     def test_bracketless_calculus(self):
         with pytest.raises(ValueError):
-            cut_reduce(parse_sequent("p => p"), {"p"}, 2, "L")
+            cut_reduce(prove(parse_sequent("p => p"), "L"), {"p"}, 2, "L")
+
+    def test_failed_check_is_a_value_error(self):
+        # the entry contract thin_index and extract_interpolant share
+        with pytest.raises(ValueError, match=re.escape(
+                "proof does not check in Ldia")):
+            cut_reduce(Proof(parse_sequent("p => q"), "Ax"), {"p", "q"}, 2,
+                       LDIA)
+
+    def test_searches_nothing(self, monkeypatch):
+        # the reduction works on the proof it is given, bracketed or flat
+        proofs = [prove(parse_sequent(text), LDIA) for text in
+                  ("[ [ p ] dia p \\ p ] => dia p",
+                   "p p \\ p p \\ p p \\ p => p")]
+
+        def no_search(*args):
+            raise AssertionError("cut_reduce searched for a proof")
+
+        monkeypatch.setattr(interpolate, "prove", no_search)
+        monkeypatch.setattr(Prover, "prove", no_search)
+        for pf in proofs:
+            d = cut_reduce(pf, {"p"}, 4, LDIA)
+            assert d.conclusion == pf.conclusion and replay_cuts(d)
 
     def test_empty_bracket_is_one_cut(self):
         s = parse_sequent("[ ] => dia 1")
-        d = cut_reduce(s, set(), 2, L1STAR_DIA)
+        d = cut_reduce(prove(s, L1STAR_DIA), set(), 2, L1STAR_DIA)
         assert d.conclusion == s and d.cut_count() == 1 and replay_cuts(d)
         assert list(d.leaves()) == [s, parse_sequent("dia 1 => dia 1")]
 
@@ -757,7 +779,7 @@ class TestCutReduce:
     ])
     def test_two_cuts_through_the_bridge(self, text, bridge, leaves):
         s = parse_sequent(text)
-        d = cut_reduce(s, {"p", "q"}, 3, LDIA)
+        d = cut_reduce(prove(s, LDIA), {"p", "q"}, 3, LDIA)
         assert d.conclusion == s and d.cut_count() == 2 and replay_cuts(d)
         first, last = map(parse_sequent, leaves)
         assert list(d.leaves()) == [first, parse_sequent(bridge), last]
@@ -766,6 +788,7 @@ class TestCutReduce:
         # a bracketed input is checked and thin-indexed on entry, and
         # the bridge pieces are neither checked nor thin-indexed again
         s = parse_sequent("[ [ p ] dia p \\ p ] => dia p")
+        pf = prove(s, LDIA)
         checked, rebuilt = [], []
         monkeypatch.setattr(interpolate, "check", lambda p, calc: (
             checked.append(p.conclusion) or check(p, calc)))
@@ -773,28 +796,43 @@ class TestCutReduce:
             interpolate, "_thin_rebuild",
             lambda p, real=interpolate._thin_rebuild: (
                 rebuilt.append(p.conclusion) or real(p)))
-        d = cut_reduce(s, {"p"}, 4, LDIA)
+        d = cut_reduce(pf, {"p"}, 4, LDIA)
         assert d.cut_count() == 4 and replay_cuts(d)
         assert checked == [s]
         assert rebuilt == [s]
 
     def test_wrong_bridge_piece_is_a_runtime_error(self, monkeypatch):
         wrong = prove(parse_sequent("p => p"), LDIA)
+        pf = prove(parse_sequent("[ p p \\ p ] => dia p"), LDIA)
         monkeypatch.setattr(interpolate, "_descend",
                             lambda *args: (P, "dia", wrong, wrong))
         with pytest.raises(RuntimeError, match=re.escape(
                 "a reduction piece proves p => p, not p p \\ p => p")):
-            cut_reduce(parse_sequent("[ p p \\ p ] => dia p"), {"p"}, 3,
-                       LDIA)
+            cut_reduce(pf, {"p"}, 3, LDIA)
 
     def test_overlong_bridge_is_a_runtime_error(self, monkeypatch):
         wrong = prove(parse_sequent("p => p"), LDIA)
+        pf = prove(parse_sequent("[ p ] => dia p"), LDIA)
         monkeypatch.setattr(interpolate, "_descend",
                             lambda *args: (over(P, P), "dia", wrong, wrong))
         with pytest.raises(RuntimeError, match=re.escape(
                 "bridge type p / p of [ p ] => dia p exceeds the length "
                 "bound 3 - 2")):
-            cut_reduce(parse_sequent("[ p ] => dia p"), {"p"}, 3, LDIA)
+            cut_reduce(pf, {"p"}, 3, LDIA)
+
+    def test_starred_empty_bracket_leaves_carry_the_unit(self):
+        # LstarDia has no unit, yet an empty bracket is cut from
+        # [ ] => dia 1: the leaves are sequents of the guarded L1starDia
+        # base that compile_cfg builds for starred grammars
+        s = parse_sequent("[ ] => dia (p / p)", LSTAR_DIA)
+        d = cut_reduce(prove(s, LSTAR_DIA), {"p"}, 4, LSTAR_DIA)
+        leaves = [parse_sequent("[ ] => dia 1", L1STAR_DIA),
+                  parse_sequent("dia 1 => dia (p / p)", L1STAR_DIA)]
+        assert d.conclusion == s and list(d.leaves()) == leaves
+        for leaf_seq in leaves:
+            with pytest.raises(ValueError):
+                syntax.validate_sequent(leaf_seq, LSTAR_DIA)
+            assert prove(leaf_seq, L1STAR_DIA) is not None
 
     @pytest.mark.parametrize("calc, counts", [
         (LDIA, (1691, 361, 64)), (L1STAR_DIA, (3181, 931, 319)),
@@ -830,7 +868,7 @@ class TestCutReduce:
                         provable += 1
                         if bracket_addresses(h):
                             bracketed += 1
-                            d = cut_reduce(s, {"p"}, 3, calc)
+                            d = cut_reduce(pf, {"p"}, 3, calc)
                             assert d.conclusion == s, s
                             assert replay_cuts(d, members), s
         assert (balanced, provable, bracketed) == counts
@@ -936,14 +974,6 @@ class TestCutReduceFlat:
             cut_reduce_flat(s, {"p", "q"}, 2, LDIA)
         assert len(reduction_population) == 2424
         assert rebuilt == [s for s, _ in reduction_population]
-
-    def test_failed_check_is_a_runtime_error(self, monkeypatch):
-        monkeypatch.setattr(interpolate, "check", lambda p, calc: False)
-        with pytest.raises(RuntimeError, match=re.escape(
-                "the proof of p p \\ p p \\ p => p fails its check in "
-                "Ldia")):
-            cut_reduce_flat(parse_sequent("p p \\ p p \\ p => p"),
-                            {"p"}, 2, LDIA)
 
     def test_rejects_foreign_primitive(self):
         s = parse_sequent("q => q")
@@ -1094,6 +1124,22 @@ class TestReductionDigest:
             h.update(_reduction_record(d).encode() + b"\n")
         assert cuts > 300
         assert h.hexdigest() == REDUCTION_DIGEST
+
+    def test_given_proof_matches_a_fresh_search(self, reduction_population):
+        # cut_reduce of a shared Prover's proof reduces as cut_reduce_flat
+        # does with its own fresh search, on the digest's rows
+        provers = {}
+        rows = [(s, pf, {"p", "q"}, 2, LDIA)
+                for s, pf in reduction_population[::10]]
+        for text, prims, m, calc in REDUCTION_ROWS:
+            s = parse_sequent(text)
+            shared = provers.setdefault(calc, Prover(calc))
+            rows.append((s, shared.prove(s), prims, m, calc))
+        assert len(rows) == 249
+        for s, pf, prims, m, calc in rows:
+            assert (_reduction_record(cut_reduce(pf, prims, m, calc))
+                    == _reduction_record(cut_reduce_flat(s, prims, m, calc))
+                    ), print_sequent(s)
 
 
 class TestDifferentialDigest:
