@@ -149,7 +149,7 @@ def _finish(claim, started, counts, failures, notes=(), artifacts=(),
 
 
 # ---------------------------------------------------------------------------
-# Hedge enumeration for the brute-force side of language membership
+# The one candidate enumerator: rows of types and their balanced hedges
 
 
 def _bracket_blocks(n: int, b: int, allow_empty: bool):
@@ -177,10 +177,6 @@ def _hedges_exact(seg: tuple, b: int, allow_empty: bool, memo: dict) -> tuple:
     once.  The caller owns the memo: every claim keeps one for its own
     run only, so the hedges and their cached words are dropped when
     the claim returns.
-
-    The claims that look for word-balanced hedges ask only for the
-    ``b`` that ``_bracket_count`` finds feasible, so no hedge is
-    enumerated at a bracket count that cannot balance.
     """
     key = (seg, b, allow_empty)
     out = memo.get(key)
@@ -256,11 +252,6 @@ def _hedge_at(seg: tuple, b: int, allow_empty: bool, index: int,
     raise IndexError("hedge index out of range")
 
 
-def _row_key(row, words):
-    """Count key of a row of types, read off the types' ``words``."""
-    return count_key(chain.from_iterable(words[t] for t in row))
-
-
 def _bracket_count(row_key, succ_key):
     """The one number of plain bracket pairs that can balance a row
     against a succedent, or None.
@@ -276,6 +267,79 @@ def _bracket_count(row_key, succ_key):
     if b < 0 or succ_closes - closes != b or succ_rest != rest:
         return None
     return b
+
+
+def _rows(types, shortest, admit=None):
+    """Yield ``(row, w, mods)`` for the rows of ``shortest`` up to
+    ``len(types)`` types, the ``i``-th from ``types[i]``, in DFS
+    preorder (at one length, ``product`` order); the reduced word ``w``
+    and the modality total ``mods`` grow with the row.  ``admit(row)``
+    is asked of each nonempty row before it is yielded or grown: a
+    refused row drops with its extensions and the rest of its position,
+    so ``admit`` must refuse only at the end of each position's types.
+    """
+    words, mods = {}, {}
+    for t in set(chain.from_iterable(types)):
+        words[t], mods[t] = word_of(t), mod_total(t)
+    if shortest == 0:
+        yield (), IDENTITY, 0
+    stack = [((), IDENTITY, 0, iter(types[0]))] if types else []
+    while stack:
+        row, w, m, rest = stack[-1]
+        n = len(row) + 1
+        for t in rest:
+            grown = row + (t,)
+            if admit is not None and not admit(grown):
+                stack.pop()
+                break
+            item = grown, mul(w, words[t]), m + mods[t]
+            if n >= shortest:
+                yield item
+            if n < len(types):
+                stack.append(item + (iter(types[n]),))
+                break
+        else:
+            stack.pop()
+
+
+def _succedents(types):
+    """``types`` indexed for ``_balanced``: by word, by the non-bracket
+    part of their count keys, and an empty memo of row words."""
+    by_word, keys = {}, {}
+    for t in types:
+        w = word_of(t)
+        by_word.setdefault(w, []).append(t)
+        key = count_key(w)
+        keys.setdefault(key[0], set()).add(key)
+    return by_word, keys, {}
+
+
+def _balanced(row, w, succs, allow_empty, hedges, max_b=None):
+    """Yield ``(b, j, h, succ)`` for every hedge ``h`` over ``row`` that
+    has the word of a succedent ``succ`` of ``succs`` (``_succedents``):
+    ``h`` is the ``j``-th of ``_hedges_exact(row, b, ...)``, and only
+    the ``b`` up to ``max_b`` at which ``_bracket_count`` balances some
+    succedent are enumerated.  Order: by ``b``, ``j``, then succedent.
+    ``w`` is the row's word from ``_rows``; the count key is read off
+    it once per word, as exponent sums ignore cancellation, and at
+    ``b = 0`` the one hedge is the row itself, whose word is ``w``.
+    """
+    by_word, keys, memo = succs
+    bs = memo.get(w)
+    if bs is None:
+        key = count_key(w)
+        bs = memo[w] = sorted(
+            {_bracket_count(key, k) for k in keys.get(key[0], ())} - {None})
+    for b in bs:
+        if max_b is not None and b > max_b:
+            return
+        if b == 0:
+            for succ in by_word.get(w, ()):
+                yield 0, 0, tuple(map(leaf, row)), succ
+            continue
+        for j, h in enumerate(_hedges_exact(row, b, allow_empty, hedges)):
+            for succ in by_word.get(word_of(h), ()):
+                yield b, j, h, succ
 
 
 # ---------------------------------------------------------------------------
@@ -366,75 +430,46 @@ def run_golden(timeout_ms: Optional[float] = None, out_dir=None) -> Report:
 
 
 def _types_by_connectives(prims, max_conn):
-    """Types over ``prims`` grouped by connective count 0..max_conn."""
-    by_conn = {0: [prim(str(name)) for name in sorted(prims)]}
+    """Types over ``prims`` with at most ``max_conn`` connectives, each
+    mapped to its connective count, in order of that count."""
+    by_conn = [[prim(str(name)) for name in sorted(prims)]]
     for c in range(1, max_conn + 1):
         layer = []
         for a in by_conn[c - 1]:
-            layer.append(dia(a))
-            layer.append(boxdown(a))
+            layer.extend((dia(a), boxdown(a)))
         for k in range(c):
             for a in by_conn[k]:
                 for b in by_conn[c - 1 - k]:
                     layer.extend((under(a, b), over(a, b), prod(a, b)))
-        by_conn[c] = layer
-    return by_conn
+        by_conn.append(layer)
+    return {t: c for c, layer in enumerate(by_conn) for t in layer}
 
 
 def _interp_population(timeout_ms=None):
     """All bracketed sequents provable in the plain bracket calculus with
     at most 3 antecedent leaves, 3 connectives in total, primitives
-    {p, q}, and bracket counts within the modality budget.
-
-    Each bracket pair of a provable sequent is consumed by a modality
-    occurrence, so hedges never need more brackets than the sequent has
-    modalities; of those bracket counts, only the ones at which some
-    succedent's count key balances the row are enumerated.  Returns the
+    {p, q}, and no more bracket pairs than antecedent modalities, as
     ``(sequent, proof)`` pairs in enumeration order.
     """
-    by_conn = _types_by_connectives(("p", "q"), 3)
-    words = {}
-    succ_by_word = {}
-    succ_keys = {}
-    for c in range(4):
-        for t in by_conn[c]:
-            w = words[t] = word_of(t)
-            succ_by_word.setdefault(w, []).append((c, t))
-            key = count_key(w)
-            succ_keys.setdefault(key[0], set()).add((c, key))
+    conn = _types_by_connectives(("p", "q"), 3)
+    types = list(conn)
 
-    rows = []
+    def spent(row):
+        return sum(map(conn.__getitem__, row))
 
-    def grow(row, conn, mods):
-        if row:
-            rows.append((row, conn, mods))
-        if len(row) == 3:
-            return
-        for c in range(4 - conn):
-            for t in by_conn[c]:
-                grow(row + (t,), conn + c, mods + mod_total(t))
-
-    grow((), 0, 0)
+    # the succedents that fit in what a row leaves of the budget
+    succs = [_succedents(t for t in types if conn[t] <= left)
+             for left in range(4)]
     prover = Prover(LDIA, timeout_ms=timeout_ms)
     hedges = {}
     found = []
-    for row, conn, mods in rows:
-        row_key = _row_key(row, words)
-        feasible = set()
-        for c_succ, key in succ_keys.get(row_key[0], ()):
-            b = _bracket_count(row_key, key)
-            if b is not None and b <= mods and conn + c_succ <= 3:
-                feasible.add(b)
-        for b in sorted(feasible):
-            for h in _hedges_exact(row, b, False, hedges):
-                hw = word_of(h)
-                for c_succ, succ in succ_by_word.get(hw, ()):
-                    if conn + c_succ > 3:
-                        continue
-                    s = sequent(h, succ)
-                    pf = prover.prove(s)
-                    if pf is not None:
-                        found.append((s, pf))
+    for row, w, mods in _rows([types] * 3, 1, lambda row: spent(row) <= 3):
+        for _, _, h, succ in _balanced(row, w, succs[3 - spent(row)],
+                                       False, hedges, mods):
+            s = sequent(h, succ)
+            pf = prover.prove(s)
+            if pf is not None:
+                found.append((s, pf))
     return found
 
 
@@ -550,26 +585,14 @@ def run_shrinking_trials(trials: int = 10000, max_factors: int = 6,
 
 
 def _reduction_candidates():
-    """Yield the balanced flat sequents with one to five antecedent
-    types drawn from the length-2 enumeration over {p, q}, in
-    enumeration order (unprovability of word-unbalanced rows follows
-    from the free-group invariant, so only balanced rows reach the
-    prover)."""
+    """Yield the word-balanced flat sequents with one to five antecedent
+    types from the length-2 enumeration over {p, q}, in enumeration
+    order: by the free-group invariant no other one is provable."""
     types = enum_types({"p", "q"}, 2)
-    words = {t: word_of(t) for t in types}
-    by_word = {}
-    for t in types:
-        by_word.setdefault(words[t], []).append(t)
-
-    def walk(row, w, depth):
-        if row:
-            for succ in by_word.get(w, ()):
-                yield sequent(tuple(leaf(t) for t in row), succ)
-        if depth < 5:
-            for t in types:
-                yield from walk(row + (t,), mul(w, words[t]), depth + 1)
-
-    return walk((), IDENTITY, 0)
+    succs, hedges = _succedents(types), {}
+    for row, w, _ in _rows([types] * 5, 1):
+        for _, _, h, succ in _balanced(row, w, succs, False, hedges):
+            yield sequent(h, succ)
 
 
 def run_reduction_sweep(timeout_ms: Optional[float] = None) -> Report:
@@ -621,21 +644,6 @@ def run_reduction_sweep(timeout_ms: Optional[float] = None) -> Report:
 # Cut completeness
 
 
-def _cut_groups(calc, types):
-    """Candidate bracketed sequents, grouped: yields ``(row, succ, b)``
-    for every row of up to 4 types, every succedent, and every bracket
-    count ``b`` within the modality budget of the sequent.  The group's
-    candidates are ``sequent(h, succ)`` for the hedges ``h`` of
-    ``_hedges_exact(row, b, calc.starred, ...)``; no hedge is built
-    here."""
-    for n in range(0 if calc.starred else 1, 5):
-        for row in product(types, repeat=n):
-            mods = sum(mod_total(t) for t in row)
-            for succ in types:
-                for b in range(mods + mod_total(succ) + 1):
-                    yield row, succ, b
-
-
 def run_cut_completeness(timeout_ms: Optional[float] = None,
                          sample_stride: int = 50) -> Report:
     """Provability coincides with Cut-derivability from the rule sets.
@@ -647,78 +655,88 @@ def run_cut_completeness(timeout_ms: Optional[float] = None,
     unprovable by the free-group invariant, and Cut-derivability would
     contradict the provability of the base, so on that side every
     ``sample_stride``-th candidate is checked to be underivable rather
-    than all of them; small populations are checked exhaustively.
+    than all of them; small populations are checked exhaustively.  A
+    stride below 1 is a ``ValueError``.
 
-    Only the groups of candidates whose bracket count the count key
-    admits are built and compared word by word.  The others are
-    unbalanced as a whole: they are counted with ``_hedge_count``, and
-    only their sampled candidates are built, by ``_hedge_at``, so the
-    same candidates are sampled as if every group were enumerated.
-    The rule set of each mode is read as a grammar once, as a
-    ``CutBase``, for all of its ``cut_derives`` calls.  The thin-indexed
-    conclusions of the provable candidates are the Report's
-    ``thin_sequents``.
+    Of the candidate groups ``(row, succ, b)``, ``_balanced`` builds
+    only the balanced candidates, each with its index in its group; the
+    groups are counted with ``_hedge_count`` and the sampled unbalanced
+    candidates built by ``_hedge_at``, so the same ones are sampled as
+    if every group were enumerated.  Each mode's rule set is read as a
+    grammar once, as a ``CutBase``.  The thin-indexed conclusions of
+    the provable candidates are the Report's ``thin_sequents``.
     """
+    if sample_stride < 1:
+        raise ValueError(f"a sample stride of {sample_stride} is below 1")
     started = time.monotonic()
     failures = []
     total = balanced_n = provable = derivable = sampled = 0
     thin_forms = []
-
-    def spot_check(base, s):
-        if cut_derives(base, s) is not None:
-            failures.append(f"word-unbalanced sequent Cut-derives: "
-                            f"{print_sequent(s)}")
-
     try:
         for calc, guarded in ((LDIA, False), (L1STAR_DIA, True)):
             types = enum_types({"p"}, 2, guarded=guarded)
             rules = build_rulesets({"p"}, 2, calc)
             base = CutBase(rules.rules)
             prover = Prover(calc, timeout_ms=timeout_ms)
-            words = {t: word_of(t) for t in types}
+            succs = _succedents(types)
+            empty = calc.starred
+            rows = [r for n in range(0 if empty else 1, 5)
+                    for r in _rows([types] * n, n)]
+
+            def groups(m):
+                # a row's candidate groups (succ, b): every succedent, at
+                # every bracket count within the sequent's modality budget
+                return [(succ, b) for succ in types
+                        for b in range(m + mod_total(succ) + 1)]
+
             counts = {}
-            n_candidates = sum(
-                _hedge_count(len(row), b, calc.starred, counts)
-                for row, _, b in _cut_groups(calc, types))
+            n_candidates = sum(_hedge_count(len(row), b, empty, counts)
+                               for row, _, m in rows for _, b in groups(m))
             total += n_candidates
             stride = 1 if n_candidates <= 10000 else sample_stride
             unbalanced_i = 0
             hedges = {}
-            for row, succ, b in _cut_groups(calc, types):
-                if _bracket_count(_row_key(row, words),
-                                  count_key(words[succ])) != b:
-                    size = _hedge_count(len(row), b, calc.starred, counts)
-                    for j in range(-unbalanced_i % stride, size, stride):
-                        sampled += 1
-                        spot_check(base, sequent(
-                            _hedge_at(row, b, calc.starred, j, counts),
-                            succ))
-                    unbalanced_i += size
-                    continue
-                for h in _hedges_exact(row, b, calc.starred, hedges):
-                    if word_of(h) != words[succ]:
-                        if unbalanced_i % stride == 0:
+            for row, w, m in rows:
+                hits = {}
+                for b, j, h, succ in _balanced(row, w, succs, empty, hedges):
+                    hits.setdefault((succ, b), []).append((j, h))
+                for succ, b in groups(m):
+                    # the unbalanced candidates before each balanced one
+                    # are sampled by their index in the group
+                    size = _hedge_count(len(row), b, empty, counts)
+                    start = 0
+                    for j, h in hits.get((succ, b), []) + [(size, None)]:
+                        for k in range(start + -unbalanced_i % stride, j,
+                                       stride):
                             sampled += 1
-                            spot_check(base, sequent(h, succ))
-                        unbalanced_i += 1
-                        continue
-                    s = sequent(h, succ)
-                    balanced_n += 1
-                    pf = prover.prove(s)
-                    d = cut_derives(base, s)
-                    if pf is not None:
-                        provable += 1
-                        # a search proof carries the principals the
-                        # rebuild reads
-                        thin_forms.append(_thin_rebuild(pf)[0].conclusion)
-                    if d is not None:
-                        derivable += 1
-                        if not replay_cuts(d, base):
-                            failures.append(f"derivation fails replay: "
+                            s = sequent(_hedge_at(row, b, empty, k, counts),
+                                        succ)
+                            if cut_derives(base, s) is not None:
+                                failures.append(f"word-unbalanced sequent "
+                                                f"Cut-derives: "
+                                                f"{print_sequent(s)}")
+                        unbalanced_i += j - start
+                        start = j + 1
+                        if h is None:
+                            continue
+                        s = sequent(h, succ)
+                        balanced_n += 1
+                        pf = prover.prove(s)
+                        d = cut_derives(base, s)
+                        if pf is not None:
+                            provable += 1
+                            # a search proof carries the principals the
+                            # rebuild reads
+                            thin_forms.append(_thin_rebuild(pf)[0].conclusion)
+                        if d is not None:
+                            derivable += 1
+                            if not replay_cuts(d, base):
+                                failures.append(f"derivation fails replay: "
+                                                f"{print_sequent(s)}")
+                        if (pf is None) != (d is None):
+                            failures.append(f"provability and Cut-"
+                                            f"derivability disagree: "
                                             f"{print_sequent(s)}")
-                    if (pf is None) != (d is None):
-                        failures.append(f"provability and Cut-derivability "
-                                        f"disagree: {print_sequent(s)}")
     except ProofSearchTimeout as exc:
         failures.append(f"proof search timed out: {exc}")
 
@@ -752,28 +770,18 @@ def _grammar_member(g, word_toks, calc, prover, hedges):
     assignment derives the distinguished type.  ``hedges`` is the
     caller's memo for ``_hedges_exact``.
 
-    Each assignment is bracketed only at the one bracket count its
-    count key admits, and skipped when there is none; the hedges
-    enumerated there are still filtered by word before the prover sees
-    them.  No modality budget is needed: by the count invariant a
-    balancing count is at most the modalities of the assignment plus
-    those of the distinguished type, below the assignment's modalities
-    plus the distinguished type's length.
+    The prover sees the word-balanced hedges of each assignment, in
+    ``product`` order, from ``_balanced``.  No modality budget is
+    needed: by the count invariant a balancing count is at most the
+    modalities of the assignment plus those of the distinguished type,
+    below the assignment's modalities plus the distinguished type's
+    length.
     """
     target = g.distinguished
-    target_word = word_of(target)
-    target_key = count_key(target_word)
+    succs = _succedents((target,))
     assigns = [g.types_of(tok) for tok in word_toks]
-    words = {t: word_of(t) for ts in assigns for t in ts}
-    for row in product(*assigns):
-        b = _bracket_count(_row_key(row, words), target_key)
-        if b is None:
-            continue
-        for h in _hedges_exact(row, b, calc.starred, hedges):
-            if not h and not calc.starred:
-                continue
-            if word_of(h) != target_word:
-                continue
+    for row, w, _ in _rows(assigns, len(assigns)):
+        for _, _, h, _ in _balanced(row, w, succs, calc.starred, hedges):
             if prover.prove(sequent(h, target)) is not None:
                 return True
     return False
@@ -790,14 +798,9 @@ def run_equivalence(source, calc=LDIA, max_len: Optional[int] = None,
                     cache_dir=None) -> Report:
     """Grammar and compiled CFG agree on all short strings.
 
-    The grammar side enumerates every lexicon type assignment and its
-    bracketings and asks the prover; only the one bracket count at
-    which an assignment's count key balances the distinguished type's
-    is enumerated.  That count lies within the modality budget (the
-    assignment's modalities plus the distinguished type's length), so
-    no witness appears first at the budget's boundary (see
-    ``_grammar_member``).  The compiled side parses with the chart
-    recognizer.
+    The grammar side asks the prover of every word-balanced bracketing
+    of every lexicon type assignment (``_grammar_member``); the
+    compiled side parses with the chart recognizer.
     """
     started = time.monotonic()
     failures = []

@@ -36,8 +36,8 @@ __all__ = [
     "print_type", "print_tree", "print_hedge", "print_sequent",
     "parse_type", "parse_hedge", "parse_context",
     "parse_sequent", "parse_grammar",
-    "length", "prim_count", "prim_counts", "mod_counts",
-    "mod_total", "unit_count", "is_thin", "deindex",
+    "length", "prim_count", "prim_counts", "mod_total", "unit_count",
+    "is_thin", "deindex",
     "BINARY", "nodes", "preorder", "fold",
     "plug", "yield_of", "subtree", "children_at", "replace_children",
     "replace_span", "span_partition", "hole_coords", "bracket_addresses",
@@ -704,10 +704,6 @@ def prim_count(name: str, x: _Countable) -> int:
 
 def prim_counts(x: _Countable) -> Counter:
     return Counter(_counts_of(x)[0])
-
-
-def mod_counts(x: _Countable) -> Counter:
-    return Counter(_counts_of(x)[1])
 
 
 def mod_total(x: _Countable) -> int:

@@ -2,18 +2,24 @@
 
 from operator import attrgetter
 
-from lambrack.harness import _cut_groups, _hedges_exact
+from lambrack.harness import _hedges_exact, _rows
 from lambrack.interpolate import _descend, indexed_counterpart, thin_index
 from lambrack.prover import Proof
-from lambrack.syntax import deindex, fold, sequent
+from lambrack.syntax import deindex, fold, mod_total, sequent
 
 
 def cut_candidates(calc, types):
-    """The candidate sequents of ``harness._cut_groups``, one by one."""
+    """The candidate sequents of ``harness.run_cut_completeness``, one by
+    one, balanced or not: rows of up to 4 types in ``product`` order,
+    each with every succedent at every bracket count within the
+    sequent's modality budget."""
     hedges = {}
-    for row, succ, b in _cut_groups(calc, types):
-        for h in _hedges_exact(row, b, calc.starred, hedges):
-            yield sequent(h, succ)
+    for n in range(0 if calc.starred else 1, 5):
+        for row, _, mods in _rows([types] * n, n):
+            for succ in types:
+                for b in range(mods + mod_total(succ) + 1):
+                    for h in _hedges_exact(row, b, calc.starred, hedges):
+                        yield sequent(h, succ)
 
 
 def deindex_proof(p, theta=None):

@@ -240,8 +240,11 @@ def _cut_items():
 
 
 def _grammar_items():
-    # every hedge the brute-force membership side could bracket a
-    # lexical row of brackets.lg into, up to the extra-bracket re-check
+    # every hedge over each lexicon assignment of the brackets.lg
+    # strings up to length 3, at every bracket count up to the
+    # assignment's modalities plus the distinguished type's length plus
+    # one: a superset of what _grammar_member brackets, which is the
+    # hedges at the one balancing count, a count within that budget
     g = bundled_grammar("brackets.lg")
     budget = length(g.distinguished) + 1
     memo = {}

@@ -206,6 +206,14 @@ def test_cut_completeness_hands_over_the_same_sequents(monkeypatch):
     assert r.thin_sequents == ()
 
 
+@pytest.mark.parametrize("stride", [0, -500])
+def test_cut_completeness_refuses_a_stride_below_one(stride):
+    # 0 divided by zero and a negative stride checked only the small
+    # plain population
+    with pytest.raises(ValueError, match="below 1"):
+        harness.run_cut_completeness(sample_stride=stride)
+
+
 _types = st.recursive(
     st.sampled_from([prim("p"), prim("q")]),
     lambda inner: st.one_of(

@@ -4,7 +4,6 @@ elimination, and the Cut reduction."""
 import hashlib
 import re
 from collections import Counter
-from itertools import product
 from operator import attrgetter
 
 import pytest
@@ -14,9 +13,9 @@ from lambrack.cfgkit import (
     CutBase, cut_derives, cut_leaf, cut_node, replay_cuts,
 )
 from lambrack.compiler import build_rulesets, enum_types
-from lambrack.freegroup import count_key, wlen, word_of
+from lambrack.freegroup import wlen, word_of
 from lambrack import interpolate, syntax
-from lambrack.harness import _bracket_count, _hedges_exact, _row_key
+from lambrack.harness import _succedents, _balanced, _rows
 from lambrack.interpolate import (
     InterpolationResult, _contract_fault, _extract, cut_reduce,
     cut_reduce_flat, extract_interpolant, indexed_counterpart, partition_at,
@@ -28,7 +27,7 @@ from lambrack.prover import (
 from lambrack.syntax import (
     HOLE, L1STAR, L1STAR_DIA, L1STAR_DIA_M, LDIA, LDIA_M, LSTAR_DIA, UNIT,
     boxdown, bracket, bracket_addresses, children_at, deindex, dia,
-    hole_coords, is_thin, leaf, length, mod_counts, over, parse_sequent,
+    _counts_of, hole_coords, is_thin, leaf, length, over, parse_sequent,
     parse_type, partitions, plug, preorder, prim, prim_counts, print_hedge,
     print_sequent, print_type, prod, replace_span, sequent, sequent_types,
     subtree, under,
@@ -204,11 +203,11 @@ class TestThinIndex:
 
 def _occurrence_bounds_ok(res, part, succedent):
     """Interpolant occurrence counts within the min of the two sides."""
-    pe, me = prim_counts(res.interpolant), mod_counts(res.interpolant)
+    pe, me = prim_counts(res.interpolant), _counts_of(res.interpolant)[1]
     pl = prim_counts(part.selected)
-    ml = mod_counts(part.selected)
+    ml = _counts_of(part.selected)[1]
     ctx = sequent(plug(part.context, ()), succedent)
-    pr_, mr = prim_counts(ctx), mod_counts(ctx)
+    pr_, mr = prim_counts(ctx), _counts_of(ctx)[1]
     return (all(v <= min(pl[k], pr_[k]) for k, v in pe.items())
             and all(v <= min(ml[k], mr[k]) for k, v in me.items()))
 
@@ -422,7 +421,7 @@ class TestExtractGoldens:
 def _reference_bounds_ok(interpolant, part, succedent):
     """The occurrence bound as ``_interpolant_bounds_ok`` stated it."""
     ctx = sequent(plug(part.context, ()), succedent)
-    for counter in (prim_counts, mod_counts):
+    for counter in (prim_counts, lambda x: _counts_of(x)[1]):
         inner = counter(interpolant)
         selected = counter(part.selected)
         outer = counter(ctx)
@@ -844,33 +843,26 @@ class TestCutReduce:
         # to a derivation over the same base
         rules = build_rulesets({"p"}, 3, calc).rules
         base, members = CutBase(rules), set(rules)
-        words = {t: word_of(t) for t in enum_types({"p"}, 3, calc.unit)}
+        types = enum_types({"p"}, 3, calc.unit)
+        succs = _succedents(types)
         prover, hedges = Prover(calc), {}
         balanced = provable = bracketed = 0
-        for n in range(0 if calc.starred else 1, 3):
-            for row in product(words, repeat=n):
-                key = _row_key(row, words)
-                for succ, w in words.items():
-                    # the one bracket count that can balance the row
-                    b = _bracket_count(key, count_key(w))
-                    if b is None:
-                        continue
-                    for h in _hedges_exact(row, b, calc.starred, hedges):
-                        if word_of(h) != w:
-                            continue
-                        s = sequent(h, succ)
-                        balanced += 1
-                        pf = prover.prove(s)
-                        d = cut_derives(base, s)
-                        assert (pf is None) == (d is None), s
-                        if pf is None:
-                            continue
-                        provable += 1
-                        if bracket_addresses(h):
-                            bracketed += 1
-                            d = cut_reduce(pf, {"p"}, 3, calc)
-                            assert d.conclusion == s, s
-                            assert replay_cuts(d, members), s
+        for row, w, _ in _rows([types] * 2, 0 if calc.starred else 1):
+            for _, _, h, succ in _balanced(row, w, succs, calc.starred,
+                                           hedges):
+                s = sequent(h, succ)
+                balanced += 1
+                pf = prover.prove(s)
+                d = cut_derives(base, s)
+                assert (pf is None) == (d is None), s
+                if pf is None:
+                    continue
+                provable += 1
+                if bracket_addresses(h):
+                    bracketed += 1
+                    d = cut_reduce(pf, {"p"}, 3, calc)
+                    assert d.conclusion == s, s
+                    assert replay_cuts(d, members), s
         assert (balanced, provable, bracketed) == counts
 
 

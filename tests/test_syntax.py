@@ -15,7 +15,7 @@ from lambrack.syntax import (
     Bracket, BoxDown, Dia, Leaf, Over, Prim, Prod, UNIT, Under,
     ParseError, Sequent, Type, boxdown, bracket, bracket_addresses,
     calculus, children_at, deindex, dia, hole_coords, is_flat, is_thin,
-    leaf, length, mod_counts, mod_total, nodes, over, parse_context,
+    _counts_of, leaf, length, mod_total, nodes, over, parse_context,
     parse_grammar, parse_hedge,
     parse_sequent, parse_type, partitions, plug, prim,
     prim_count, prim_counts, print_hedge, print_sequent, print_tree,
@@ -204,7 +204,7 @@ INDEXED_GOLDEN = "[:2 [:1 p1 ]:1 dia:1 p1 \\ p2 ]:2 => boxd:3 dia:3 dia:2 p2"
 
 def test_mod_count_examples():
     s = parse_sequent(INDEXED_GOLDEN)
-    counts = mod_counts(s)
+    counts = _counts_of(s)[1]
     assert counts[2] == 2
     assert counts[1] == 2
     assert counts[3] == 2
@@ -214,7 +214,7 @@ def test_mod_count_examples():
 def test_counts_tables():
     s = parse_sequent(INDEXED_GOLDEN)
     assert prim_counts(s) == Counter({"p1": 2, "p2": 2})
-    assert mod_counts(s) == Counter({1: 2, 2: 2, 3: 2})
+    assert _counts_of(s)[1] == Counter({1: 2, 2: 2, 3: 2})
 
 
 def _ref_counts(x):
@@ -262,7 +262,7 @@ def test_counts_match_the_replaced_recursion(interp_population):
                   if children_at(s.antecedent, parent)]
         for x in items:
             prims, mods = _ref_counts(x)
-            assert (prim_counts(x), mod_counts(x)) == (prims, mods), x
+            assert (prim_counts(x), _counts_of(x)[1]) == (prims, mods), x
             assert mod_total(x) == sum(mods.values())
             assert all(prim_count(name, x) == n
                        for name, n in prims.items())
@@ -284,9 +284,9 @@ def test_counts_of_a_deep_nest():
     s = sequent(h, p)
     assert prim_counts(s) == Counter({"p": 2})
     assert prim_count("p", h[0]) == 1
-    assert mod_counts(h) == Counter(range(1, n + 1))
+    assert _counts_of(h)[1] == Counter(range(1, n + 1))
     assert mod_total(s) == n and mod_total(plain) == n
-    assert mod_counts(plain[0]) == Counter({None: n})
+    assert _counts_of(plain[0])[1] == Counter({None: n})
     assert is_thin(s)
 
 
