@@ -712,9 +712,9 @@ def run_cut_completeness(timeout_ms: Optional[float] = None,
                             s = sequent(_hedge_at(row, b, empty, k, counts),
                                         succ)
                             if cut_derives(base, s) is not None:
-                                failures.append(f"word-unbalanced sequent "
-                                                f"Cut-derives: "
-                                                f"{print_sequent(s)}")
+                                failures.append(
+                                    f"word-unbalanced sequent Cut-derives: "
+                                    f"{print_sequent(s)}")
                         unbalanced_i += j - start
                         start = j + 1
                         if h is None:
@@ -734,9 +734,9 @@ def run_cut_completeness(timeout_ms: Optional[float] = None,
                                 failures.append(f"derivation fails replay: "
                                                 f"{print_sequent(s)}")
                         if (pf is None) != (d is None):
-                            failures.append(f"provability and Cut-"
-                                            f"derivability disagree: "
-                                            f"{print_sequent(s)}")
+                            failures.append(
+                                f"provability and Cut-derivability "
+                                f"disagree: {print_sequent(s)}")
     except ProofSearchTimeout as exc:
         failures.append(f"proof search timed out: {exc}")
 
