@@ -16,9 +16,9 @@ from lambrack import harness
 from lambrack.compiler import enum_types
 from lambrack.freegroup import IDENTITY, count_key, mul, word_of
 from lambrack.harness import (
-    _succedents, _balanced, _bracket_count, _grammar_member, _hedge_at,
-    _hedge_count, _hedges_exact, _interp_population, _reduction_candidates,
-    _rows, _types_by_connectives, bundled_grammar,
+    _balanced, _bracket_count, _grammar_member, _hedge_at, _hedge_count,
+    _hedges_exact, _interp_population, _reduction_candidates, _rows,
+    _succedents, _types_by_connectives, bundled_grammar,
 )
 from lambrack.syntax import (
     LDIA, L1STAR_DIA, UNIT, boxdown, dia, leaf, mod_total, over, prim, prod,

@@ -208,8 +208,8 @@ def test_cut_completeness_hands_over_the_same_sequents(monkeypatch):
 
 @pytest.mark.parametrize("stride", [0, -500])
 def test_cut_completeness_refuses_a_stride_below_one(stride):
-    # 0 divided by zero and a negative stride checked only the small
-    # plain population
+    # a stride of 0 would divide by zero, and a negative one would
+    # sample none of the guarded population
     with pytest.raises(ValueError, match="below 1"):
         harness.run_cut_completeness(sample_stride=stride)
 

@@ -15,7 +15,7 @@ from lambrack.cfgkit import (
 from lambrack.compiler import build_rulesets, enum_types
 from lambrack.freegroup import wlen, word_of
 from lambrack import interpolate, syntax
-from lambrack.harness import _succedents, _balanced, _rows
+from lambrack.harness import _balanced, _rows, _succedents
 from lambrack.interpolate import (
     InterpolationResult, _contract_fault, _extract, cut_reduce,
     cut_reduce_flat, extract_interpolant, indexed_counterpart, partition_at,
