@@ -49,7 +49,7 @@ __all__ = ["main"]
 
 def _common(sub, calc=False, timeout=False, cache=False):
     """Add ``--json`` and the shared flags the subcommand's handler
-    reads, so no flag is accepted and then ignored."""
+    reads.  ``--cache-dir`` is the one flag accepted and ignored."""
     if calc:
         sub.add_argument("--calculus", default="Ldia",
                          help="calculus name (default Ldia)")
@@ -60,8 +60,11 @@ def _common(sub, calc=False, timeout=False, cache=False):
     sub.add_argument("--json", action="store_true",
                      help="emit machine-readable JSON")
     if cache:
+        # compiles no longer cache their rules; the flag stays accepted
+        # until the benchmark that passes it changes
         sub.add_argument("--cache-dir", default=None,
-                         help="rule-set cache directory for grammar compiles")
+                         help="ignored: kept for scripts that pass it, and "
+                              "removed with the next benchmark change")
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -163,7 +166,7 @@ def _cmd_translate_flat(args) -> int:
 def _cmd_compile(args) -> int:
     calc = calculus(args.calculus)
     _, grammar = load_grammar(args.grammar)
-    cfg = compile_cfg(grammar, calc, cache_dir=args.cache_dir)
+    cfg = compile_cfg(grammar, calc)
     text = print_cfg(cfg)
     if args.output is not None:
         Path(args.output).write_text(text)
@@ -244,8 +247,7 @@ def _cmd_compare(args) -> int:
     if bound is None:
         bound = default_max_len(args.calculus)
     report = run_equivalence(args.grammar, args.calculus, max_len=bound,
-                             timeout_ms=args.timeout_ms,
-                             cache_dir=args.cache_dir)
+                             timeout_ms=args.timeout_ms)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     elif report.ok:
@@ -258,7 +260,7 @@ def _cmd_compare(args) -> int:
 def _cmd_report(args) -> int:
     out_dir = Path(args.out)
     reports = run_all(seed=args.seed, timeout_ms=args.timeout_ms,
-                      out_dir=out_dir, cache_dir=args.cache_dir)
+                      out_dir=out_dir)
     if args.json:
         print(json.dumps(report_payload(reports, args.seed), indent=2))
     else:
@@ -362,7 +364,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
     except (ParseError, ValueError, OSError) as exc:
         # OSError: an input file that cannot be read, or an output file
-        # or --cache-dir that cannot be written
+        # that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ProofSearchTimeout as exc:

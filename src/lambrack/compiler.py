@@ -4,25 +4,24 @@ A grammar over length-bounded types only ever needs finitely many
 provable building blocks: the flat sequents with at most two antecedent
 types, and the bridges that trade one bracket pair against a diamond or
 box-down occurrence.  Every bounded provable sequent is reachable from
-these by Cut alone, so a context-free grammar whose nonterminals are
-the bounded types and whose productions mirror the building blocks
-generates exactly the strings the categorial grammar recognizes.
+these by Cut alone, so a context-free grammar whose productions mirror
+the building blocks generates exactly the strings the categorial
+grammar recognizes.  ``build_rulesets`` builds the full base over all
+bounded types; ``compile_cfg`` proves only the blocks whose antecedent
+types generate, so its nonterminals are the generating types.
 """
 
 import itertools
-import os
-import tempfile
 from dataclasses import dataclass, field
-from pathlib import Path
+from operator import itemgetter
 
-from . import __version__
 from .cfgkit import Cfg
 from .freegroup import IDENTITY, mul, word_of
 from .prover import Prover
 from .syntax import (
-    L1STAR_DIA, LDIA, UNIT, Grammar, boxdown, bracket, calculus, dia, leaf,
-    length, over, parse_sequent, prim, print_sequent, print_type, prod,
-    sequent, under, yield_of,
+    L1STAR_DIA, LDIA, UNIT, BoxDown, Grammar, boxdown, bracket, calculus,
+    dia, leaf, length, over, prim, print_sequent, print_type, prod, sequent,
+    under, yield_of,
 )
 
 __all__ = ["RuleSets", "enum_types", "build_rulesets", "compile_cfg"]
@@ -77,31 +76,45 @@ class RuleSets:
         return self.flat_rules + self.bridge_rules
 
 
-def _flat_candidates(types, prover):
-    """Provable flat sequents with at most two antecedent types.
-
-    Candidates are pruned through the free-group image first: the
-    antecedent's word must equal the succedent's, a necessary
-    condition for provability, so only matching buckets reach the
-    prover.  The surviving order equals the plain nested-loop order.
-    Every candidate goes through the build's one ``Prover``, so goals
-    shared between candidates are searched once.
-    """
+def _buckets(types) -> dict:
+    """The types grouped by free-group word, each group in type order."""
     buckets = {}
     for t in types:
         buckets.setdefault(word_of(t), []).append(t)
-    found = []
-    for n in (0, 1, 2) if prover.calc.unit else (1, 2):
-        for row in itertools.product(types, repeat=n):
-            w = IDENTITY
-            for t in row:
-                w = mul(w, word_of(t))
-            for c in buckets.get(w, ()):
-                s = sequent(tuple(leaf(t) for t in row), c)
-                proof = prover.prove(s)
-                if proof is not None:
-                    found.append((s, proof))
-    return found
+    return buckets
+
+
+def _proved(rows, buckets, prover):
+    """The provable flat sequents ``row => c`` over the given rows.
+
+    Candidates are pruned through the free-group image first: the
+    antecedent's word must equal the succedent's, a necessary
+    condition for provability, so only the row's bucket reaches the
+    prover.  Yields ``(row, c, sequent, proof)`` in row order, then
+    bucket order.
+    """
+    for row in rows:
+        w = IDENTITY
+        for t in row:
+            w = mul(w, word_of(t))
+        for c in buckets.get(w, ()):
+            s = sequent(tuple(leaf(t) for t in row), c)
+            proof = prover.prove(s)
+            if proof is not None:
+                yield row, c, s, proof
+
+
+def _flat_candidates(types, prover):
+    """Provable flat sequents with at most two antecedent types.
+
+    The surviving order equals the plain nested-loop order.  Every
+    candidate goes through the build's one ``Prover``, so goals shared
+    between candidates are searched once.
+    """
+    widths = (0, 1, 2) if prover.calc.unit else (1, 2)
+    rows = (row for n in widths for row in itertools.product(types, repeat=n))
+    return [(s, proof) for _, _, s, proof in _proved(rows, _buckets(types),
+                                                     prover)]
 
 
 def _bridge_sequents(types, m, calc):
@@ -112,87 +125,26 @@ def _bridge_sequents(types, m, calc):
     return out
 
 
-def _cache_file(cache_dir, prims, m, calc) -> Path:
-    tag = "-".join(sorted(prims)) or "none"
-    return Path(cache_dir) / f"rules-{calc.name}-{tag}-m{m}.txt"
+def _bridge_proof(prover, s):
+    proof = prover.prove(s)
+    if proof is None:
+        # every bridge is provable in both calculi; a refuted one means
+        # the prover is wrong, and nothing is built on it
+        raise RuntimeError(
+            f"bridge not provable in {prover.calc.name}: {print_sequent(s)}")
+    return proof
 
 
-def _cache_header(prims, m, calc) -> str:
-    return (f"# rule cache v{__version__} "
-            f"B={','.join(sorted(prims))} m={m} calculus={calc.name}")
-
-
-def _cache_trailer(rules) -> str:
-    # imported here: hashlib loads OpenSSL, which costs every process
-    # that imports lambrack about 4 MB, and only the rule cache needs it
-    import hashlib
-
-    body = "".join(line + "\n" for line in rules)
-    digest = hashlib.sha256(body.encode()).hexdigest()
-    return f"# {len(rules)} rules sha256={digest}"
-
-
-def _load_cached_flat(path: Path, prims, m, prover):
-    """The cached flat rules with their proofs, or None to rebuild.
-
-    Every cached rule is re-proved on load, through the build's one
-    ``Prover``; a rule that does not parse or prove rejects the file.
-    """
-    calc = prover.calc
-    try:
-        lines = path.read_text().splitlines()
-    except OSError:
-        return None
-    # the trailer counts and digests the rule lines, so a truncated or
-    # edited file is rejected rather than read as a smaller rule set
-    if (len(lines) < 2 or lines[0] != _cache_header(prims, m, calc)
-            or lines[-1] != _cache_trailer(lines[1:-1])):
-        return None
-    out = []
-    for line in lines[1:-1]:
-        try:
-            s = parse_sequent(line)
-        except ValueError:
-            return None
-        proof = prover.prove(s)
-        if proof is None:
-            return None
-        out.append((s, proof))
-    return out
-
-
-def _store_cached_flat(path: Path, prims, m, calc, flat) -> None:
-    rules = [print_sequent(s) for s, _ in flat]
-    lines = [_cache_header(prims, m, calc)] + rules + [_cache_trailer(rules)]
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # write a sibling file and rename it over the target, so a reader
-    # never sees a partly written cache
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",
-                               suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write("\n".join(lines) + "\n")
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
-def build_rulesets(prims, m: int, calc, cache_dir=None) -> RuleSets:
+def build_rulesets(prims, m: int, calc) -> RuleSets:
     """Enumerate the bounded types and collect their rule sets.
 
     ``calc`` picks the mode: the plain bracket calculus gives the
-    plain sets, the unit calculus the guarded ones.  The expensive
-    flat-sequent search can be cached on disk: the cache is keyed by
-    primitive set, bound, calculus and tool version, written
-    atomically, ends with the count and SHA-256 of its rule lines, and
-    every cached rule is re-proved on load, so a stale, truncated or
-    edited file only costs time, never soundness or completeness.
+    plain sets, the unit calculus the guarded ones.
 
-    One ``Prover`` serves the whole build: the candidate search or the
-    cache re-proof, then the bridges.  Its memo holds facts about
-    sequents, so sharing it changes no proof, only how often a goal
-    common to many rules is searched.
+    One ``Prover`` serves the whole build: the candidate search, then
+    the bridges.  Its memo holds facts about sequents, so sharing it
+    changes no proof, only how often a goal common to many rules is
+    searched.
     """
     calc = calculus(calc)
     if calc.name not in ("Ldia", "L1starDia"):
@@ -203,39 +155,33 @@ def build_rulesets(prims, m: int, calc, cache_dir=None) -> RuleSets:
     prims = frozenset(str(p) for p in prims)
     types = enum_types(prims, m, guarded=calc.unit)
     prover = Prover(calc)
-    flat = None
-    path = None
-    if cache_dir is not None:
-        path = _cache_file(cache_dir, prims, m, calc)
-        flat = _load_cached_flat(path, prims, m, prover)
-    if flat is None:
-        flat = _flat_candidates(types, prover)
-        if path is not None:
-            _store_cached_flat(path, prims, m, calc, flat)
+    flat = _flat_candidates(types, prover)
+    bridges = _bridge_sequents(types, m, calc)
     proofs = dict(flat)
-    bridges = []
-    for s in _bridge_sequents(types, m, calc):
-        proof = prover.prove(s)
-        if proof is None:
-            # every bridge is provable in both calculi; a refuted one
-            # means the prover is wrong, and no rule base is built on it
-            raise RuntimeError(
-                f"bridge not provable in {calc.name}: {print_sequent(s)}")
-        bridges.append(s)
-        proofs[s] = proof
+    proofs.update((s, _bridge_proof(prover, s)) for s in bridges)
     return RuleSets(tuple(s for s, _ in flat), tuple(bridges), proofs)
 
 
-def compile_cfg(g: Grammar, calc, max_types: int = 4000,
-                cache_dir=None) -> Cfg:
+def compile_cfg(g: Grammar, calc, max_types: int = 4000) -> Cfg:
     """The context-free grammar equivalent to a categorial grammar.
 
     ``calc`` is the recognition calculus (plain or starred bracket
-    calculus).  Nonterminals are all types over the grammar's
-    primitives bounded by the longest type mentioned; productions copy
-    every rule of the rule sets with its brackets erased (the bridges
-    trade modalities for brackets, and in starred mode close the unit
-    diamond off), and attach the lexicon.
+    calculus).  The construction is ``build_rulesets``' over the types
+    bounded by the longest type mentioned, cut down to the rules a
+    derivation can use: nonterminals are the generating types (those
+    that derive some string) and the start type, and every production
+    copies a rule whose antecedent types all generate, with its
+    brackets erased (the bridges trade modalities for brackets, and in
+    starred mode close the unit diamond off), followed by the lexicon.
+    A rule with a non-generating antecedent type takes part in no
+    derivation of a string, so dropping it keeps the language.
+
+    The rules are found by demand.  An agenda starts from the lexicon
+    types and, in starred mode, from ``dia 1`` and every ``C`` with a
+    provable ``=> C``.  A type taken off the agenda is tried alone and
+    beside itself and every type taken before it, in both orders, and
+    in its bridges; the succedent of each provable rule joins the
+    agenda.  The productions come out in the full construction's order.
     """
     calc = calculus(calc)
     if calc.name not in ("Ldia", "LstarDia"):
@@ -243,20 +189,55 @@ def compile_cfg(g: Grammar, calc, max_types: int = 4000,
             f"grammars are compiled for Ldia or LstarDia, not {calc.name}")
     starred = calc.starred
     for _, t in g.lexicon + (("", g.distinguished),):
-        if t.units:
+        if t.units or t.mode == "indexed":
             raise ValueError(
-                f"grammar types must be unit-free: {print_type(t)}")
-    base = sorted(g.primitives())
+                f"grammar types must be unit-free and unindexed: "
+                f"{print_type(t)}")
     m = max([length(t) for _, t in g.lexicon] + [length(g.distinguished)])
-    types = enum_types(base, m, guarded=starred)
+    types = enum_types(g.primitives(), m, guarded=starred)
     if len(types) > max_types:
         raise ValueError(
             f"type enumeration too large: {len(types)} > {max_types}")
-    rs = build_rulesets(base, m, L1STAR_DIA if starred else LDIA,
-                        cache_dir=cache_dir)
-    prods = [(s.succedent, tuple(yield_of(s.antecedent))) for s in rs.rules]
-    for word, t in g.lexicon:
-        prods.append((t, (word,)))
+    rank = {t: i for i, t in enumerate(types)}
+    buckets = _buckets(types)
+    prover = Prover(L1STAR_DIA if starred else LDIA)
+    agenda = list(dict.fromkeys(t for _, t in g.lexicon))
+    seen = set(agenda)
+    rules = []   # (position in the full construction's order, sequent)
+
+    def found(key, s):
+        rules.append((key, s))
+        if s.succedent not in seen:
+            seen.add(s.succedent)
+            agenda.append(s.succedent)
+
+    def flat(rows):
+        for row, c, s, _ in _proved(rows, buckets, prover):
+            found((0, len(row), tuple(rank[t] for t in row), rank[c]), s)
+
+    def bridge(key, s):
+        _bridge_proof(prover, s)
+        found((1,) + key, s)
+
+    if starred:
+        bridge((0, 0), sequent((bracket(()),), dia(UNIT)))
+        flat([()])
+    done = []
+    while agenda:
+        x = agenda.pop()
+        done.append(x)
+        rows = [(x,), (x, x)]
+        for y in done[:-1]:
+            rows += [(x, y), (y, x)]
+        flat(rows)
+        if length(x) <= m - 2:
+            bridge((1, rank[x]), sequent((bracket((leaf(x),)),), dia(x)))
+        if isinstance(x, BoxDown):
+            bridge((2, rank[x.body]), sequent((bracket((leaf(x),)),), x.body))
+    rules.sort(key=itemgetter(0))
+    prods = [(s.succedent, tuple(yield_of(s.antecedent))) for _, s in rules]
+    prods += [(t, (word,)) for word, t in g.lexicon]
     terminals = frozenset(word for word, _ in g.lexicon)
-    return Cfg(frozenset(types), terminals, g.distinguished,
+    heads = frozenset(lhs for lhs, _ in prods)
+    return Cfg(heads | {g.distinguished}, terminals, g.distinguished,
                tuple(dict.fromkeys(prods)))

@@ -800,7 +800,9 @@ def run_equivalence(source, calc=LDIA, max_len: Optional[int] = None,
 
     The grammar side asks the prover of every word-balanced bracketing
     of every lexicon type assignment (``_grammar_member``); the
-    compiled side parses with the chart recognizer.
+    compiled side parses with the chart recognizer.  ``cache_dir`` is
+    accepted and ignored, since compiles no longer cache their rules;
+    it goes with the next change to the benchmark that passes it.
     """
     started = time.monotonic()
     failures = []
@@ -813,7 +815,7 @@ def run_equivalence(source, calc=LDIA, max_len: Optional[int] = None,
         max_len = default_max_len(calc)
     if max_len < (0 if calc.starred else 1):
         raise ValueError(f"a length bound of {max_len} admits no string")
-    cfg = compile_cfg(g, calc, cache_dir=cache_dir)
+    cfg = compile_cfg(g, calc)
     prover = Prover(calc, timeout_ms=timeout_ms)
     hedges = {}
     alphabet = sorted(g.alphabet)
@@ -939,7 +941,7 @@ def run_freegroup_soundness(thin_sequents) -> Report:
 
 def run_all(seed: int = DEFAULT_SEED,
             timeout_ms: Optional[float] = 60000.0,
-            out_dir=None, cache_dir=None) -> list:
+            out_dir=None) -> list:
     """Run every claim family in a fixed order.
 
     When ``out_dir`` is given, artifacts are emitted there and the
@@ -958,8 +960,7 @@ def run_all(seed: int = DEFAULT_SEED,
     for name, calc_name in BUNDLED_GRAMMARS:
         reports.append(run_equivalence(name, calc_name,
                                        timeout_ms=timeout_ms,
-                                       out_dir=out_dir,
-                                       cache_dir=cache_dir))
+                                       out_dir=out_dir))
     reports.append(run_identity_family(timeout_ms=timeout_ms))
     reports.append(run_freegroup_soundness(interp.thin_sequents
                                            + cut.thin_sequents))

@@ -27,10 +27,9 @@ DU = dia(UNIT)
 
 
 @pytest.fixture(scope="module")
-def bundled_cfgs(rule_cache):
+def bundled_cfgs():
     """Each bundled grammar compiled once for the tests of this module."""
-    return {name: compile_cfg(bundled_grammar(name), calc,
-                              cache_dir=rule_cache)
+    return {name: compile_cfg(bundled_grammar(name), calc)
             for name, calc in BUNDLED_GRAMMARS}
 
 

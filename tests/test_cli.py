@@ -10,7 +10,6 @@ from lambrack.cfgkit import (
     CutDerivation, Derivation, cut_derives, replay_cuts,
 )
 from lambrack.cli import _cut_lines, main
-from lambrack.compiler import build_rulesets
 from lambrack.harness import (
     Report, default_max_len, run_equivalence, write_reports,
 )
@@ -325,22 +324,20 @@ class TestCompileAndParse:
                            "--calculus", "LstarDia")
         assert code == 0
         payload = json.loads(out)
-        assert payload["nonterminals"] == 5
+        assert payload["nonterminals"] == 3
         assert "->" in payload["cfg"]
 
-    def test_parse_unknown_terminal(self, capsys, tmp_path, rule_cache):
+    def test_parse_unknown_terminal(self, capsys, tmp_path):
         cfg_path = tmp_path / "anbn.cfg"
-        run(capsys, "compile", "anbn.lg", "--output", str(cfg_path),
-            "--cache-dir", str(rule_cache))
+        run(capsys, "compile", "anbn.lg", "--output", str(cfg_path))
         code, _, err = run(capsys, "parse", str(cfg_path), "z")
         assert code == 2
         assert err.startswith("error:")
 
     def test_parse_replays_its_derivation(self, capsys, monkeypatch,
-                                          tmp_path, rule_cache):
+                                          tmp_path):
         cfg_path = tmp_path / "anbn.cfg"
-        run(capsys, "compile", "anbn.lg", "--output", str(cfg_path),
-            "--cache-dir", str(rule_cache))
+        run(capsys, "compile", "anbn.lg", "--output", str(cfg_path))
 
         def forged(g, nt, tokens):
             # the right root and fringe, through a production anbn lacks
@@ -360,25 +357,22 @@ class TestCompileAndParse:
     @pytest.mark.parametrize("command", ["compile", "compare", "report"])
     def test_unusable_cache_dir(self, capsys, monkeypatch, tmp_path,
                                 command):
+        # --cache-dir is accepted and ignored, so even a path under a
+        # plain file changes neither the exit code nor the output
         blocker = tmp_path / "a-file"
         blocker.write_text("")
-        cache = str(blocker / "sub")
-
-        def run_all(**kwargs):
-            # the part of the battery that writes the rule cache
-            build_rulesets({"p"}, 1, "Ldia", cache_dir=kwargs["cache_dir"])
-
-        monkeypatch.setattr("lambrack.cli.run_all", run_all)
+        # the battery itself is too slow here; what matters is the flag
+        monkeypatch.setattr("lambrack.cli.run_all", lambda **kwargs: [])
         argv = {
             "compile": ["compile", "starred.lg", "--calculus", "LstarDia"],
             "compare": ["compare", "starred.lg", "--calculus", "LstarDia",
                         "--max-len", "1"],
             "report": ["report", "--out", str(tmp_path / "out")],
         }[command]
-        code, out, err = run(capsys, *argv, "--cache-dir", cache)
-        assert code == 2
-        assert err.startswith("error:") and err.count("\n") == 1
-        assert "sub" in err
+        plain = run(capsys, *argv)
+        assert plain[0] == 0
+        assert run(capsys, *argv, "--cache-dir", str(blocker / "sub")) \
+            == plain
 
 
 class TestCutDerive:
@@ -499,15 +493,14 @@ class TestCompare:
         assert (code, out) == (2, "")
         assert err == f"error: a length bound of {bound} admits no string\n"
 
-    def test_max_len_override(self, capsys, rule_cache):
-        code, out, _ = run(capsys, "compare", "anbn.lg", "--max-len", "2",
-                           "--cache-dir", str(rule_cache))
+    def test_max_len_override(self, capsys):
+        code, out, _ = run(capsys, "compare", "anbn.lg", "--max-len", "2")
         assert code == 0
         assert out.strip() == "EQUIVALENT up to 2"
 
-    def test_json(self, capsys, rule_cache):
+    def test_json(self, capsys):
         code, out, _ = run(capsys, "compare", "--json", "anbn.lg",
-                           "--max-len", "2", "--cache-dir", str(rule_cache))
+                           "--max-len", "2")
         assert code == 0
         assert json.loads(out)["status"] == "pass"
 

@@ -1,20 +1,23 @@
 """Tests for bounded type enumeration, rule-set construction, and
 grammar compilation."""
 
+import functools
 import itertools
+import random
 import re
 from importlib import resources
 
 import pytest
 
-from lambrack.cfgkit import derives, language_upto
+from lambrack.cfgkit import cfg, derives, language_upto
 from lambrack.compiler import build_rulesets, compile_cfg, enum_types
+from lambrack.harness import BUNDLED_GRAMMARS, run_equivalence
 from lambrack.freegroup import IDENTITY, mul, word_of
 from lambrack.prover import Prover, check, is_guarded, print_proof, prove
 from lambrack.syntax import (
-    L1STAR_DIA, LDIA, LDIA_M, LSTAR_DIA, UNIT, Grammar, boxdown, bracket,
-    calculus, dia, leaf, length, parse_grammar, parse_sequent, prim,
-    print_type, sequent, under,
+    L1STAR_DIA, LDIA, LDIA_M, LSTAR_DIA, UNIT, Grammar, Type, boxdown,
+    bracket, calculus, dia, leaf, length, parse_grammar, parse_sequent, prim,
+    print_type, sequent, under, yield_of,
 )
 
 P = prim("p")
@@ -110,15 +113,13 @@ def _reference_rulesets(prims, m, calc):
 @pytest.mark.parametrize("prims,m,calc", [
     ({"b", "s"}, 3, LDIA), ({"p"}, 3, LDIA), ({"b"}, 3, L1STAR_DIA),
 ])
-def test_shared_prover_matches_fresh_memos(prims, m, calc, tmp_path):
+def test_shared_prover_matches_fresh_memos(prims, m, calc):
     flat, bridges = _reference_rulesets(prims, m, calc)
-    cold = build_rulesets(prims, m, calc, cache_dir=tmp_path)
-    warm = build_rulesets(prims, m, calc, cache_dir=tmp_path)
-    for rs in (cold, warm):
-        assert rs.flat_rules == tuple(s for s, _ in flat)
-        assert rs.bridge_rules == tuple(s for s, _ in bridges)
-        for s, proof in flat + bridges:
-            assert print_proof(rs.proofs[s]) == print_proof(proof)
+    rs = build_rulesets(prims, m, calc)
+    assert rs.flat_rules == tuple(s for s, _ in flat)
+    assert rs.bridge_rules == tuple(s for s, _ in bridges)
+    for s, proof in flat + bridges:
+        assert print_proof(rs.proofs[s]) == print_proof(proof)
 
 
 class TestBuildRulesets:
@@ -161,38 +162,6 @@ class TestBuildRulesets:
         with pytest.raises(ValueError):
             build_rulesets({"p"}, 0, LDIA)
 
-    def test_cache_round_trip(self, tmp_path):
-        fresh = build_rulesets({"p"}, 2, LDIA, cache_dir=tmp_path)
-        files = list(tmp_path.glob("rules-*.txt"))
-        assert len(files) == 1
-        text = files[0].read_text()
-        assert text.startswith("# rule cache v")
-        assert "calculus=Ldia" in text.splitlines()[0]
-        again = build_rulesets({"p"}, 2, LDIA, cache_dir=tmp_path)
-        assert again.flat_rules == fresh.flat_rules
-        assert again.bridge_rules == fresh.bridge_rules
-        for s in again.rules:
-            assert check(again.proofs[s], LDIA)
-
-    def test_corrupt_cache_recomputed(self, tmp_path):
-        fresh = build_rulesets({"p"}, 2, LDIA, cache_dir=tmp_path)
-        path = next(tmp_path.glob("rules-*.txt"))
-        path.write_text(path.read_text() + "p => q\n")
-        again = build_rulesets({"p"}, 2, LDIA, cache_dir=tmp_path)
-        assert again.flat_rules == fresh.flat_rules
-        assert "p => q" not in path.read_text().splitlines()
-
-    def test_truncated_cache_recomputed(self, tmp_path):
-        # a cut-off file keeps its header but loses rules and the trailer
-        fresh = build_rulesets({"p"}, 2, LDIA, cache_dir=tmp_path)
-        path = next(tmp_path.glob("rules-*.txt"))
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:len(lines) // 3]) + "\n")
-        again = build_rulesets({"p"}, 2, LDIA, cache_dir=tmp_path)
-        assert again.flat_rules == fresh.flat_rules
-        assert path.read_text().splitlines() == lines
-        assert list(tmp_path.iterdir()) == [path]
-
     def test_refuted_bridge_raises(self, monkeypatch):
         # under ``python -O`` an assert would let a bridge without a
         # proof into the rule base; the build must refuse it outright
@@ -205,16 +174,8 @@ class TestBuildRulesets:
         monkeypatch.setattr("lambrack.compiler.Prover", Refuting)
         with pytest.raises(RuntimeError, match=re.escape("[ p ] => dia p")):
             build_rulesets({"p"}, 3, LDIA)
-
-    def test_stale_version_recomputed(self, tmp_path):
-        fresh = build_rulesets({"p"}, 2, LDIA, cache_dir=tmp_path)
-        path = next(tmp_path.glob("rules-*.txt"))
-        lines = path.read_text().splitlines()
-        lines[0] = lines[0].replace("rule cache v", "rule cache v999.")
-        path.write_text("\n".join(lines) + "\n")
-        again = build_rulesets({"p"}, 2, LDIA, cache_dir=tmp_path)
-        assert again.flat_rules == fresh.flat_rules
-        assert "v999." not in path.read_text().splitlines()[0]
+        with pytest.raises(RuntimeError, match=re.escape("[ p ] => dia p")):
+            compile_cfg(_bundled("brackets.lg"), LDIA)
 
 
 class TestCompileCfg:
@@ -241,25 +202,26 @@ class TestCompileCfg:
 
     def test_bundled_anbn(self):
         c = compile_cfg(_bundled("anbn.lg"), LDIA)
-        assert len(c.nonterminals) == 162
+        assert len(c.nonterminals) == 53
         assert language_upto(c, 4) == {"a b", "a a b b"}
 
     def test_bundled_brackets(self):
         c = compile_cfg(_bundled("brackets.lg"), LDIA)
-        assert len(c.nonterminals) == 24
+        assert len(c.nonterminals) == 13
         assert language_upto(c, 3) == {
             "a", "a c", "a c c", "b", "b c", "b c c"}
 
     def test_bundled_starred(self):
         c = compile_cfg(_bundled("starred.lg"), LSTAR_DIA)
-        assert len(c.nonterminals) == 5
+        assert len(c.nonterminals) == 3
         assert language_upto(c, 2) == {"", "b", "b b"}
         assert derives(c, c.start, []) is not None
 
     def test_rejects_unit_types(self):
-        g = Grammar((("x", UNIT),), P)
-        with pytest.raises(ValueError):
-            compile_cfg(g, LDIA)
+        # an indexed type lies outside the bounded enumeration too
+        for t in (UNIT, dia(P, 1)):
+            with pytest.raises(ValueError):
+                compile_cfg(Grammar((("x", t),), P), LDIA)
 
     def test_rejects_other_calculi(self):
         g = _bundled("starred.lg")
@@ -271,11 +233,11 @@ class TestCompileCfg:
         with pytest.raises(ValueError):
             compile_cfg(_bundled("anbn.lg"), LDIA, max_types=100)
 
-    def test_flat_equivalence_smoke(self, rule_cache):
+    def test_flat_equivalence_smoke(self):
         # the lexicon is modality-free, so provable sequents are flat
         # rows and the categorial side reduces to the prover alone
         g = _bundled("anbn.lg")
-        c = compile_cfg(g, LDIA, cache_dir=rule_cache)
+        c = compile_cfg(g, LDIA)
         assert derives(c, c.start, []) is None
         for n in range(1, 4):
             for word in itertools.product(g.alphabet, repeat=n):
@@ -287,3 +249,116 @@ class TestCompileCfg:
                     for row in rows)
                 compiled = derives(c, c.start, list(word)) is not None
                 assert direct == compiled, word
+
+
+# ---------------------------------------------------------------------------
+# Compiling by demand against the full construction
+
+
+@functools.lru_cache(maxsize=None)
+def _full_base(prims, m, calc):
+    return build_rulesets(prims, m, calc)
+
+
+def _filtered_full(g, calc):
+    """The full construction's productions without the unusable ones.
+
+    Every rule of ``build_rulesets`` over all bounded types, brackets
+    erased, then the lexicon, as compiling built them before it went by
+    demand; then every production whose right-hand side holds a type
+    that derives no string is removed (useless-symbol removal keeps the
+    language).  Returns ``(kept productions, full CFG)``.
+    """
+    m = max(length(t) for t in [g.distinguished] + [t for _, t in g.lexicon])
+    rs = _full_base(g.primitives(), m,
+                    L1STAR_DIA if calculus(calc).starred else LDIA)
+    prods = [(s.succedent, tuple(yield_of(s.antecedent))) for s in rs.rules]
+    prods = list(dict.fromkeys(prods + [(t, (w,)) for w, t in g.lexicon]))
+    generating = set()
+    grew = True
+    while grew:
+        grew = False
+        for lhs, rhs in prods:
+            if lhs not in generating and all(
+                    sym in generating for sym in rhs if isinstance(sym, Type)):
+                generating.add(lhs)
+                grew = True
+    kept = [(lhs, rhs) for lhs, rhs in prods
+            if all(sym in generating for sym in rhs if isinstance(sym, Type))]
+    return kept, cfg(g.distinguished, prods)
+
+
+@pytest.mark.parametrize("name,calc", BUNDLED_GRAMMARS)
+def test_demand_compile_matches_filtered_full(name, calc):
+    g = _bundled(name)
+    kept, _ = _filtered_full(g, calc)
+    assert list(compile_cfg(g, calc).productions) == kept
+
+
+def test_demand_compile_proves_few_goals(monkeypatch):
+    # the full construction asks 39,674 goals for anbn
+    calls = []
+
+    class Counting(Prover):
+        def prove(self, s):
+            calls.append(s)
+            return super().prove(s)
+
+    monkeypatch.setattr("lambrack.compiler.Prover", Counting)
+    compile_cfg(_bundled("anbn.lg"), LDIA)
+    assert len(calls) <= 1870
+
+
+_ORACLE_TYPES = enum_types({"p", "q"}, 3)
+
+
+def _subtypes(t):
+    out = [t]
+    for part in ("left", "right", "body"):
+        if hasattr(t, part):
+            out += _subtypes(getattr(t, part))
+    return out
+
+
+def _random_grammar(seed):
+    """A seeded grammar over {p, q}: three words, each with a type of a
+    uniformly drawn length up to 3, one more entry with a modal type so
+    the bridges take part, one with a primitive type, and a target drawn
+    from the lexicon's subtypes, so that most languages are non-empty."""
+    rng = random.Random(seed)
+    by_len = {n: [t for t in _ORACLE_TYPES if length(t) == n]
+              for n in (1, 2, 3)}
+    words = ("a", "b", "c")
+    lexicon = [(w, rng.choice(by_len[rng.randint(1, 3)])) for w in words]
+    lexicon.append((rng.choice(words),
+                    rng.choice([t for t in _ORACLE_TYPES if t.mods])))
+    lexicon.append((rng.choice(words), rng.choice(by_len[1])))
+    subs = sorted({u for _, t in lexicon for u in _subtypes(t)},
+                  key=print_type)
+    return Grammar(tuple(dict.fromkeys(lexicon)), rng.choice(subs))
+
+
+def test_random_grammar_oracle(tmp_path):
+    non_empty = with_bridges = 0
+    for seed in range(8):
+        calc = LSTAR_DIA if seed % 2 else LDIA
+        g = _random_grammar(seed)
+        c = compile_cfg(g, calc)
+        kept, full = _filtered_full(g, calc)
+        assert list(c.productions) == kept, seed
+        language = language_upto(c, 4)
+        assert language == language_upto(full, 4), seed
+        non_empty += bool(language)
+        with_bridges += any(rhs and isinstance(rhs[0], Type) and (
+            lhs == dia(rhs[0]) or rhs[0] == boxdown(lhs))
+            for lhs, rhs in c.productions)
+        path = tmp_path / f"oracle-{seed}.lg"
+        path.write_text("".join(f"lexicon {w} : {print_type(t)}\n"
+                                for w, t in g.lexicon)
+                        + f"target : {print_type(g.distinguished)}\n")
+        report = run_equivalence(str(path), calc, max_len=3)
+        assert report.ok, (seed, report.reproducer)
+    # seven of the eight languages are non-empty, and every compiled
+    # grammar holds a bridge production
+    assert non_empty >= 6
+    assert with_bridges >= 6

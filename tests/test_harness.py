@@ -352,11 +352,12 @@ class TestEquivalence:
         assert r.counts == {"strings": 5, "members": 5}
         assert (tmp_path / "starred-cfg.txt").exists()
 
-    def test_plain_with_max_len(self, rule_cache):
-        r = run_equivalence("anbn.lg", "Ldia", max_len=2,
-                            cache_dir=rule_cache)
+    def test_plain_with_max_len(self, tmp_path):
+        # cache_dir is accepted and ignored: nothing is written there
+        r = run_equivalence("anbn.lg", "Ldia", max_len=2, cache_dir=tmp_path)
         assert r.ok
         assert r.counts == {"strings": 6, "members": 1}
+        assert list(tmp_path.iterdir()) == []
 
     def test_rejects_other_calculi(self):
         with pytest.raises(ValueError):
