@@ -263,10 +263,10 @@ def _full_base(prims, m, calc):
 def _filtered_full(g, calc):
     """The full construction's productions without the unusable ones.
 
-    Every rule of ``build_rulesets`` over all bounded types, brackets
-    erased, then the lexicon, as compiling built them before it went by
-    demand; then every production whose right-hand side holds a type
-    that derives no string is removed (useless-symbol removal keeps the
+    The full construction's CFG is every rule of ``build_rulesets``
+    over all bounded types, brackets erased, then the lexicon; every
+    production whose right-hand side holds a type that derives no
+    string is removed from it (useless-symbol removal keeps the
     language).  Returns ``(kept productions, full CFG)``.
     """
     m = max(length(t) for t in [g.distinguished] + [t for _, t in g.lexicon])
