@@ -450,6 +450,12 @@ def _interp_population(timeout_ms=None):
     at most 3 antecedent leaves, 3 connectives in total, primitives
     {p, q}, and no more bracket pairs than antecedent modalities, as
     ``(sequent, proof)`` pairs in enumeration order.
+
+    The bracket cap is a choice, not a need: the count invariant already
+    bounds the bracket count, so the enumeration ends without it.  It
+    leaves out the sequents whose brackets a succedent diamond consumes,
+    such as ``[ p ] => dia p``; the acceptance tests freeze the 1,996
+    sequents it keeps.
     """
     conn = _types_by_connectives(("p", "q"), 3)
     types = list(conn)
@@ -478,9 +484,15 @@ def run_interpolation_sweep(timeout_ms: Optional[float] = None) -> Report:
 
     Each population proof is checked once and interpolated at every
     span coordinate, and each result must meet ``_contract_fault``'s
-    contract.  The interpolant at every span of the proof's thin form
-    (built from the checked proof, not checked again) must have the
-    length of the selected span's reduced free-group word.  A proof
+    contract.  The prover hands out one proof per settled goal, so the
+    population proofs share subproofs: one ``check`` memo serves the
+    population and contract checks, and one ``_extract`` memo the plain
+    interpolations (``Ldia`` has no unit, so none is guarded).  Each
+    rule instance is matched once and each (proof node, span) problem
+    solved once.  The interpolant at every span of the proof's thin
+    form (built from the checked proof, not checked again) must have the
+    length of the selected span's reduced free-group word.  Thin forms
+    share no nodes across proofs, and they go without a memo.  A proof
     failing its check is a failure with its sequent as reproducer.
     The thin-indexed conclusions are the Report's ``thin_sequents``.
     """
@@ -489,10 +501,11 @@ def run_interpolation_sweep(timeout_ms: Optional[float] = None) -> Report:
     n_parts = n_thin = 0
     pairs = []
     thin_forms = []
+    checked, extracted = {}, {}
     try:
         pairs = _interp_population(timeout_ms)
         for s, pf in pairs:
-            if pf.conclusion != s or not check(pf, LDIA):
+            if pf.conclusion != s or not check(pf, LDIA, checked):
                 failures.append(f"population proof fails its check: "
                                 f"{print_sequent(s)}")
                 continue
@@ -500,8 +513,8 @@ def run_interpolation_sweep(timeout_ms: Optional[float] = None) -> Report:
             for parent, lo, hi in partitions(s.antecedent):
                 n_parts += 1
                 res = InterpolationResult(
-                    *_extract(pf, parent, lo, hi, LDIA, guarded))
-                if _contract_fault(s, parent, lo, hi, res, LDIA):
+                    *_extract(pf, parent, lo, hi, LDIA, guarded, extracted))
+                if _contract_fault(s, parent, lo, hi, res, LDIA, checked):
                     failures.append(
                         f"interpolation contract fails at {parent} "
                         f"[{lo}:{hi}] of {print_sequent(s)}")

@@ -185,19 +185,23 @@ def extract_interpolant(p: Proof, part: Partition, calc,
 
 
 def _contract_fault(s: Sequent, parent: tuple, lo: int, hi: int,
-                    res: InterpolationResult, calc) -> Optional[str]:
+                    res: InterpolationResult, calc,
+                    memo: Optional[dict] = None) -> Optional[str]:
     """Why ``res`` does not interpolate ``s`` at the span ``[lo, hi)``
     under ``parent``, or None: its proofs must conclude the two cut
     halves and pass ``check``, and each primitive and modality index
-    may occur in ``E`` no more often than on either side of the cut."""
+    may occur in ``E`` no more often than on either side of the cut.
+    ``memo`` is the caller's ``check`` memo, passed to both checks; it
+    keeps one table per calculus, keyed on each node's conclusion,
+    rule, premise conclusions and recorded principal."""
     ante, e = s.antecedent, res.interpolant
     selected = children_at(ante, parent)[lo:hi]
     right = sequent(replace_span(ante, parent, lo, hi, (leaf(e),)),
                     s.succedent)
     if (res.left_proof.conclusion != sequent(selected, e)
             or res.right_proof.conclusion != right
-            or not check(res.left_proof, calc)
-            or not check(res.right_proof, calc)):
+            or not check(res.left_proof, calc, memo)
+            or not check(res.right_proof, calc, memo)):
         return "an interpolation proof fails its check against its cut half"
     outer = sequent(replace_span(ante, parent, lo, hi, ()), s.succedent)
     # one walk per object gives its primitive and its modality counts
@@ -280,34 +284,47 @@ def _slash_principal(side, parent: tuple, width: int, g: int, j: int):
 
 
 def _extract(p: Proof, parent: tuple, lo: int, hi: int,
-             calc: Calculus, guarded: bool):
+             calc: Calculus, guarded: bool, memo: Optional[dict] = None):
     """Return ``(E, left, right)`` for the span ``[lo, hi)`` at ``parent``.
 
     ``left`` proves the selected trees (as a whole antecedent) yield
     ``E``; ``right`` proves the conclusion with the span replaced by a
     single ``E`` leaf.
+
+    ``memo``, when given, is owned by the caller and serves one
+    calculus and one ``guarded`` mode.  It maps ``(id(p), parent, lo,
+    hi)`` to ``(p, result)`` for every problem solved under it, so a
+    proof node shared by several proofs is interpolated once per span.
+    The key is the node's identity, not its conclusion, because the
+    interpolant depends on the proof; keeping ``p`` keeps its id from
+    being reused.
     """
+    if memo is not None:
+        key = (id(p), parent, lo, hi)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit[1]
     s = p.conclusion
     ante, succ = s.antecedent, s.succedent
     sel = children_at(ante, parent)[lo:hi]
+    tr = sel[0] if len(sel) == 1 else None
+    rule, pr = p.rule, p.principal
 
     # Guarded-fragment interceptions: an empty bracket or a lone
     # ``dia 1`` leaf interpolates to ``dia 1`` no matter the last rule.
-    if guarded and len(sel) == 1:
-        tr = sel[0]
-        if isinstance(tr, Bracket) and not tr.children:
-            left = apply_rule("DiaR", None, (_UNIT_R,), tr.index)
-            inner = apply_rule("UnitL", (parent + (lo,), 0), (p,))
-            right = apply_rule("DiaL", (parent, lo), (inner,))
-            return left.conclusion.succedent, left, right
-        if (isinstance(tr, Leaf) and isinstance(tr.type, Dia)
-                and tr.type.body is UNIT):
-            unit_id = apply_rule("UnitL", ((), 0), (_UNIT_R,))
-            opened = apply_rule("DiaR", None, (unit_id,), tr.type.index)
-            return tr.type, apply_rule("DiaL", ((), 0), (opened,)), p
+    if guarded and isinstance(tr, Bracket) and not tr.children:
+        left = apply_rule("DiaR", None, (_UNIT_R,), tr.index)
+        inner = apply_rule("UnitL", (parent + (lo,), 0), (p,))
+        right = apply_rule("DiaL", (parent, lo), (inner,))
+        out = left.conclusion.succedent, left, right
+    elif (guarded and isinstance(tr, Leaf) and isinstance(tr.type, Dia)
+            and tr.type.body is UNIT):
+        unit_id = apply_rule("UnitL", ((), 0), (_UNIT_R,))
+        opened = apply_rule("DiaR", None, (unit_id,), tr.type.index)
+        out = tr.type, apply_rule("DiaL", ((), 0), (opened,)), p
 
     # Unit-calculus interception: an empty selection interpolates to 1.
-    if lo == hi:
+    elif lo == hi:
         if guarded:
             raise RuntimeError(
                 "guarded recursion reached an empty selection "
@@ -316,117 +333,125 @@ def _extract(p: Proof, parent: tuple, lo: int, hi: int,
             raise ValueError(
                 "an empty sub-selection has no interpolant without the unit "
                 f"(at {parent!r}:{lo} in {print_sequent(s)})")
-        return UNIT, _UNIT_R, apply_rule("UnitL", (parent, lo), (p,))
+        out = UNIT, _UNIT_R, apply_rule("UnitL", (parent, lo), (p,))
 
-    rule = p.rule
-    if rule == "Ax":
+    elif rule == "Ax":
         # The only nonempty span selects the single antecedent leaf.
-        return ante[0].type, p, p
+        out = ante[0].type, p, p
 
-    if rule == "ProdR" and not parent and lo < p.principal < hi:
+    elif rule == "ProdR" and not parent and lo < pr < hi:
         # The selection crosses the split: interpolate both halves
         # and join them with a product.
-        k = p.principal
-        _, l1, r1 = _extract(p.premises[0], (), lo, k, calc, guarded)
-        _, l2, r2 = _extract(p.premises[1], (), 0, hi - k, calc, guarded)
-        left = apply_rule("ProdR", k - lo, (l1, l2))
+        _, l1, r1 = _extract(p.premises[0], (), lo, pr, calc, guarded, memo)
+        _, l2, r2 = _extract(p.premises[1], (), 0, hi - pr, calc, guarded,
+                             memo)
+        left = apply_rule("ProdR", pr - lo, (l1, l2))
         inner = apply_rule("ProdR", lo + 1, (r1, r2))
         right = apply_rule("ProdL", ((), lo), (inner,))
-        return left.conclusion.succedent, left, right
+        out = left.conclusion.succedent, left, right
 
-    if rule == "DiaR" and not parent:
+    elif rule == "DiaR" and not parent:
         # sel is the whole bracketed antecedent.
         _, l0, r0 = _extract(p.premises[0], (), 0, len(ante[0].children),
-                             calc, guarded)
+                             calc, guarded, memo)
         left = apply_rule("DiaR", None, (l0,), succ.index)
         mid = apply_rule("DiaR", None, (r0,), succ.index)
         right = apply_rule("DiaL", ((), 0), (mid,))
-        return left.conclusion.succedent, left, right
+        out = left.conclusion.succedent, left, right
 
-    if rule not in LEFT_RULES:
-        return _pass_through(p, parent, lo, hi, calc, guarded)
+    elif rule in LEFT_RULES:
+        # The last premise holds the rewritten context; a slash rule's
+        # first premise proves its argument hedge.
+        P, lp = pr[0], len(parent)
+        q = p.premises[-1]
+        b0, b1, a0, a1, delta = _rule_span(rule, pr)
+        if P == parent:
+            inside = lo <= b0 and b1 <= hi
+        else:
+            inside = len(P) > lp and P[:lp] == parent and lo <= P[lp] < hi
+            delta = 0
+        if (rule == "UnitL" and P == parent
+                and (lo, hi) == (pr[1], pr[1] + 1)):
+            # The selection is exactly the unit leaf this rule deletes.
+            out = UNIT, apply_rule("UnitL", ((), 0), (_UNIT_R,)), p
+        elif rule == "BoxDownL" and parent == P + (pr[1],):
+            # The selection is exactly the boxed leaf inside the
+            # principal bracket: interpolate the replacing type and box
+            # the result.
+            j, index = pr[1], _index_of(p)
+            _, l0, r0 = _extract(q, P, j, j + 1, calc, guarded, memo)
+            inner = apply_rule("BoxDownL", ((), 0), (l0,), index)
+            left = apply_rule("BoxDownR", None, (inner,))
+            right = apply_rule("BoxDownL", pr, (r0,), index)
+            out = left.conclusion.succedent, left, right
+        elif inside:
+            # The whole rule block sits inside the selection.
+            e, l, r = _extract(q, parent, lo, hi + delta, calc, guarded,
+                               memo)
+            inner = _shift(pr, parent, lo, -lo)
+            left = apply_rule(rule, (inner[0][lp:],) + inner[1:],
+                              p.premises[:-1] + (l,), _index_of(p))
+            out = e, left, r
+        elif (P == parent and lo < b1 and b0 < hi
+                and not a0 <= lo < hi <= a1):
+            # The selection crosses one end of a slash rule's block.
+            # The two cases are written for UnderL, whose argument
+            # [g, j) precedes the connective leaf at j; OverL reads them
+            # through the mirror image of this one level (n trees wide,
+            # with m selected and na in the argument).
+            side = rule == "OverL"
+            n, m, na = len(children_at(ante, P)), hi - lo, a1 - a0
+            g, lo_, hi_ = (n - b1, n - hi, n - lo) if side else (b0, lo, hi)
+            j = g + na
+            if j < hi_:
+                # Keeps the connective leaf, loses the far end of its
+                # argument: interpolate as E \ F (or F / E).
+                _, le, re = _extract(p.premises[0], (),
+                                     *_mirror(side, na, 0, lo_ - g),
+                                     calc, guarded, memo)
+                _, lf, rf = _extract(q, P,
+                                     *_mirror(side, n - na, g, g + hi_ - j),
+                                     calc, guarded, memo)
+                inner = apply_rule(rule, _slash_principal(
+                    side, (), m + 1, 0, 1 + j - lo_), (re, lf))
+                left = apply_rule("OverR" if side else "UnderR", None,
+                                  (inner,))
+                right = apply_rule(rule, _slash_principal(
+                    side, P, n - m + 1, g, lo_), (le, rf))
+            else:
+                # Loses the connective leaf, keeps the far end of its
+                # argument: interpolate as E • F (or F • E).
+                _, lf, rf = _extract(p.premises[0], (),
+                                     *_mirror(side, na, 0, hi_ - g),
+                                     calc, guarded, memo)
+                _, le, re = _extract(q, P, *_mirror(side, n - na, lo_, g),
+                                     calc, guarded, memo)
+                halves, split = (le, lf), g - lo_
+                if side:
+                    halves, split = (lf, le), m - split
+                left = apply_rule("ProdR", split, halves)
+                inner = apply_rule(rule, _slash_principal(
+                    side, P, n - m + 2, lo_ + 1, j - m + 2), (rf, re))
+                right = apply_rule("ProdL", (P, lo), (inner,))
+            out = left.conclusion.succedent, left, right
+        else:
+            out = _pass_through(p, parent, lo, hi, calc, guarded, memo)
 
-    # Left rules.  The last premise holds the rewritten context; a slash
-    # rule's first premise proves its argument hedge.
-    pr = p.principal
-    P, lp = pr[0], len(parent)
-    q = p.premises[-1]
-    if rule == "UnitL" and P == parent and (lo, hi) == (pr[1], pr[1] + 1):
-        # The selection is exactly the unit leaf this rule deletes.
-        return UNIT, apply_rule("UnitL", ((), 0), (_UNIT_R,)), p
-    if rule == "BoxDownL" and parent == P + (pr[1],):
-        # The selection is exactly the boxed leaf inside the principal
-        # bracket: interpolate the replacing type and box the result.
-        j, index = pr[1], _index_of(p)
-        _, l0, r0 = _extract(q, P, j, j + 1, calc, guarded)
-        inner = apply_rule("BoxDownL", ((), 0), (l0,), index)
-        left = apply_rule("BoxDownR", None, (inner,))
-        right = apply_rule("BoxDownL", pr, (r0,), index)
-        return left.conclusion.succedent, left, right
-    b0, b1, a0, a1, delta = _rule_span(rule, pr)
-    if P == parent:
-        inside = lo <= b0 and b1 <= hi
     else:
-        inside = len(P) > lp and P[:lp] == parent and lo <= P[lp] < hi
-        delta = 0
-    if inside:
-        # The whole rule block sits inside the selection.
-        e, l, r = _extract(q, parent, lo, hi + delta, calc, guarded)
-        inner = _shift(pr, parent, lo, -lo)
-        left = apply_rule(rule, (inner[0][lp:],) + inner[1:],
-                          p.premises[:-1] + (l,), _index_of(p))
-        return e, left, r
-    if P == parent and lo < b1 and b0 < hi and not a0 <= lo < hi <= a1:
-        # The selection crosses one end of a slash rule's block.  The
-        # two cases are written for UnderL, whose argument [g, j)
-        # precedes the connective leaf at j; OverL reads them through
-        # the mirror image of this one level (n trees wide, with m
-        # selected and na in the argument).
-        side = rule == "OverL"
-        n, m, na = len(children_at(ante, P)), hi - lo, a1 - a0
-        g, lo_, hi_ = (n - b1, n - hi, n - lo) if side else (b0, lo, hi)
-        j = g + na
-        if j < hi_:
-            # Keeps the connective leaf, loses the far end of its
-            # argument: interpolate as E \ F (or F / E).
-            _, le, re = _extract(p.premises[0], (),
-                                 *_mirror(side, na, 0, lo_ - g),
-                                 calc, guarded)
-            _, lf, rf = _extract(q, P,
-                                 *_mirror(side, n - na, g, g + hi_ - j),
-                                 calc, guarded)
-            inner = apply_rule(rule, _slash_principal(
-                side, (), m + 1, 0, 1 + j - lo_), (re, lf))
-            left = apply_rule("OverR" if side else "UnderR", None, (inner,))
-            right = apply_rule(rule, _slash_principal(
-                side, P, n - m + 1, g, lo_), (le, rf))
-            return left.conclusion.succedent, left, right
-        # Loses the connective leaf, keeps the far end of its
-        # argument: interpolate as E • F (or F • E).
-        _, lf, rf = _extract(p.premises[0], (),
-                             *_mirror(side, na, 0, hi_ - g), calc, guarded)
-        _, le, re = _extract(q, P, *_mirror(side, n - na, lo_, g),
-                             calc, guarded)
-        halves, split = (le, lf), g - lo_
-        if side:
-            halves, split = (lf, le), m - split
-        left = apply_rule("ProdR", split, halves)
-        inner = apply_rule(rule, _slash_principal(
-            side, P, n - m + 2, lo_ + 1, j - m + 2), (rf, re))
-        right = apply_rule("ProdL", (P, lo), (inner,))
-        return left.conclusion.succedent, left, right
-
-    return _pass_through(p, parent, lo, hi, calc, guarded)
+        out = _pass_through(p, parent, lo, hi, calc, guarded, memo)
+    if memo is not None:
+        memo[key] = p, out
+    return out
 
 
 def _pass_through(p: Proof, parent: tuple, lo: int, hi: int,
-                  calc: Calculus, guarded: bool):
+                  calc: Calculus, guarded: bool, memo: Optional[dict]):
     """``_extract`` for a span the last rule only carries: interpolate it
     in the premise that holds it, then re-apply the rule to the
     conclusion with the span collapsed to one leaf."""
     k, path = _premise_route(p, parent + (lo,))
     e, l, r = _extract(p.premises[k], path[:-1], path[-1],
-                       path[-1] + hi - lo, calc, guarded)
+                       path[-1] + hi - lo, calc, guarded, memo)
     right = apply_rule(p.rule, _shift(p.principal, parent, hi, 1 - (hi - lo)),
                        p.premises[:k] + (r,) + p.premises[k + 1:],
                        _index_of(p))

@@ -26,14 +26,14 @@ from lambrack.prover import (
 )
 from lambrack.syntax import (
     HOLE, L1STAR, L1STAR_DIA, L1STAR_DIA_M, LDIA, LDIA_M, LSTAR_DIA, UNIT,
-    boxdown, bracket, bracket_addresses, children_at, deindex, dia,
+    boxdown, bracket, bracket_addresses, children_at, deindex, dia, fold,
     _counts_of, hole_coords, is_thin, leaf, length, over, parse_sequent,
     parse_type, partitions, plug, preorder, prim, prim_counts, print_hedge,
     print_sequent, print_type, prod, replace_span, sequent, sequent_types,
     subtree, under,
 )
 from helpers import cut_candidates, eliminate_bracket
-from test_prover import GOLDEN, _small_sequents
+from test_prover import GOLDEN, _shape, _small_sequents
 
 P, Q = prim("p"), prim("q")
 
@@ -525,6 +525,37 @@ class TestContractFault:
         fault = self._agree(s, ((), 0, 1), res, LSTAR_DIA)
         assert fault == ("the interpolant has more occurrences than a side "
                          "of the cut")
+
+
+def _bare(p):
+    """A copy of ``p`` with no principal recorded, as ``parse_proof``
+    builds it."""
+    return fold(p, attrgetter("premises"), lambda node, prems: Proof(
+        node.conclusion, node.rule, prems))
+
+
+class TestSweepMemos:
+    def test_memos_change_no_result(self, interp_population):
+        # in the sweep's order, with one shared memo each: every plain
+        # interpolation is the one a memo-free _extract builds, node by
+        # node, and checking its proofs bare of principals gives the
+        # verdicts and principals a memo-free check gives
+        extracted, checked = {}, {}
+        proofs = 0
+        for s, pf in interp_population:
+            assert check(pf, LDIA, checked)
+            for coords in partitions(s.antecedent):
+                got = _extract(pf, *coords, LDIA, False, extracted)
+                want = _extract(pf, *coords, LDIA, False)
+                assert got[0] is want[0]
+                for g, w in zip(got[1:], want[1:]):
+                    assert _shape(g) == _shape(w)
+                    assert check(g, LDIA, checked)
+                    bare_g, bare_w = _bare(g), _bare(w)
+                    assert check(bare_g, LDIA, checked) is check(bare_w, LDIA)
+                    assert _shape(bare_g) == _shape(bare_w)
+                    proofs += 1
+        assert proofs == 2 * 9342
 
 
 def _unit_identity():

@@ -742,6 +742,14 @@ def _with_conclusion(p, target, conclusion):
         prems, node.principal))
 
 
+def _with_node(p, target, make):
+    """A copy of ``p`` in which the node ``target`` is ``make(target,
+    premises)``, given its copied premises."""
+    return fold(p, _premises, lambda node, prems: (
+        make(node, prems) if node is target
+        else Proof(node.conclusion, node.rule, prems, node.principal)))
+
+
 # Unit, starred and guarded goals, each with the calculus it is proved in
 _EDGE_ROWS = [
     ("=> p / p", LSTAR), ("p => q / (p \\ q)", LSTAR), ("=> 1", L1STAR),
@@ -878,6 +886,31 @@ class TestCheck:
         under_node.principal = None
         assert check(q, LSTAR_DIA)
         assert under_node.principal == ((), 0, 1)
+
+    def test_memo_accepts_no_tampered_copy(self):
+        # a memo warmed on good proofs still refuses a copy with a wrong
+        # rule tag, swapped premises or a principal no instance has, and
+        # a verdict from LstarDia is not reused in Ldia
+        memo = {}
+        p = prove(parse_sequent(GOLDEN), LDIA)
+        ax = {t: Proof(parse_sequent(f"{t} => {t}"), "Ax") for t in "pq"}
+        empty_arg = Proof(parse_sequent("=> q / q"), "OverR", (ax["q"],))
+        over0 = Proof(parse_sequent("p / (q / q) => p"), "OverL",
+                      (empty_arg, ax["p"]), ((), 0, 1))
+        assert check(p, LDIA, memo) and check(over0, LSTAR_DIA, memo)
+        under_node = p.premises[0].premises[0].premises[0]
+        assert under_node.principal == ((), 0, 1)
+        for tamper in (
+                lambda n, prems: Proof(n.conclusion, "OverL", prems,
+                                       n.principal),
+                lambda n, prems: Proof(n.conclusion, n.rule, prems[::-1],
+                                       n.principal),
+                lambda n, prems: Proof(n.conclusion, n.rule, prems,
+                                       ((), 1, 1))):
+            q = _with_node(p, under_node, tamper)
+            assert check(q, LDIA, memo) is _ref_check(q, LDIA) is False
+        assert check(p, LDIA, memo)
+        assert check(over0, LDIA, memo) is _ref_check(over0, LDIA) is False
 
     def test_rejects_unbalanced_arguments(self, interp_population):
         # each node concludes a balanced sequent at an instance whose
