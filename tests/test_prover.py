@@ -734,20 +734,19 @@ def _invalid_in(s, calc):
     return None
 
 
-def _with_conclusion(p, target, conclusion):
-    """A copy of ``p`` in which the node ``target`` concludes
-    ``conclusion``."""
-    return fold(p, _premises, lambda node, prems: Proof(
-        conclusion if node is target else node.conclusion, node.rule,
-        prems, node.principal))
-
-
 def _with_node(p, target, make):
     """A copy of ``p`` in which the node ``target`` is ``make(target,
     premises)``, given its copied premises."""
     return fold(p, _premises, lambda node, prems: (
         make(node, prems) if node is target
         else Proof(node.conclusion, node.rule, prems, node.principal)))
+
+
+def _with_conclusion(p, target, conclusion):
+    """A copy of ``p`` in which the node ``target`` concludes
+    ``conclusion``."""
+    return _with_node(p, target, lambda node, prems: Proof(
+        conclusion, node.rule, prems, node.principal))
 
 
 # Unit, starred and guarded goals, each with the calculus it is proved in
