@@ -387,31 +387,27 @@ def check(p: Proof, calc, memo: Optional[dict] = None) -> bool:
     positions.  The walk is ``syntax.preorder``, so proof depth is not
     bounded by recursion.
 
-    ``memo``, when given, is owned by the caller and keeps each node's
-    match across calls: one table per calculus (``memo[calc.name]``),
-    keyed on the node's conclusion, rule, premise conclusions and
-    recorded principal, which are all the match reads.  It suits a
-    caller that checks many proofs sharing rule instances; the root is
-    still validated on every call.
+    Each node's match is kept in a table keyed on the node's
+    conclusion, rule, premise conclusions and recorded principal, which
+    are all the match reads, so a rule instance is matched once.  The
+    table lives for the call unless the caller passes ``memo``, which it
+    owns and which keeps one table per calculus (``memo[calc.name]``)
+    across calls: it suits a caller that checks many proofs sharing rule
+    instances.  The root is still validated on every call.
     """
     calc = calculus(calc)
     try:
         validate_sequent(p.conclusion, calc)
     except ValueError:
         return False
-    fits = None if memo is None else memo.setdefault(calc.name, {})
+    fits = {} if memo is None else memo.setdefault(calc.name, {})
     for node, _ in preorder(p, _premises):
         stored = tuple(q.conclusion for q in node.premises)
-        if fits is None:
-            fit = _first_fit(node.conclusion, calc, node.rule,
-                             node.principal, stored.__eq__)
-        else:
-            key = (node.conclusion, node.rule, stored, node.principal)
-            fit = fits.get(key, _MISSING)
-            if fit is _MISSING:
-                fit = fits[key] = _first_fit(node.conclusion, calc,
-                                             node.rule, node.principal,
-                                             stored.__eq__)
+        key = (node.conclusion, node.rule, stored, node.principal)
+        fit = fits.get(key, _MISSING)
+        if fit is _MISSING:
+            fit = fits[key] = _first_fit(node.conclusion, calc, node.rule,
+                                         node.principal, stored.__eq__)
         if fit is None:
             return False
         node.principal = fit[0]
