@@ -17,7 +17,7 @@ from lambrack.interpolate import (
     InterpolationResult, extract_interpolant, thin_index,
 )
 from lambrack.prover import (
-    Proof, ProofSearchTimeout, check, parse_proof, prove,
+    Proof, ProofSearchTimeout, Prover, check, parse_proof, prove,
 )
 from lambrack.syntax import (
     L1STAR_DIA_M, LDIA, LDIA_M, leaf, parse_sequent, parse_type, prim,
@@ -326,6 +326,30 @@ class TestCompileAndParse:
         payload = json.loads(out)
         assert payload["nonterminals"] == 3
         assert "->" in payload["cfg"]
+
+    @pytest.mark.parametrize("mutation", ["rule", "conclusion"])
+    def test_wrong_answer_is_refused(self, capsys, monkeypatch, tmp_path,
+                                     mutation):
+        # a bridge proof that fails its check, and one that proves some
+        # other sequent; the grammar built on it is not written
+        bridge = parse_sequent("[ p ] => dia p")
+
+        class Tampering(Prover):
+            def prove(self, s):
+                pf = super().prove(s)
+                if s != bridge:
+                    return pf
+                if mutation == "rule":
+                    return Proof(pf.conclusion, "OverL", pf.premises)
+                return super().prove(parse_sequent("p => p"))
+
+        monkeypatch.setattr("lambrack.compiler.Prover", Tampering)
+        cfg_path = tmp_path / "brackets.cfg"
+        code, out, err = run(capsys, "compile", "brackets.lg",
+                             "--output", str(cfg_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not cfg_path.exists()
 
     def test_parse_unknown_terminal(self, capsys, tmp_path):
         cfg_path = tmp_path / "anbn.cfg"

@@ -84,7 +84,8 @@ def _reference_rulesets(prims, m, calc):
 
     Every flat candidate, in the bucketed nested-loop order, and every
     bridge goes through ``prove``, which starts from an empty memo, so
-    the build's shared ``Prover`` must reproduce these proofs exactly.
+    the build's agenda and shared ``Prover`` must reproduce these rules,
+    their order and their proofs exactly.
     Returns ``(flat, bridges)`` as lists of ``(sequent, proof)``.
     """
     calc = calculus(calc)
@@ -111,7 +112,8 @@ def _reference_rulesets(prims, m, calc):
 
 
 @pytest.mark.parametrize("prims,m,calc", [
-    ({"b", "s"}, 3, LDIA), ({"p"}, 3, LDIA), ({"b"}, 3, L1STAR_DIA),
+    ({"b", "s"}, 3, LDIA), ({"p"}, 3, LDIA), ({"p"}, 3, L1STAR_DIA),
+    ({"p"}, 2, LDIA), ({"p", "q"}, 2, LDIA), ({"p"}, 2, L1STAR_DIA),
 ])
 def test_shared_prover_matches_fresh_memos(prims, m, calc):
     flat, bridges = _reference_rulesets(prims, m, calc)
