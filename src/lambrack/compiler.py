@@ -76,16 +76,16 @@ class RuleSets:
         return self.flat_rules + self.bridge_rules
 
 
-def _build(seeds, types, m: int, prover) -> list:
+def _build(seeds, types, prover) -> list:
     """The rules the ``seeds`` reach, as ``(key, sequent, proof)``.
 
     An agenda starts from the seeds and, when ``prover``'s calculus has
     the unit, from the empty-bracket axiom ``[ ] => dia 1`` and the
     empty row.  A type taken off the agenda is tried alone and beside
     itself and every type taken before it, in both orders, and in its
-    bridges ``[ x ] => dia x`` (when ``dia x`` is within the bound
-    ``m``) and ``[ boxd B ] => B``; the succedent of each provable rule
-    joins the agenda.  A flat candidate ``row => c`` reaches the prover
+    bridges ``[ x ] => dia x`` (when ``dia x`` is among ``types``) and
+    ``[ boxd B ] => B``; the succedent of each provable rule joins the
+    agenda.  A flat candidate ``row => c`` reaches the prover
     only if ``c`` is among ``types`` with the row's free-group word, a
     necessary condition for provability.  Seeded with every type, the
     agenda tries every row of at most two types and every bridge.  The
@@ -143,7 +143,7 @@ def _build(seeds, types, m: int, prover) -> list:
         for y in done[:-1]:
             rows += [(x, y), (y, x)]
         flat(rows)
-        if length(x) <= m - 2:
+        if dia(x) in rank:
             bridge((1, rank[x]), sequent((bracket((leaf(x),)),), dia(x)))
         if isinstance(x, BoxDown):
             bridge((2, rank[x.body]), sequent((bracket((leaf(x),)),), x.body))
@@ -165,7 +165,7 @@ def build_rulesets(prims, m: int, calc) -> RuleSets:
     if m < 1:
         raise ValueError("the length bound must be at least 1")
     types = enum_types(prims, m, guarded=calc.unit)
-    rules = _build(types, types, m, Prover(calc))
+    rules = _build(types, types, Prover(calc))
     return RuleSets(tuple(s for key, s, _ in rules if key[0] == 0),
                     tuple(s for key, s, _ in rules if key[0] == 1),
                     {s: proof for _, s, proof in rules})
@@ -201,7 +201,7 @@ def compile_cfg(g: Grammar, calc, max_types: int = 4000) -> Cfg:
             f"type enumeration too large: {len(types)} > {max_types}")
     logic = L1STAR_DIA if calc.starred else LDIA
     # the prover and its memo are freed before the check's memo grows
-    rules = _build((t for _, t in g.lexicon), types, m, Prover(logic))
+    rules = _build((t for _, t in g.lexicon), types, Prover(logic))
     memo = {}
     for _, s, proof in rules:
         if proof.conclusion != s or not check(proof, logic, memo):

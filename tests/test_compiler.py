@@ -112,8 +112,9 @@ def _reference_rulesets(prims, m, calc):
 
 
 @pytest.mark.parametrize("prims,m,calc", [
-    ({"b", "s"}, 3, LDIA), ({"p"}, 3, LDIA), ({"p"}, 3, L1STAR_DIA),
+    ({"b", "s"}, 3, LDIA), ({"p"}, 3, LDIA), ({"b"}, 3, L1STAR_DIA),
     ({"p"}, 2, LDIA), ({"p", "q"}, 2, LDIA), ({"p"}, 2, L1STAR_DIA),
+    ({"p"}, 3, L1STAR_DIA),
 ])
 def test_shared_prover_matches_fresh_memos(prims, m, calc):
     flat, bridges = _reference_rulesets(prims, m, calc)
