@@ -180,10 +180,11 @@ def compile_cfg(g: Grammar, calc, max_types: int = 4000) -> Cfg:
     rule whose antecedent types all generate (derive some string).  A
     rule with a non-generating antecedent type takes part in no
     derivation, so dropping it keeps the language.  Each rule's proof
-    must conclude the rule and pass ``check``, or nothing is returned
-    (``RuntimeError``).  The productions are the rules with their
-    brackets erased (the bridges trade modalities for brackets, and in
-    starred mode close the unit diamond off), then the lexicon.
+    must conclude the rule and pass ``check``, which matches each node
+    the proofs share once, or nothing is returned (``RuntimeError``).
+    The productions are the rules with their brackets erased (the
+    bridges trade modalities for brackets, and in starred mode close
+    the unit diamond off), then the lexicon.
     """
     calc = calculus(calc)
     if calc.name not in ("Ldia", "LstarDia"):
@@ -200,11 +201,9 @@ def compile_cfg(g: Grammar, calc, max_types: int = 4000) -> Cfg:
         raise ValueError(
             f"type enumeration too large: {len(types)} > {max_types}")
     logic = L1STAR_DIA if calc.starred else LDIA
-    # the prover and its memo are freed before the check's memo grows
     rules = _build((t for _, t in g.lexicon), types, Prover(logic))
-    memo = {}
     for _, s, proof in rules:
-        if proof.conclusion != s or not check(proof, logic, memo):
+        if proof.conclusion != s or not check(proof, logic):
             raise RuntimeError(
                 f"rule proof fails its check: {print_sequent(s)}")
     prods = [(s.succedent, tuple(yield_of(s.antecedent))) for _, s, _ in rules]

@@ -485,27 +485,27 @@ def run_interpolation_sweep(timeout_ms: Optional[float] = None) -> Report:
     Each population proof is checked once and interpolated at every
     span coordinate, and each result must meet ``_contract_fault``'s
     contract.  The prover hands out one proof per settled goal, so the
-    population proofs share subproofs: one ``check`` memo serves the
-    population and contract checks, and one ``_extract`` memo the plain
-    interpolations (``Ldia`` has no unit, so none is guarded).  Each
-    rule instance is matched once and each (proof node, span) problem
-    solved once.  The interpolant at every span of the proof's thin
-    form (built from the checked proof, not checked again) must have the
-    length of the selected span's reduced free-group word.  Thin forms
-    share no nodes across proofs, and they go without a memo.  A proof
-    failing its check is a failure with its sequent as reproducer.
-    The thin-indexed conclusions are the Report's ``thin_sequents``.
+    population proofs share subproofs: ``check`` skips the nodes it has
+    accepted, and one ``_extract`` memo serves the plain interpolations
+    (``Ldia`` has no unit, so none is guarded), so each proof node is
+    matched once and each (proof node, span) problem solved once.  The
+    interpolant at every span of the proof's thin form (built from the
+    checked proof, not checked again) must have the length of the
+    selected span's reduced free-group word.  Thin forms share no nodes
+    across proofs, and they go without a memo.  A proof failing its
+    check is a failure with its sequent as reproducer.  The
+    thin-indexed conclusions are the Report's ``thin_sequents``.
     """
     started = time.monotonic()
     failures = []
     n_parts = n_thin = 0
     pairs = []
     thin_forms = []
-    checked, extracted = {}, {}
+    extracted = {}
     try:
         pairs = _interp_population(timeout_ms)
         for s, pf in pairs:
-            if pf.conclusion != s or not check(pf, LDIA, checked):
+            if pf.conclusion != s or not check(pf, LDIA):
                 failures.append(f"population proof fails its check: "
                                 f"{print_sequent(s)}")
                 continue
@@ -514,7 +514,7 @@ def run_interpolation_sweep(timeout_ms: Optional[float] = None) -> Report:
                 n_parts += 1
                 res = InterpolationResult(
                     *_extract(pf, parent, lo, hi, LDIA, guarded, extracted))
-                if _contract_fault(s, parent, lo, hi, res, LDIA, checked):
+                if _contract_fault(s, parent, lo, hi, res, LDIA):
                     failures.append(
                         f"interpolation contract fails at {parent} "
                         f"[{lo}:{hi}] of {print_sequent(s)}")
@@ -738,8 +738,8 @@ def run_cut_completeness(timeout_ms: Optional[float] = None,
                         d = cut_derives(base, s)
                         if pf is not None:
                             provable += 1
-                            # a search proof carries the principals the
-                            # rebuild reads
+                            # a search proof is built with the
+                            # principals the rebuild reads
                             thin_forms.append(_thin_rebuild(pf)[0].conclusion)
                         if d is not None:
                             derivable += 1
@@ -849,14 +849,6 @@ def run_equivalence(source, calc=LDIA, max_len: Optional[int] = None,
                 continue
             if direct:
                 members += 1
-        if calc.starred:
-            eps_compiled = derives(cfg, cfg.start, []) is not None
-            eps_direct = prove(sequent((), g.distinguished), L1STAR_DIA,
-                               timeout_ms=timeout_ms) is not None
-            if eps_compiled != eps_direct:
-                failures.append(
-                    "empty-string membership disagrees with the "
-                    "degenerate empty-antecedent check")
     except ProofSearchTimeout as exc:
         failures.append(f"proof search timed out: {exc}")
 

@@ -126,7 +126,7 @@ def thin_index(p: Proof, calc):
 
 def _thin_rebuild(p: Proof):
     """``thin_index`` of a proof that ``check`` has already passed,
-    which records the principals the rebuild reads."""
+    which confirmed the principals the rebuild reads."""
     theta = {}
     indices = count(1)
 
@@ -185,23 +185,19 @@ def extract_interpolant(p: Proof, part: Partition, calc,
 
 
 def _contract_fault(s: Sequent, parent: tuple, lo: int, hi: int,
-                    res: InterpolationResult, calc,
-                    memo: Optional[dict] = None) -> Optional[str]:
+                    res: InterpolationResult, calc) -> Optional[str]:
     """Why ``res`` does not interpolate ``s`` at the span ``[lo, hi)``
     under ``parent``, or None: its proofs must conclude the two cut
     halves and pass ``check``, and each primitive and modality index
-    may occur in ``E`` no more often than on either side of the cut.
-    ``memo`` is the caller's ``check`` memo, passed to both checks; it
-    keeps one table per calculus, keyed on each node's conclusion,
-    rule, premise conclusions and recorded principal."""
+    may occur in ``E`` no more often than on either side of the cut."""
     ante, e = s.antecedent, res.interpolant
     selected = children_at(ante, parent)[lo:hi]
     right = sequent(replace_span(ante, parent, lo, hi, (leaf(e),)),
                     s.succedent)
     if (res.left_proof.conclusion != sequent(selected, e)
             or res.right_proof.conclusion != right
-            or not check(res.left_proof, calc, memo)
-            or not check(res.right_proof, calc, memo)):
+            or not check(res.left_proof, calc)
+            or not check(res.right_proof, calc)):
         return "an interpolation proof fails its check against its cut half"
     outer = sequent(replace_span(ante, parent, lo, hi, ()), s.succedent)
     # one walk per object gives its primitive and its modality counts

@@ -63,25 +63,32 @@ class ProofSearchTimeout(RuntimeError):
 
 
 class Proof:
-    """A rule-labeled derivation tree.
+    """A rule-labeled derivation tree, read-only once built.
 
     ``principal`` identifies the rule instance: ``None`` for rules
     determined by the sequent alone, the split position ``k`` for the
     product right rule, and a position tuple for left rules (see
-    ``instances``).  Proofs parsed from text carry ``None``
-    principals throughout; ``check`` infers them.
+    ``instances``), recorded by whatever builds the node.  Assigning a
+    field raises ``AttributeError``; ``check`` alone records, in
+    ``_checked``, the calculi in which it accepted the node's subtree.
     """
 
-    __slots__ = ("conclusion", "rule", "premises", "principal")
+    __slots__ = ("conclusion", "rule", "premises", "principal", "_checked")
 
     def __init__(self, conclusion: Sequent, rule: str, premises=(),
                  principal=None):
         if rule not in RULES:
             raise ValueError(f"unknown rule tag {rule!r}")
-        self.conclusion = conclusion
-        self.rule = rule
-        self.premises = tuple(premises)
-        self.principal = principal
+        _set_conclusion(self, conclusion)
+        _set_rule(self, rule)
+        _set_premises(self, tuple(premises))
+        _set_principal(self, principal)
+        _set_checked(self, ())
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"proof nodes are read-only: {name}")
+
+    __delattr__ = __setattr__
 
     def __repr__(self):
         return f"<proof {self.rule} {print_sequent(self.conclusion)}>"
@@ -102,6 +109,8 @@ class Proof:
         return hash((self.conclusion, self.rule))
 
 
+(_set_conclusion, _set_rule, _set_premises, _set_principal,
+ _set_checked) = (Proof.__dict__[f].__set__ for f in Proof.__slots__)
 _premises = attrgetter("premises")
 
 
@@ -370,47 +379,43 @@ def prove(s: Sequent, calc, timeout_ms: Optional[float] = None) -> Optional[Proo
 # Checking
 
 
-def check(p: Proof, calc, memo: Optional[dict] = None) -> bool:
+def check(p: Proof, calc) -> bool:
     """True iff every node of ``p`` is a legal rule instance of ``calc``.
 
     Independent of the search: usable as an oracle on hand-built or
     parsed proofs.  The root's conclusion must be well formed for
-    ``calc``, and each node must match an instance of ``instances``:
-    the first one, in canonical order, with the node's rule, the node's
-    premise conclusions and, when the node records a principal, that
-    principal (``None`` for the rules that take none).  No other node
-    is validated: each equals a premise ``instances`` yielded for its
-    accepted parent, and those are well formed for ``calc``.  A node
-    whose argument span does not balance its argument type matches
-    none.  The matching principal is recorded on the node, so a checked
-    proof is ready for the machinery that dispatches on principal
-    positions.  The walk is ``syntax.preorder``, so proof depth is not
-    bounded by recursion.
-
-    Each node's match is kept in a table keyed on the node's
-    conclusion, rule, premise conclusions and recorded principal, which
-    are all the match reads, so a rule instance is matched once.  The
-    table lives for the call unless the caller passes ``memo``, which it
-    owns and which keeps one table per calculus (``memo[calc.name]``)
-    across calls: it suits a caller that checks many proofs sharing rule
-    instances.  The root is still validated on every call.
+    ``calc``, and each node must match an instance of ``instances``
+    with the node's rule, the node's premise conclusions and exactly
+    the node's recorded principal (``None`` only for the rules that
+    take none).  No other node is validated: each equals a premise
+    ``instances`` yielded for its accepted parent, and those are well
+    formed for ``calc``.  A node whose argument span does not balance
+    its argument type matches none.  No principal is written.  When
+    ``p`` passes, each node it matched records ``calc``, and later
+    calls in ``calc`` skip that subtree, so each node of proofs that
+    share subtrees is matched once; a failed call records nothing.  The
+    walk keeps its own stack, so depth is not bounded by recursion.
     """
     calc = calculus(calc)
     try:
         validate_sequent(p.conclusion, calc)
     except ValueError:
         return False
-    fits = {} if memo is None else memo.setdefault(calc.name, {})
-    for node, _ in preorder(p, _premises):
+    name = calc.name
+    matched, stack = {}, [p]
+    while stack:
+        node = stack.pop()
+        if name in node._checked or id(node) in matched:
+            continue
         stored = tuple(q.conclusion for q in node.premises)
-        key = (node.conclusion, node.rule, stored, node.principal)
-        fit = fits.get(key, _MISSING)
-        if fit is _MISSING:
-            fit = fits[key] = _first_fit(node.conclusion, calc, node.rule,
-                                         node.principal, stored.__eq__)
-        if fit is None:
+        fit = _first_fit(node.conclusion, calc, node.rule, node.principal,
+                         stored.__eq__)
+        if fit is None or fit[0] != node.principal:
             return False
-        node.principal = fit[0]
+        matched[id(node)] = node
+        stack.extend(node.premises)
+    for node in matched.values():
+        _set_checked(node, node._checked + (name,))
     return True
 
 
@@ -419,8 +424,8 @@ def _first_fit(s: Sequent, calc: Calculus, rule: str, principal,
     """``(principal, premises)`` of the first instance of ``rule``
     concluding ``s``, in canonical order, with that principal (any when
     ``principal`` is None) and premises that ``fits`` accepts, or None.
-    The one node matcher: ``check`` compares premises by value,
-    ``parse_proof`` by their printed text."""
+    The one node matcher: ``check`` compares premises by value, and
+    ``parse_proof`` by printed text, then by value once that fails."""
     for r, pr, premises in instances(s, calc):
         if r == rule and principal in (None, pr) and fits(premises):
             return pr, premises
@@ -439,19 +444,21 @@ def print_proof(p: Proof) -> str:
 
 
 def parse_proof(text: str) -> Proof:
-    """Inverse of ``print_proof``; principals are left to be inferred.
+    """Inverse of ``print_proof``, with every principal recorded.
 
     Only the root line is parsed as a sequent.  Walking the lines in
     preorder, each node's children take their conclusions from the
     first instance of the node's rule (``instances`` in the unit and
     starred calculus, whose instances include every calculus's) whose
-    premises print exactly as the child lines.  A premise that prints
-    as a line is the sequent that parsing the line gives, so the proof
-    is the one a line-by-line parse builds.  Once a node's children fit
-    no instance (hand-spaced text, or a proof no calculus accepts), the
-    remaining lines are parsed one by one.  A text whose indentation
-    does not form one tree is parsed line by line in full, so the first
-    bad line, in line order, is reported before any structure error.
+    premises print exactly as the child lines, and the node its
+    principal.  A premise that prints as a line is the sequent that
+    parsing the line gives, so the proof is the one a line-by-line
+    parse builds.  Once a node's children fit no instance (hand-spaced
+    text, or a proof no calculus accepts), the remaining lines are
+    parsed one by one and matched by value; a node that fits nothing
+    records no principal.  A text whose indentation does not form one
+    tree is parsed line by line in full, so the first bad line, in line
+    order, is reported before any structure error.
     """
     rows = []      # (line number, format error, depth, rule, sequent text)
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -488,10 +495,11 @@ def parse_proof(text: str) -> Proof:
             kids[stack[-1]].append(i)
         stack.append(i)
 
-    conclusions = [None] * len(rows)
+    conclusions, principals = [None] * len(rows), [None] * len(rows)
     if shape_error is None and not any(row[1] for row in rows):
         conclusions[0] = _parse_line(rows[0])
         for i, (_, _, _, rule, _) in enumerate(rows):
+            fitted = i     # each line before fits its printed children
             if not kids[i]:
                 continue
             texts = [rows[k][4] for k in kids[i]]
@@ -501,6 +509,7 @@ def parse_proof(text: str) -> Proof:
                     print_sequent(s) == t for s, t in zip(premises, texts)))
             if fit is None:
                 break
+            principals[i] = fit[0]
             for k, s in zip(kids[i], fit[1]):
                 conclusions[k] = s
     for i, row in enumerate(rows):
@@ -515,8 +524,12 @@ def parse_proof(text: str) -> Proof:
     # line up finds each node's premises already built
     built = [None] * len(rows)
     for i in range(len(rows) - 1, -1, -1):
-        built[i] = Proof(conclusions[i], rows[i][3],
-                         [built[k] for k in kids[i]])
+        premises = [built[k] for k in kids[i]]
+        if i >= fitted and premises:
+            fit = _first_fit(conclusions[i], L1STAR_DIA_M, rows[i][3], None,
+                             tuple(conclusions[k] for k in kids[i]).__eq__)
+            principals[i] = fit and fit[0]
+        built[i] = Proof(conclusions[i], rows[i][3], premises, principals[i])
     return built[0]
 
 

@@ -277,28 +277,37 @@ class TestInterpolationSweep:
         monkeypatch.setattr(harness, "_interp_population",
                             lambda timeout_ms=None: interp_population)
         for module in (harness, interpolate):
-            monkeypatch.setattr(module, "check", lambda p, calc, memo=None: (
-                checked.append(p) or check(p, calc, memo)))
+            monkeypatch.setattr(module, "check", lambda p, calc: (
+                checked.append(p) or check(p, calc)))
         r = run_interpolation_sweep()
         assert r.ok and r.counts["partitions"] == 9342
         assert len(checked) == 1996 + 2 * 9342
 
-    def test_matches_each_rule_instance_once(self, monkeypatch,
-                                             interp_population):
-        # the population and contract checks share one check memo, so
-        # each rule instance they meet is matched once; without it the
-        # same 4,330 instances took 93,608 matches
-        first_fit, keys = prover._first_fit, []
+    def test_matches_each_rule_instance_once(self, monkeypatch):
+        # the population and contract checks skip the nodes check has
+        # accepted, so each distinct proof node they meet is matched
+        # once: the sweep builds its own population, so every node
+        # starts unaccepted and is matched at least once, and there are
+        # as many matches as nodes.  Each of the 93,608 node visits was
+        # a match before any memo; a memo of rule instances made 4,330.
+        first_fit, fits, checked = prover._first_fit, [], []
 
-        def counting(s, calc, rule, principal, fits):
-            keys.append((s, calc.name, rule, principal, fits.__self__))
-            return first_fit(s, calc, rule, principal, fits)
+        def counting(*args):
+            fits.append(args)
+            return first_fit(*args)
 
-        monkeypatch.setattr(harness, "_interp_population",
-                            lambda timeout_ms=None: interp_population)
         monkeypatch.setattr(prover, "_first_fit", counting)
+        for module in (harness, interpolate):
+            monkeypatch.setattr(module, "check", lambda p, calc: (
+                checked.append(p) or check(p, calc)))
         assert run_interpolation_sweep().ok
-        assert len(keys) == len(set(keys)) == 4330
+        nodes, stack = {}, list(checked)
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes[id(node)] = node
+                stack.extend(node.premises)
+        assert len(fits) == len(nodes) == 15618
 
     def test_proof_failing_its_check_is_a_failure(self, monkeypatch):
         s = parse_sequent("p p \\ q => q")
@@ -379,6 +388,16 @@ class TestEquivalence:
     def test_rejects_other_calculi(self):
         with pytest.raises(ValueError):
             run_equivalence("anbn.lg", "L1starDia")
+
+    def test_empty_string_in_an_empty_bracket(self, tmp_path):
+        # the empty string is a member on both sides, by [ ] => dia (p / p)
+        # and by the compiled CFG; the bracket-free => dia (p / p) is
+        # unprovable and decides nothing about it
+        path = tmp_path / "unit.lg"
+        path.write_text("lexicon a : p / p\ntarget : dia (p / p)\n")
+        r = run_equivalence(path, "LstarDia", max_len=0)
+        assert r.ok, r.reproducer
+        assert r.counts == {"strings": 1, "members": 1}
 
 
 class TestReportOutput:

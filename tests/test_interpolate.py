@@ -33,7 +33,10 @@ from lambrack.syntax import (
     subtree, under,
 )
 from helpers import cut_candidates, eliminate_bracket
-from test_prover import GOLDEN, _shape, _small_sequents
+from test_prover import (
+    GOLDEN, _principals, _ref_check, _ref_principals, _shape,
+    _small_sequents,
+)
 
 P, Q = prim("p"), prim("q")
 
@@ -536,24 +539,27 @@ def _bare(p):
 
 class TestSweepMemos:
     def test_memos_change_no_result(self, interp_population):
-        # in the sweep's order, with one shared memo each: every plain
+        # in the sweep's order, with one shared _extract memo and the
+        # marks check leaves on accepted nodes: every plain
         # interpolation is the one a memo-free _extract builds, node by
-        # node, and checking its proofs bare of principals gives the
-        # verdicts and principals a memo-free check gives
-        extracted, checked = {}, {}
+        # node, and its check gives the verdict of the reference check,
+        # which keeps no marks; its copy bare of principals shares no
+        # marked node and is refused wherever a node takes a principal
+        extracted = {}
         proofs = 0
         for s, pf in interp_population:
-            assert check(pf, LDIA, checked)
+            assert check(pf, LDIA)
             for coords in partitions(s.antecedent):
                 got = _extract(pf, *coords, LDIA, False, extracted)
                 want = _extract(pf, *coords, LDIA, False)
                 assert got[0] is want[0]
                 for g, w in zip(got[1:], want[1:]):
                     assert _shape(g) == _shape(w)
-                    assert check(g, LDIA, checked)
-                    bare_g, bare_w = _bare(g), _bare(w)
-                    assert check(bare_g, LDIA, checked) is check(bare_w, LDIA)
-                    assert _shape(bare_g) == _shape(bare_w)
+                    assert check(g, LDIA) is _ref_check(w, LDIA) is True
+                    bare = _bare(g)
+                    assert check(bare, LDIA) is all(
+                        pr is None for pr in _principals(g))
+                    assert _ref_principals(bare, LDIA) == _principals(g)
                     proofs += 1
         assert proofs == 2 * 9342
 

@@ -182,3 +182,27 @@ def test_unreached_definitions():
     found = {f"{module}.{name}" for module, name in defined
              if name not in read and name not in lambrack.__all__}
     assert found == UNREACHED
+
+
+PROOF_FIELDS = {"conclusion", "rule", "premises", "principal", "_checked"}
+
+
+def test_proof_fields_are_never_assigned():
+    # a proof node keeps the principal it is built with: no module
+    # assigns or deletes a field of that name, and only prover.py, which
+    # builds and marks nodes, calls a slot setter past the read-only
+    # ``__setattr__`` (``object.__setattr__`` or a descriptor's
+    # ``__set__``) or the ``setattr`` builtin
+    assigned, bypass = [], []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if (isinstance(node, ast.Attribute) and node.attr in PROOF_FIELDS
+                    and isinstance(node.ctx, (ast.Store, ast.Del))):
+                assigned.append(where)
+            elif path.name != "prover.py" and (
+                    isinstance(node, ast.Attribute)
+                    and node.attr in ("__setattr__", "__set__")
+                    or isinstance(node, ast.Name) and node.id == "setattr"):
+                bypass.append(where)
+    assert assigned == [] and bypass == []

@@ -2,6 +2,7 @@
 
 import functools
 import gc
+import operator
 import random
 import sys
 from collections import Counter
@@ -687,28 +688,38 @@ def _chain(bottom):
     and the chain one shorter, built bottom up from ``bottom``."""
     node = bottom
     for s in _chain_conclusions():
-        node = Proof(s, "UnderL", (_AX, node))
+        node = Proof(s, "UnderL", (_AX, node), ((), 0, 1))
     return node
 
 
-def _ref_check(p, calc):
+def _ref_principals(p, calc):
     """The replaced ``check``, which validated every node's conclusion
-    and not only the root's."""
+    and not only the root's, and inferred each principal a node did not
+    record: the principals it confirms or infers, in preorder, or None
+    when it refuses ``p``.  It writes nothing."""
     calc = calculus(calc)
+    out = []
     for node, _ in preorder(p, _premises):
-        try:
-            validate_sequent(node.conclusion, calc)
-        except ValueError:
-            return False
+        if not _valid(node.conclusion, calc):
+            return None
         stored = tuple(q.conclusion for q in node.premises)
         for rule, principal, premises in instances(node.conclusion, calc):
             if (rule == node.rule and premises == stored
                     and node.principal in (None, principal)):
-                node.principal = principal
+                out.append(principal)
                 break
         else:
-            return False
-    return True
+            return None
+    return out
+
+
+def _ref_check(p, calc):
+    return _ref_principals(p, calc) is not None
+
+
+def _principals(p):
+    """Every node's recorded principal, in preorder."""
+    return [node.principal for node, _ in preorder(p, _premises)]
 
 
 def _valid(s, calc):
@@ -736,9 +747,11 @@ def _invalid_in(s, calc):
 
 def _with_node(p, target, make):
     """A copy of ``p`` in which the node ``target`` is ``make(target,
-    premises)``, given its copied premises."""
+    premises)``: the nodes on the path to it are rebuilt, and every
+    other subtree is ``p``'s own."""
     return fold(p, _premises, lambda node, prems: (
         make(node, prems) if node is target
+        else node if all(map(operator.is_, prems, node.premises))
         else Proof(node.conclusion, node.rule, prems, node.principal)))
 
 
@@ -780,13 +793,15 @@ def check_population(interp_population, reduction_population):
 
 class TestCheck:
     def test_matches_the_per_node_check(self, check_population):
-        # every population proof in its calculus, with a copy in which
-        # one inner conclusion is swapped for one the calculus refuses;
-        # every 10th proof also in every other calculus
+        # every population proof in its calculus, where the reference
+        # confirms every recorded principal, with a copy in which one
+        # inner conclusion is swapped for one the calculus refuses; every
+        # 10th proof also in every other calculus
         rng = random.Random(20)
         tampered = 0
         for i, (pf, home) in enumerate(check_population):
-            assert check(pf, home) and _ref_check(pf, home)
+            assert check(pf, home)
+            assert _ref_principals(pf, home) == _principals(pf)
             inner = [node for node, _ in preorder(pf, _premises)][1:]
             if inner:
                 target = rng.choice(inner)
@@ -867,36 +882,44 @@ class TestCheck:
         for node in (split0, over0):
             assert check(node, LSTAR_DIA)
             assert not check(node, LDIA)
-            node.principal = None
-            assert not check(node, LDIA)
-            assert check(node, LSTAR_DIA)
-        # BoxDownL needs the bracket's index to be the boxd's
+            # without its principal, a copy is refused in both, though
+            # the reference infers the one the node records
+            bare = Proof(node.conclusion, node.rule, node.premises)
+            assert not check(bare, LDIA)
+            assert not check(bare, LSTAR_DIA)
+            assert _ref_principals(bare, LSTAR_DIA) == _principals(node)
+        # BoxDownL needs the bracket's index to be the boxd's, and its
+        # principal recorded
         for text, ok in (("[:2 boxd:2 p ]:2 => p", True),
                          ("[:1 boxd:2 p ]:1 => p", False)):
             for principal in (((), 0), None):
                 node = Proof(parse_sequent(text), "BoxDownL", (ax["p"],),
                              principal)
-                assert check(node, LDIA_M) is ok, (text, principal)
-        # a recorded principal must be the one that matches
+                assert check(node, LDIA_M) is (ok and principal is not None)
+                assert _ref_check(node, LDIA_M) is ok, (text, principal)
+        # a recorded principal must be the one that matches, and a
+        # missing one is refused where the reference infers it
         q = parse_proof(GOLDEN_PROOF)
         under_node = q.premises[0].premises[0].premises[0]
-        under_node.principal = ((), 1, 1)
-        assert not check(q, LSTAR_DIA)
-        under_node.principal = None
-        assert check(q, LSTAR_DIA)
         assert under_node.principal == ((), 0, 1)
+        for wrong in (((), 1, 1), None):
+            bad = _with_node(q, under_node, lambda n, prems: Proof(
+                n.conclusion, n.rule, prems, wrong))
+            assert not check(bad, LSTAR_DIA)
+            assert _ref_check(bad, LSTAR_DIA) is (wrong is None)
+        assert check(q, LSTAR_DIA)
 
     def test_memo_accepts_no_tampered_copy(self):
-        # a memo warmed on good proofs still refuses a copy with a wrong
-        # rule tag, swapped premises or a principal no instance has, and
-        # a verdict from LstarDia is not reused in Ldia
-        memo = {}
+        # the marks left by accepted proofs do not accept a copy with a
+        # wrong rule tag, swapped premises or a principal no instance
+        # has, though the copy shares every other subtree with them, and
+        # a mark from LstarDia is not reused in Ldia
         p = prove(parse_sequent(GOLDEN), LDIA)
         ax = {t: Proof(parse_sequent(f"{t} => {t}"), "Ax") for t in "pq"}
         empty_arg = Proof(parse_sequent("=> q / q"), "OverR", (ax["q"],))
         over0 = Proof(parse_sequent("p / (q / q) => p"), "OverL",
                       (empty_arg, ax["p"]), ((), 0, 1))
-        assert check(p, LDIA, memo) and check(over0, LSTAR_DIA, memo)
+        assert check(p, LDIA) and check(over0, LSTAR_DIA)
         under_node = p.premises[0].premises[0].premises[0]
         assert under_node.principal == ((), 0, 1)
         for tamper in (
@@ -907,9 +930,77 @@ class TestCheck:
                 lambda n, prems: Proof(n.conclusion, n.rule, prems,
                                        ((), 1, 1))):
             q = _with_node(p, under_node, tamper)
-            assert check(q, LDIA, memo) is _ref_check(q, LDIA) is False
-        assert check(p, LDIA, memo)
-        assert check(over0, LDIA, memo) is _ref_check(over0, LDIA) is False
+            copied = q.premises[0].premises[0].premises[0]
+            assert set(map(id, copied.premises)) == \
+                set(map(id, under_node.premises))
+            assert check(q, LDIA) is _ref_check(q, LDIA) is False
+        assert check(p, LDIA)
+        assert check(over0, LDIA) is _ref_check(over0, LDIA) is False
+        assert over0._checked == ("LstarDia",)
+
+    def test_fields_are_read_only(self):
+        p = prove(parse_sequent(GOLDEN), LDIA)
+        for field in ("conclusion", "rule", "premises", "principal",
+                      "_checked"):
+            value = getattr(p, field)
+            with pytest.raises(AttributeError):
+                setattr(p, field, value)
+            with pytest.raises(AttributeError):
+                delattr(p, field)
+            assert getattr(p, field) is value
+        with pytest.raises(AttributeError):
+            p.extra = None
+        assert check(p, LDIA)
+
+    def test_refuses_a_missing_principal(self):
+        ax = {t: Proof(parse_sequent(f"{t} => {t}"), "Ax") for t in "pq"}
+        s = parse_sequent("p p \\ q => q")
+        assert check(Proof(s, "UnderL", (ax["p"], ax["q"]), ((), 0, 1)),
+                     LDIA)
+        bare = Proof(s, "UnderL", (ax["p"], ax["q"]))
+        assert not check(bare, LDIA) and not check(bare, LSTAR_DIA)
+        assert _ref_principals(bare, LDIA) == [((), 0, 1), None, None]
+
+    def test_failed_check_records_nothing(self):
+        # the tampered node sits below nodes that match, and above a
+        # subtree that matches; none of them is marked
+        p = prove(parse_sequent(GOLDEN), LDIA)
+        under_node = p.premises[0].premises[0].premises[0]
+        q = _with_node(p, under_node, lambda n, prems: Proof(
+            n.conclusion, n.rule, prems, ((), 1, 1)))
+        for _ in range(2):
+            assert not check(q, LDIA)
+            assert all(node._checked == () for node, _ in
+                       preorder(q, _premises))
+        assert check(p, LDIA)
+        assert all(node._checked == ("Ldia",) for node, _ in
+                   preorder(p, _premises))
+        # q now shares p's accepted subtrees, and is refused all the same
+        assert not check(q, LDIA)
+        assert q._checked == ()
+
+    def test_accepted_subtrees_are_matched_once(self, monkeypatch):
+        fits = []
+        real = prover._first_fit
+
+        def counted(*args):
+            fits.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(prover, "_first_fit", counted)
+        # the search's two ``p => p`` leaves are one node: 6 of 7 lines
+        p = prove(parse_sequent(GOLDEN), LDIA)
+        assert check(p, LDIA) and len(fits) == 6
+        assert check(p, LDIA) and len(fits) == 6
+        # a new root over p's accepted proof matches only itself
+        up = Proof(parse_sequent(f"[ {GOLDEN.replace('=> ', '] => dia ')}"),
+                   "DiaR", (p,))
+        assert check(up, LDIA) and fits[6:] == [up.conclusion]
+        # within one call, a premise shared twice is matched once
+        ax = Proof(parse_sequent("p => p"), "Ax")
+        both = Proof(parse_sequent("p p => p * p"), "ProdR", (ax, ax), 1)
+        del fits[:]
+        assert check(both, LDIA) and len(fits) == 2
 
     def test_rejects_unbalanced_arguments(self, interp_population):
         # each node concludes a balanced sequent at an instance whose
@@ -1166,19 +1257,50 @@ def _chain_lines(n):
 
 class TestProofReader:
     def test_matches_the_line_by_line_reader(self, check_population):
-        # every population proof printed and re-spaced, every other one
-        # also tampered
-        kinds = Counter()
-        for i, (pf, _) in enumerate(check_population):
+        # The differential gate: every population proof printed and
+        # re-spaced, every other one also tampered, read by parse_proof
+        # and checked in its calculus, against the reference pair that
+        # parse_proof and check replaced: the line-by-line reader, which
+        # records no principal (the replaced reader built the same
+        # proofs), and the check that inferred them.  Both give the same
+        # proof and verdict, and an accepted proof records the
+        # principals the reference infers.  Of each accepted proof, a
+        # copy with one principal wrong is refused on both sides, and
+        # one with it missing is refused where the reference infers it.
+        kinds, verdicts = Counter(), Counter()
+        for i, (pf, calc) in enumerate(check_population):
             for kind, text in _text_variants(print_proof(pf), i % 2 == 0):
                 got = _parse_outcome(parse_proof, text)
-                assert got == _parse_outcome(_parse_proof_line_by_line,
-                                             text), text
+                ref = _parse_outcome(_parse_proof_line_by_line, text)
+                assert got == ref, text
                 assert isinstance(got, Proof)
-                assert all(node.principal is None
-                           for node, _ in preorder(got, _premises))
+                inferred = _ref_principals(ref, calc)
+                ok = check(got, calc)
+                assert ok is (inferred is not None), (kind, text)
                 kinds[kind] += 1
+                verdicts[kind, ok] += 1
+                if not ok:
+                    continue
+                assert _principals(got) == inferred, text
+                if kind != "printed" or i % 2:
+                    continue
+                target = next((node for node, _ in preorder(got, _premises)
+                               if node.principal is not None), None)
+                if target is None:
+                    continue
+                pr = target.principal
+                wrong = (pr + 1 if isinstance(pr, int)
+                         else (pr[0], pr[1] + 1) + pr[2:])
+                for recorded in (wrong, None):
+                    bad = _with_node(got, target, lambda n, prems: Proof(
+                        n.conclusion, n.rule, prems, recorded))
+                    assert not check(bad, calc), text
+                    assert _ref_check(bad, calc) is (recorded is None)
+                    verdicts["principal", recorded is None] += 1
         assert min(kinds.values()) > 1000, kinds
+        refused = [verdicts[kind, False] for kind in
+                   ("swapped", "rule", "conclusion", "principal")]
+        assert min(refused) > 2000 and verdicts["principal", True] > 3000
 
     def test_canonical_chain_parses_only_the_root(self, monkeypatch):
         lines, pf = _chain_lines(200)
@@ -1208,10 +1330,13 @@ class TestProofReader:
             return fits[-1]
 
         monkeypatch.setattr(prover, "_first_fit", counted)
-        assert parse_proof("\n".join(lines)) == pf
-        # one miss, and no matching after it
-        assert fits.count(None) == 1 and fits[-1] is None
-        assert len(fits) == (1 if spaced == "all" else 199)
+        got = parse_proof("\n".join(lines))
+        assert got == pf and _principals(got) == _principals(pf)
+        # one miss by printed text; after it, each node with premises
+        # that the text did not fit is matched once by value
+        fitted = 0 if spaced == "all" else 198
+        assert fits.count(None) == 1 and fits[fitted] is None
+        assert len(fits) == fitted + 1 + (199 - fitted)
 
 
 class TestEngine:
