@@ -14,6 +14,7 @@ successful answer), 1 for failed claims or internal check failures,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from operator import attrgetter
@@ -21,7 +22,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .cfgkit import (
-    cut_derives, derives, parse_cfg, print_cfg, replay_cuts,
+    CutBase, cut_derives, derives, parse_cfg, print_cfg, replay_cuts,
     replay_derivation,
 )
 from .compiler import compile_cfg
@@ -40,7 +41,7 @@ from .prover import (
 from .syntax import (
     ParseError, Type, calculus, children_at, deindex, hole_coords,
     is_thin, parse_context, parse_hedge, parse_sequent, parse_type, preorder,
-    print_sequent, print_type,
+    print_sequent, print_type, sequent,
 )
 from .freegroup import print_word, word_of
 
@@ -219,21 +220,40 @@ def _cut_lines(d):
         yield "  " * depth + print_sequent(node.conclusion) + tag
 
 
-def _cmd_cut_derive(args) -> int:
+def _read_base(text: str) -> list:
+    """The sequents of a base file, one a line; blank lines and ``#``
+    comments are skipped.
+
+    Each distinct antecedent and succedent text is parsed once, as
+    ``parse_cfg`` parses each distinct type once.  A line that does not
+    split into one parsed hedge and one parsed type is re-read whole by
+    ``parse_sequent``, so its error gives the position in the line.
+    """
+    hedge, type_ = functools.cache(parse_hedge), functools.cache(parse_type)
     base = []
-    for lineno, line in enumerate(_read_text(args.base).splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
-        if line and not line.startswith("#"):
+        if not line or line.startswith("#"):
+            continue
+        try:
+            ante, succ = line.split("=>")
+            base.append(sequent(hedge(ante), type_(succ)))
+        except ValueError:
             try:
                 base.append(parse_sequent(line))
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: {exc}") from None
+    return base
+
+
+def _cmd_cut_derive(args) -> int:
+    base = CutBase(_read_base(_read_text(args.base)))
     goal = parse_sequent(args.sequent)
     d = cut_derives(base, goal)
     if d is None:
         _emit(args, {"derivable": False}, "NO")
         return 0
-    if d.conclusion != goal or not replay_cuts(d, set(base)):
+    if d.conclusion != goal or not replay_cuts(d, base):
         print("error: Cut derivation fails its replay over the base",
               file=sys.stderr)
         return 1
@@ -270,7 +290,10 @@ def _cmd_report(args) -> int:
     return 0 if all(r.ok for r in reports) else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first ``main`` call and reused:
+    each subcommand's handler looks its callees up when it runs."""
     parser = argparse.ArgumentParser(
         prog="lambrack",
         description="Proof search, interpolation, and grammar compilation "

@@ -9,7 +9,8 @@ import pytest
 from lambrack.cfgkit import (
     CutDerivation, Derivation, cut_derives, replay_cuts,
 )
-from lambrack.cli import _cut_lines, main
+from lambrack.cli import _build_parser, _cut_lines, _read_base, main
+from lambrack.compiler import build_rulesets
 from lambrack.harness import (
     Report, default_max_len, run_equivalence, write_reports,
 )
@@ -20,8 +21,8 @@ from lambrack.prover import (
     Proof, ProofSearchTimeout, Prover, check, parse_proof, prove,
 )
 from lambrack.syntax import (
-    L1STAR_DIA_M, LDIA, LDIA_M, leaf, parse_sequent, parse_type, prim,
-    sequent,
+    L1STAR_DIA_M, LDIA, LDIA_M, ParseError, leaf, parse_sequent, parse_type,
+    prim, print_sequent, sequent,
 )
 
 THIN_GOAL = "[ [ p ] dia p \\ p ] => boxd dia dia p"
@@ -438,13 +439,57 @@ class TestCutDerive:
         assert code == 2
         assert err.startswith("error:")
 
-
-    def test_bad_base_line_is_named(self, capsys, tmp_path):
+    @pytest.mark.parametrize("line,message", [
+        pytest.param("b => (b", "expected ')' (at position 7)",
+                     id="unclosed-paren"),
+        pytest.param("p p", "expected '=>' (at position 3)", id="no-arrow"),
+        pytest.param("p => p => p",
+                     "unexpected trailing input (at position 7)",
+                     id="two-arrows"),
+        pytest.param("_ => p", "hole token outside context parsing",
+                     id="hole"),
+        pytest.param("p $ => p", "unexpected character '$' (at position 2)",
+                     id="refused-character"),
+        pytest.param("[ p => dia p",
+                     "expected a closing bracket (at position 4)",
+                     id="unclosed-bracket"),
+        pytest.param("p =>", "expected a type (at position 4)",
+                     id="empty-succedent"),
+    ])
+    def test_bad_base_line_is_named(self, capsys, tmp_path, line, message):
+        # the position is the whole line's, as parse_sequent reports it
+        with pytest.raises(ParseError) as exc:
+            parse_sequent(line)
+        assert str(exc.value) == message
         path = tmp_path / "base.seq"
-        path.write_text("# base\np => p\n\nb => (b\n")
+        path.write_text(f"# base\np => p\n\n{line}\n")
         code, _, err = run(capsys, "cut-derive", str(path), "p => p")
         assert code == 2
-        assert err == "error: line 4: expected ')' (at position 7)\n"
+        assert err == f"error: line 4: {message}\n"
+
+    @pytest.mark.parametrize("m,calc,goals", [
+        (3, "Ldia", ["[ p p \\ p ] => dia p", "p => dia p",
+                     "p p \\ p p \\ p => p", "[ boxd p ] => p", "p p => p",
+                     "[ [ p ] ] => dia dia p"]),
+        (2, "L1starDia", ["[ ] => dia 1", "p => p", "1 => 1",
+                          "p / p p p \\ p => p", "dia p => p"]),
+    ], ids=["Ldia-3", "L1starDia-2"])
+    def test_base_reads_as_its_lines(self, capsys, tmp_path, m, calc, goals):
+        # the file the rule base prints reads as per-line parse_sequent
+        # reads it, and each goal gets the reference base's answer
+        lines = [print_sequent(s) for s in build_rulesets({"p"}, m, calc).rules]
+        path = tmp_path / "base.seq"
+        path.write_text("".join(line + "\n" for line in lines))
+        ref = [parse_sequent(line) for line in lines]
+        assert _read_base(path.read_text()) == ref
+        verdicts = set()
+        for goal in goals:
+            d = cut_derives(ref, parse_sequent(goal))
+            verdicts.add(d is not None)
+            want = "NO" if d is None else "\n".join(_cut_lines(d))
+            assert run(capsys, "cut-derive", str(path), goal) \
+                == (0, want + "\n", "")
+        assert verdicts == {True, False}
 
     def test_deep_unit_chain(self, capsys, tmp_path):
         # q => p0, then p_k => p_k+1 for 1500 steps: every Cut nests
@@ -632,3 +677,33 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+class TestParserReuse:
+    """One argument parser serves every ``main`` call of a process."""
+
+    def test_two_calls_build_it_once(self, capsys):
+        _build_parser.cache_clear()
+        assert run(capsys, "prove", "p => p")[0] == 0
+        assert run(capsys, "interpret", "p")[0] == 0
+        info = _build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_usage_error_leaves_no_state(self, capsys):
+        _build_parser.cache_clear()
+        alone = run(capsys, "prove", "--json", "p p \\ q => q")
+        _build_parser.cache_clear()
+        with pytest.raises(SystemExit) as exc:
+            main(["frobnicate"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run(capsys, "prove", "--json", "p p \\ q => q") == alone
+        assert alone[0] == 0
+        assert _build_parser.cache_info().misses == 1
+
+    def test_callee_patched_after_the_build(self, capsys, monkeypatch):
+        assert run(capsys, "prove", "p => p")[0] == 0
+        built = _build_parser()
+        monkeypatch.setattr("lambrack.cli.prove", lambda *a, **k: None)
+        assert run(capsys, "prove", "p => p") == (0, "UNPROVABLE\n", "")
+        assert _build_parser() is built
