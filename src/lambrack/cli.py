@@ -48,9 +48,9 @@ from .freegroup import print_word, word_of
 __all__ = ["main"]
 
 
-def _common(sub, calc=False, timeout=False, cache=False):
+def _common(sub, calc=False, timeout=False):
     """Add ``--json`` and the shared flags the subcommand's handler
-    reads.  ``--cache-dir`` is the one flag accepted and ignored."""
+    reads."""
     if calc:
         sub.add_argument("--calculus", default="Ldia",
                          help="calculus name (default Ldia)")
@@ -60,12 +60,6 @@ def _common(sub, calc=False, timeout=False, cache=False):
                               "milliseconds")
     sub.add_argument("--json", action="store_true",
                      help="emit machine-readable JSON")
-    if cache:
-        # compiles no longer cache their rules; the flag stays accepted
-        # until the benchmark that passes it changes
-        sub.add_argument("--cache-dir", default=None,
-                         help="ignored: kept for scripts that pass it, and "
-                              "removed with the next benchmark change")
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -338,7 +332,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("grammar", help="grammar file path or bundled name")
     sub.add_argument("--output", default=None,
                      help="write the CFG here instead of stdout")
-    _common(sub, calc=True, cache=True)
+    _common(sub, calc=True)
+    # compiles no longer cache their rules: the one flag accepted and
+    # ignored stays until the benchmark that passes it changes
+    sub.add_argument("--cache-dir", default=None,
+                     help="ignored: kept for scripts that pass it, and "
+                          "removed with the next benchmark change")
     sub.set_defaults(func=_cmd_compile)
 
     sub = subs.add_parser("parse",
@@ -362,7 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--max-len", type=int, default=None,
                      help="string length bound (default 5 plain, "
                           "4 starred)")
-    _common(sub, calc=True, timeout=True, cache=True)
+    _common(sub, calc=True, timeout=True)
     sub.set_defaults(func=_cmd_compare)
 
     sub = subs.add_parser("report", help="run the full claim battery")
@@ -370,7 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--out", default=".",
                      help="directory for report.json, report.txt, and "
                           "artifacts")
-    _common(sub, timeout=True, cache=True)
+    _common(sub, timeout=True)
     sub.set_defaults(func=_cmd_report)
 
     return parser

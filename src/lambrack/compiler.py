@@ -15,7 +15,7 @@ generating types.
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .cfgkit import Cfg
+from .cfgkit import Cfg, cfg
 from .freegroup import IDENTITY, mul, word_of
 from .prover import Prover, check
 from .syntax import (
@@ -162,8 +162,6 @@ def build_rulesets(prims, m: int, calc) -> RuleSets:
     if calc.name not in ("Ldia", "L1starDia"):
         raise ValueError(
             f"rule sets are built in Ldia or L1starDia, not {calc.name}")
-    if m < 1:
-        raise ValueError("the length bound must be at least 1")
     types = enum_types(prims, m, guarded=calc.unit)
     rules = _build(types, types, Prover(calc))
     return RuleSets(tuple(s for key, s, _ in rules if key[0] == 0),
@@ -208,7 +206,4 @@ def compile_cfg(g: Grammar, calc, max_types: int = 4000) -> Cfg:
                 f"rule proof fails its check: {print_sequent(s)}")
     prods = [(s.succedent, tuple(yield_of(s.antecedent))) for _, s, _ in rules]
     prods += [(t, (word,)) for word, t in g.lexicon]
-    terminals = frozenset(word for word, _ in g.lexicon)
-    heads = frozenset(lhs for lhs, _ in prods)
-    return Cfg(heads | {g.distinguished}, terminals, g.distinguished,
-               tuple(dict.fromkeys(prods)))
+    return cfg(g.distinguished, prods)

@@ -44,7 +44,7 @@ from .syntax import (
     boxdown, bracket, bracket_addresses, calculus, children_at, deindex,
     dia, fold, hole_coords, is_flat, leaf, length, plug, prim, prim_counts,
     print_sequent, print_type, replace_span, sequent, sequent_types,
-    span_partition, subtree,
+    span_partition,
 )
 
 __all__ = [
@@ -588,7 +588,7 @@ def cut_reduce(p: Proof, prims, m: int, calc) -> CutDerivation:
             # bracket, whose contents ``Δ`` are flat
             beta = max(addrs, key=len)
             parent, j = beta[:-1], beta[-1]
-            contents = subtree(ante, beta).children
+            contents = children_at(ante, beta)
             if not contents:
                 unit = apply_rule("UnitL", (beta, 0), (prf,))
                 right = apply_rule("DiaL", (parent, j), (unit,))
@@ -605,7 +605,8 @@ def cut_reduce(p: Proof, prims, m: int, calc) -> CutDerivation:
                 cut = cut_node(reduce_step(sequent(contents, x), left),
                                cut_leaf(bridge), (bracket((HOLE,)),))
             position = replace_span(ante, parent, j, j + 1, (HOLE,))
-            rest = sequent(plug(position, (leaf(cut.conclusion.succedent),)),
+            rest = sequent(replace_span(ante, parent, j, j + 1,
+                                        (leaf(cut.conclusion.succedent),)),
                            seq.succedent)
             return cut_node(cut, reduce_step(rest, right), position)
         n = len(ante)

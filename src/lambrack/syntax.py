@@ -39,7 +39,7 @@ __all__ = [
     "length", "prim_count", "prim_counts", "mod_total", "unit_count",
     "is_thin", "deindex",
     "BINARY", "nodes", "preorder", "fold",
-    "plug", "yield_of", "subtree", "children_at", "replace_children",
+    "plug", "yield_of", "children_at", "replace_children",
     "replace_span", "span_partition", "hole_coords", "bracket_addresses",
     "partitions", "is_flat", "sequent_types",
     "Calculus", "LDIA", "LDIA_M", "LSTAR_DIA", "L1STAR_DIA",
@@ -716,7 +716,7 @@ def unit_count(x: _Countable) -> int:
     if isinstance(x, tuple):
         return sum(tr.units for tr in x)
     if isinstance(x, Sequent):
-        return unit_count(x.antecedent) + x.succedent.units
+        return sum(tr.units for tr in x.antecedent) + x.succedent.units
     raise TypeError(f"cannot count units of {x!r}")
 
 
@@ -797,37 +797,16 @@ def fold(root, children: Callable, combine: Callable):
 
 def plug(context: Hedge, filling: Hedge) -> Hedge:
     """Splice ``filling`` into the unique hole of ``context``."""
-    out = []
-    found = 0
-    for tr in context:
-        if tr is HOLE:
-            out.extend(filling)
-            found += 1
-        elif isinstance(tr, Bracket) and tr.holes:
-            out.append(bracket(plug(tr.children, filling), tr.index))
-            found += 1
-        else:
-            out.append(tr)
+    found = sum(tr.holes for tr in context)
     if found != 1:
         raise ValueError(f"a context needs exactly one hole, found {found}")
-    return tuple(out)
+    parent, j = hole_coords(context)
+    return replace_span(context, parent, j, j + 1, filling)
 
 
 def yield_of(h: Hedge) -> list:
     """Left-to-right leaf types of ``h`` (holes are not leaves)."""
     return [tr.type for _, _, tr, _ in nodes(h) if isinstance(tr, Leaf)]
-
-
-def subtree(h: Hedge, addr: tuple) -> Tree:
-    """The tree at a nonempty address (a path of child positions)."""
-    if not addr:
-        raise ValueError("the empty address names the root hedge, not a tree")
-    node = None
-    cur = h
-    for i in addr:
-        node = cur[i]
-        cur = node.children if isinstance(node, Bracket) else None
-    return node
 
 
 def children_at(h: Hedge, parent: tuple) -> Hedge:
@@ -838,12 +817,18 @@ def children_at(h: Hedge, parent: tuple) -> Hedge:
 
 
 def replace_children(h: Hedge, parent: tuple, new_children: Hedge) -> Hedge:
+    """``h`` with the children of the bracket at ``parent`` (the root
+    hedge at ``()``) replaced, rebuilding each bracket on the path."""
     if not parent:
         return tuple(new_children)
-    i = parent[0]
-    node = h[i]
-    inner = replace_children(node.children, parent[1:], new_children)
-    return h[:i] + (bracket(inner, node.index),) + h[i + 1:]
+    path = []
+    for i in parent:
+        path.append((h, i))
+        h = h[i].children
+    out = tuple(new_children)
+    for sibs, i in reversed(path):
+        out = sibs[:i] + (bracket(out, sibs[i].index),) + sibs[i + 1:]
+    return out
 
 
 def replace_span(h: Hedge, parent: tuple, start: int, end: int,

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lambrack import harness, interpolate, prover
+from lambrack.cfgkit import cut_leaf
 from lambrack.compiler import enum_types
 from lambrack.freegroup import count_key, word_of
 from lambrack.harness import (
@@ -17,7 +18,8 @@ from lambrack.harness import (
     _hedge_at, _hedge_count, _hedges_exact, bundled_grammar,
     format_reports, load_grammar, run_freegroup_soundness,
     run_identity_family, run_equivalence, run_golden,
-    run_interpolation_sweep, run_shrinking_trials, write_reports,
+    run_interpolation_sweep, run_reduction_sweep, run_shrinking_trials,
+    write_reports,
 )
 from lambrack.prover import Proof, Prover, check, parse_proof
 from lambrack.syntax import (
@@ -317,6 +319,23 @@ class TestInterpolationSweep:
         assert not r.ok
         assert r.reproducer == ("population proof fails its check: "
                                 "p p \\ q => q")
+
+
+class TestReductionSweep:
+    def test_leaf_outside_the_rule_set_fails_the_replay(self, monkeypatch):
+        # a reduction is replayed against the rule set, so a leaf that
+        # is not a rule fails the sequent it was reducing
+        ok, bad = (parse_sequent(t) for t in ("p p \\ q => q",
+                                              "p p \\ q q \\ p => p"))
+        monkeypatch.setattr(harness, "_reduction_candidates",
+                            lambda: [ok, bad])
+        monkeypatch.setattr(harness, "cut_reduce",
+                            lambda proof, *args: cut_leaf(proof.conclusion))
+        r = run_reduction_sweep()
+        assert not r.ok
+        assert r.reproducer == "reduction fails for p p \\ q q \\ p => p"
+        assert r.counts == {"balanced_candidates": 2, "provable": 2,
+                            "derivation_nodes": 1}
 
 
 class TestShrinkingTrials:

@@ -30,7 +30,7 @@ from lambrack.syntax import (
     _counts_of, hole_coords, is_thin, leaf, length, over, parse_sequent,
     parse_type, partitions, plug, preorder, prim, prim_counts, print_hedge,
     print_sequent, print_type, prod, replace_span, sequent, sequent_types,
-    subtree, under,
+    under,
 )
 from helpers import cut_candidates, eliminate_bracket
 from test_prover import (
@@ -1085,7 +1085,7 @@ def _sweep(pf, calc, empty, modes, tally):
         return
     ante = pf.conclusion.antecedent
     for beta in bracket_addresses(ante):
-        if subtree(ante, beta).children:
+        if children_at(ante, beta):
             tally["eliminations"] += 1
             b, variant, (pa, pb) = eliminate_bracket(pf, calc, beta)
             yield f"eliminate {beta} {print_type(b)} {variant}"

@@ -123,8 +123,8 @@ SELF_RECURSIVE = {
     "Prover._search", "_Parser.type_operand", "_Recognizer.rebuild",
     "_descend", "_extract", "_hedge_at", "_hedge_count", "_hedges_exact",
     "_word_of_tree", "_word_of_type", "cut_reduce.reduce_step",
-    "deindex.tree", "deindex.ty", "is_guarded", "plug", "print_tree",
-    "replace_children", "translate_flat.go", "unit_count",
+    "deindex.tree", "deindex.ty", "is_guarded", "print_tree",
+    "translate_flat.go",
 }
 
 

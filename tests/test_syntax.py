@@ -19,7 +19,7 @@ from lambrack.syntax import (
     parse_grammar, parse_hedge,
     parse_sequent, parse_type, partitions, plug, prim,
     prim_count, prim_counts, print_hedge, print_sequent, print_tree,
-    print_type, prod, replace_span, sequent, span_partition, subtree,
+    print_type, prod, replace_span, sequent, span_partition,
     under, unit_count, validate_sequent, yield_of,
 )
 
@@ -347,7 +347,7 @@ def test_yield_plug_decomposition():
 def test_addresses_and_spans():
     h = parse_hedge("p [ q [ p ] ] q")
     assert bracket_addresses(h) == [(1,), (1, 1)]
-    assert subtree(h, (1, 1)) == bracket((leaf(p),))
+    assert children_at(h, (1,))[1] == bracket((leaf(p),))
     assert children_at(h, (1,)) == (leaf(q), bracket((leaf(p),)))
     ctx, sel = span_partition(h, (1,), 0, 1)
     assert sel == (leaf(q),)
@@ -367,6 +367,13 @@ def test_deeper_than_the_recursion_limit():
     assert bracket_addresses(h) == [(0,) * k for k in range(1, n + 1)]
     assert yield_of(h) == [prim("p")]
     assert hole_coords(context) == ((0,) * n, 0)
+    # plugging and splicing rebuild every bracket on the path without
+    # recursing; compared by addresses and yields, since ``==`` on
+    # brackets recurses
+    for rebuilt in (plug(context, (leaf(q),)),
+                    replace_span(h, (0,) * n, 0, 1, (leaf(q),))):
+        assert bracket_addresses(rebuilt) == bracket_addresses(h)
+        assert yield_of(rebuilt) == [q]
 
 
 def test_partitions_cover_all_spans():
