@@ -96,13 +96,17 @@ def _cmd_interpolate(args) -> int:
     calc = calculus(args.calculus)
     s = parse_sequent(args.sequent, calc)
     context = parse_context(args.context)
+    mismatch = "the context does not match the sequent outside its hole"
     parent, lo = hole_coords(context)
-    width = len(children_at(s.antecedent, parent))
+    try:
+        width = len(children_at(s.antecedent, parent))
+    except (AttributeError, IndexError):
+        # the sequent has no bracket at the hole's address
+        raise ValueError(mismatch) from None
     hi = lo + width - len(children_at(context, parent)) + 1
     part = partition_at(s.antecedent, parent, lo, hi)
     if part.context != context:
-        raise ValueError("the context does not match the sequent "
-                         "outside its hole")
+        raise ValueError(mismatch)
     proof = prove(s, calc, timeout_ms=args.timeout_ms)
     if proof is None:
         _emit(args, {"provable": False}, "UNPROVABLE")

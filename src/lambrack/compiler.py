@@ -26,6 +26,8 @@ from .syntax import (
 
 __all__ = ["RuleSets", "enum_types", "build_rulesets", "compile_cfg"]
 
+MAX_TYPES = 4000  # the most types compile_cfg enumerates for a grammar
+
 
 def enum_types(prims, m: int, guarded: bool = False) -> list:
     """All types over the primitives with length at most ``m``.
@@ -169,7 +171,7 @@ def build_rulesets(prims, m: int, calc) -> RuleSets:
                     {s: proof for _, s, proof in rules})
 
 
-def compile_cfg(g: Grammar, calc, max_types: int = 4000) -> Cfg:
+def compile_cfg(g: Grammar, calc) -> Cfg:
     """The context-free grammar equivalent to a categorial grammar.
 
     ``calc`` is the recognition calculus (plain or starred bracket
@@ -195,9 +197,9 @@ def compile_cfg(g: Grammar, calc, max_types: int = 4000) -> Cfg:
                 f"{print_type(t)}")
     m = max([length(t) for _, t in g.lexicon] + [length(g.distinguished)])
     types = enum_types(g.primitives(), m, guarded=calc.starred)
-    if len(types) > max_types:
+    if len(types) > MAX_TYPES:
         raise ValueError(
-            f"type enumeration too large: {len(types)} > {max_types}")
+            f"type enumeration too large: {len(types)} > {MAX_TYPES}")
     logic = L1STAR_DIA if calc.starred else LDIA
     rules = _build((t for _, t in g.lexicon), types, Prover(logic))
     for _, s, proof in rules:

@@ -73,6 +73,9 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 1729
+SHRINK_MAX_FACTORS = 6  # the shrinking trials' most factors per tuple
+SHRINK_MAX_LEN = 4  # and the longest of those factors
+FAMILY_TOP = 4  # the identity family's last index
 
 # Reference sequents exercised by run_golden.
 REFERENCE_BRACKETED = "[ [ p ] dia p \\ p ] => boxd dia dia p"
@@ -543,16 +546,15 @@ def run_interpolation_sweep(timeout_ms: Optional[float] = None) -> Report:
 # Shrinking-pair trials
 
 
-def run_shrinking_trials(trials: int = 10000, max_factors: int = 6,
-                      max_len: int = 4,
-                      seed: int = DEFAULT_SEED) -> Report:
+def run_shrinking_trials(trials: int = 10000,
+                         seed: int = DEFAULT_SEED) -> Report:
     """Randomized check that identity products admit a shrinking pair.
 
     Tuples are built by telescoping: random short words ``v_i`` give
-    factors ``u_i = inv(v_{i-1}) * v_i`` whose product collapses to the
-    identity and whose lengths stay within ``max_len``.  Every tuple
-    must yield an adjacent pair whose product is no longer than the
-    longer factor.
+    factors ``u_i = inv(v_{i-1}) * v_i``, two to ``SHRINK_MAX_FACTORS``
+    of them, whose product collapses to the identity and whose lengths
+    stay within ``SHRINK_MAX_LEN``.  Every tuple must yield an adjacent
+    pair whose product is no longer than the longer factor.
     """
     started = time.monotonic()
     failures = []
@@ -560,23 +562,22 @@ def run_shrinking_trials(trials: int = 10000, max_factors: int = 6,
     letters = [prim_letter(name, sign)
                for name in ("a", "b", "c") for sign in (1, -1)]
 
-    def random_word(max_half):
+    def random_word():
         out = IDENTITY
-        for _ in range(rng.randint(0, max_half)):
+        for _ in range(rng.randint(0, SHRINK_MAX_LEN // 2)):
             grown = [mul(out, word([l])) for l in letters]
             out = rng.choice([w for w in grown if wlen(w) > wlen(out)])
         return out
 
     splits = 0
     for _ in range(trials):
-        n = rng.randint(2, max_factors)
-        vs = [IDENTITY] + [random_word(max_len // 2) for _ in range(n - 1)]
-        vs.append(IDENTITY)
+        n = rng.randint(2, SHRINK_MAX_FACTORS)
+        vs = [IDENTITY] + [random_word() for _ in range(n - 1)] + [IDENTITY]
         us = [mul(inv(vs[i]), vs[i + 1]) for i in range(n)]
         total = IDENTITY
         for u in us:
             total = mul(total, u)
-        if total != IDENTITY or any(wlen(u) > max_len for u in us):
+        if total != IDENTITY or any(wlen(u) > SHRINK_MAX_LEN for u in us):
             failures.append("generator emitted an invalid tuple: "
                             + ", ".join(print_word(u) for u in us))
             continue
@@ -860,55 +861,47 @@ def run_equivalence(source, calc=LDIA, max_len: Optional[int] = None,
 # The length-one identity family
 
 
-def run_identity_family(max_i: int = 4,
-                  timeout_ms: Optional[float] = None) -> Report:
-    """Facts about the family q, (1/q)\\1, (1/(1/q)\\1)\\1, ...
+def run_identity_family(timeout_ms: Optional[float] = None) -> Report:
+    """Facts about the family q, (1/q)\\1, (1/(1/q)\\1)\\1, ... to index
+    ``FAMILY_TOP``: every member has length one, proves itself, and
+    fails to prove the base primitive.
 
-    Every member has length one, proves itself, and fails to prove the
-    base primitive; those are the checked claims.  The full ordered
-    provability matrix is also measured and reported in the counts: in
-    this calculus every member proves every other member except the
-    bare primitive, so only the arrows into the base distinguish the
-    family.
+    One ``Prover`` settles the matrix ``A_i => A_j`` row by row, and the
+    claims are read off its diagonal and, below it, its column 0.  The
+    provable off-diagonal pairs are counted too: every member proves
+    every other except the bare primitive, so only the arrows into the
+    base distinguish the family.
     """
-    if not 1 <= max_i <= 6:
-        raise ValueError("the family sweep is sized for indices 1 to 6")
     started = time.monotonic()
-    failures = []
+    failures, timed_out = [], []
     family = [prim("q")]
-    for _ in range(max_i):
+    for _ in range(FAMILY_TOP):
         family.append(under(over(UNIT, family[-1]), UNIT))
+    n = len(family)
 
-    identities = refutations = provable_pairs = 0
+    prover = Prover(L1STAR, timeout_ms=timeout_ms)
+    proves = {}
     try:
-        for i, t in enumerate(family):
-            if length(t) != 1:
-                failures.append(f"member {i} has length {length(t)}")
-            s = sequent((leaf(t),), t)
-            if prove(s, L1STAR, timeout_ms=timeout_ms) is None:
-                failures.append(f"identity fails for member {i}")
-            else:
-                identities += 1
-        for i in range(1, max_i + 1):
-            s = sequent((leaf(family[i]),), family[0])
-            if prove(s, L1STAR, timeout_ms=timeout_ms) is not None:
-                failures.append(
-                    f"member {i} unexpectedly proves the base primitive")
-            else:
-                refutations += 1
-        for i in range(max_i + 1):
-            for j in range(max_i + 1):
-                if i == j:
-                    continue
-                s = sequent((leaf(family[i]),), family[j])
-                if prove(s, L1STAR, timeout_ms=timeout_ms) is not None:
-                    provable_pairs += 1
+        for i, j in product(range(n), repeat=2):
+            s = sequent((leaf(family[i]),), family[j])
+            proves[i, j] = prover.prove(s) is not None
     except ProofSearchTimeout as exc:
-        failures.append(f"proof search timed out: {exc}")
+        timed_out.append(f"proof search timed out: {exc}")
 
-    counts = {"members": max_i + 1, "identities": identities,
-              "base_refutations": refutations,
-              "provable_ordered_pairs": provable_pairs}
+    # a pair left unsettled by a timeout is missing and counts nowhere
+    for i, t in enumerate(family):
+        if length(t) != 1:
+            failures.append(f"member {i} has length {length(t)}")
+        if proves.get((i, i)) is False:
+            failures.append(f"identity fails for member {i}")
+    base = [proves.get((i, 0)) for i in range(1, n)]
+    failures += [f"member {i} unexpectedly proves the base primitive"
+                 for i, v in enumerate(base, 1) if v] + timed_out
+    counts = {"members": n,
+              "identities": sum(proves.get((i, i), 0) for i in range(n)),
+              "base_refutations": base.count(False),
+              "provable_ordered_pairs": sum(v for (i, j), v in proves.items()
+                                            if i != j)}
     notes = ("all ordered pairs prove except the arrows into the base "
              "primitive; the members beyond the base are mutually "
              "interderivable",)

@@ -81,8 +81,7 @@ def test_criterion_3_interpolation_sweep(interp_report):
 
 
 def test_criterion_4_shrinking_pairs():
-    report = run_shrinking_trials(trials=10000, max_factors=6, max_len=4,
-                               seed=DEFAULT_SEED)
+    report = run_shrinking_trials(trials=10000, seed=DEFAULT_SEED)
     assert report.counts == {"trials": 10000, "splits": 10000}
     _accept(4, "shrinking pairs", report, cap=60.0)
 
@@ -153,7 +152,7 @@ def _slash_family(n):
 
 def test_criterion_8_identity_family():
     started = time.monotonic()
-    report = run_identity_family(max_i=4)
+    report = run_identity_family()
     assert report.ok, report.reproducer
     assert report.counts == {"members": 5, "identities": 5,
                              "base_refutations": 4,

@@ -156,6 +156,17 @@ class TestInterpolate:
         assert code == 2
         assert "context" in err
 
+    @pytest.mark.parametrize("goal, context", [
+        ("p => p", "[ _ ]"),
+        ("[ p ] => dia p", "q [ _ ]"),
+    ])
+    def test_hole_at_an_address_the_sequent_lacks(self, capsys, goal,
+                                                  context):
+        code, out, err = run(capsys, "interpolate", goal, context)
+        assert (code, out) == (2, "")
+        assert err == ("error: the context does not match the sequent "
+                       "outside its hole\n")
+
     @pytest.mark.parametrize("mutation", ["swapped", "interpolant",
                                           "left", "right"])
     def test_wrong_answer_is_refused(self, capsys, monkeypatch, mutation):

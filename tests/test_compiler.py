@@ -233,8 +233,10 @@ class TestCompileCfg:
                 compile_cfg(g, calc)
 
     def test_size_cap(self):
-        with pytest.raises(ValueError):
-            compile_cfg(_bundled("anbn.lg"), LDIA, max_types=100)
+        # one length-4 type over {a, b, c} enumerates 11,619 types
+        g = parse_grammar("lexicon x : (a * b) / (c * a)\ntarget : a\n")
+        with pytest.raises(ValueError, match="11619 > 4000"):
+            compile_cfg(g, LDIA)
 
     def test_flat_equivalence_smoke(self):
         # the lexicon is modality-free, so provable sequents are flat

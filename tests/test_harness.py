@@ -21,7 +21,7 @@ from lambrack.harness import (
     run_interpolation_sweep, run_reduction_sweep, run_shrinking_trials,
     write_reports,
 )
-from lambrack.prover import Proof, Prover, check, parse_proof
+from lambrack.prover import Proof, Prover, check, parse_proof, prove
 from lambrack.syntax import (
     LDIA, L1STAR_DIA, L1STAR_DIA_M, UNIT, Bracket, Leaf, boxdown, calculus,
     dia, leaf, length, mod_total, over, parse_sequent, prim, prod, sequent,
@@ -320,6 +320,22 @@ class TestInterpolationSweep:
         assert r.reproducer == ("population proof fails its check: "
                                 "p p \\ q => q")
 
+    def test_contract_fault_is_a_failure(self, monkeypatch):
+        # a result failing the contract at one span names that span
+        s = parse_sequent("p p \\ q => q")
+        monkeypatch.setattr(harness, "_interp_population",
+                            lambda timeout_ms=None: [(s, prove(s, LDIA))])
+        monkeypatch.setattr(
+            harness, "_contract_fault",
+            lambda s, parent, lo, hi, res, calc:
+                "wrong" if (lo, hi) == (1, 2) else None)
+        r = run_interpolation_sweep()
+        assert not r.ok
+        assert r.reproducer == ("interpolation contract fails at () "
+                                "[1:2] of p p \\ q => q")
+        assert r.counts == {"sequents": 1, "partitions": 3,
+                            "thin_partitions": 3}
+
 
 class TestReductionSweep:
     def test_leaf_outside_the_rule_set_fails_the_replay(self, monkeypatch):
@@ -364,11 +380,33 @@ class TestIdentityFamily:
                             "provable_ordered_pairs": 16}
         assert r.notes
 
-    def test_index_validation(self):
-        with pytest.raises(ValueError):
-            run_identity_family(max_i=0)
-        with pytest.raises(ValueError):
-            run_identity_family(max_i=7)
+    def test_failures_keep_their_order(self, monkeypatch):
+        # member 2's identity fails and member 3 proves q: the identity
+        # failure is reported first, then the base-primitive one
+        family = [prim("q")]
+        for _ in range(4):
+            family.append(under(over(UNIT, family[-1]), UNIT))
+        rigged = {sequent((leaf(family[2]),), family[2]): None,
+                  sequent((leaf(family[3]),), family[0]): True}
+        search, finish, reported = Prover.prove, harness._finish, []
+
+        def prove_rigged(self, s):
+            return rigged[s] if s in rigged else search(self, s)
+
+        def recorded(claim, started, counts, failures, *args, **kwargs):
+            reported.extend(failures)
+            return finish(claim, started, counts, failures, *args, **kwargs)
+
+        monkeypatch.setattr(Prover, "prove", prove_rigged)
+        monkeypatch.setattr(harness, "_finish", recorded)
+        r = run_identity_family()
+        assert reported == ["identity fails for member 2",
+                            "member 3 unexpectedly proves the base "
+                            "primitive"]
+        assert r.reproducer == reported[0]
+        assert r.counts == {"members": 5, "identities": 4,
+                            "base_refutations": 3,
+                            "provable_ordered_pairs": 17}
 
 
 class TestBundledGrammars:
@@ -403,6 +441,16 @@ class TestEquivalence:
         assert r.ok
         assert r.counts == {"strings": 6, "members": 1}
         assert list(tmp_path.iterdir()) == []
+
+    def test_membership_disagreement_is_a_failure(self, monkeypatch):
+        # a compiled side that recognizes nothing disagrees on the first
+        # member of anbn, a b
+        monkeypatch.setattr(harness, "derives", lambda *args: None)
+        r = run_equivalence("anbn.lg", "Ldia", max_len=2)
+        assert not r.ok
+        assert r.reproducer == ("membership disagrees on a b: grammar "
+                                "side True, compiled side False")
+        assert r.counts == {"strings": 6, "members": 0}
 
     def test_rejects_other_calculi(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ from lambrack.cfgkit import (
     CutBase, cut_derives, cut_leaf, cut_node, replay_cuts,
 )
 from lambrack.compiler import build_rulesets, enum_types
-from lambrack.freegroup import wlen, word_of
+from lambrack.freegroup import inv, shrinking_pair, wlen, word_of
 from lambrack import interpolate, syntax
 from lambrack.harness import _balanced, _rows, _succedents
 from lambrack.interpolate import (
@@ -921,6 +921,17 @@ class TestCutReduceFlat:
         assert d.cut_count() == 1
         assert set(d.leaves()) == {parse_sequent("p p \\ p => p")}
         assert replay_cuts(d)
+
+    def test_prefix_is_cut_when_the_pair_takes_the_succedent(self):
+        # the one shrinking pair is the last type with the succedent's
+        # inverse (k = n = 3), so the prefix p q is cut and reduced
+        s = parse_sequent("p q r => p * (q * r)")
+        words = [word_of(tr) for tr in s.antecedent]
+        assert shrinking_pair(words + [inv(word_of(s.succedent))]) == 3
+        d = cut_reduce_flat(s, {"p", "q", "r"}, 3, LDIA)
+        assert d.conclusion == s and d.cut_count() == 1 and replay_cuts(d)
+        assert list(d.leaves()) == [parse_sequent("p q => p * q"),
+                                    parse_sequent("p * q r => p * (q * r)")]
 
     def _check_reduction(self, s, d, prims, m, calc):
         assert d.conclusion == s

@@ -7,6 +7,7 @@ import random
 import sys
 from collections import Counter
 from operator import attrgetter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1354,6 +1355,25 @@ class TestEngine:
         for _ in range(2):
             with pytest.raises(ProofSearchTimeout):
                 shared.prove(parse_sequent("p => p"))
+
+    def test_timeout_polled_on_every_32nd_goal(self, monkeypatch):
+        # the clock passes the deadline only after the root poll, so the
+        # search itself raises, at its poll on the 32nd of 41 goals
+        s = parse_sequent("p " + "p\\p " * 40 + "=> p")
+        plain = Prover(LDIA)
+        assert plain.prove(s) is not None and len(plain.memo) == 41
+        reads = []
+
+        def monotonic():
+            reads.append(None)
+            return 0.0 if len(reads) <= 2 else 1e9
+
+        monkeypatch.setattr(prover, "time", SimpleNamespace(
+            monotonic=monotonic))
+        with pytest.raises(ProofSearchTimeout):
+            Prover(LDIA, timeout_ms=1000).prove(s)
+        # the deadline, the root poll and the 32nd goal's poll
+        assert len(reads) == 3
 
     def test_slash_chains_enter_linear_goals(self):
         # ``OverL`` tries argument ends shortest first and ``UnderL``
